@@ -35,18 +35,15 @@ def main(task: str, request: dict) -> int:
     if task == "methodology":
         print(json.dumps({"import_s": import_s}), flush=True)
         result = workloads.methodology_unit(
-            request["seed"], tuple(request["ips"]), request["mode"],
-            request.get("inject"),
+            request["seed"], request["mode"], request.get("inject"),
         )
         print(json.dumps(result))
         return 0
     if task == "setup":
         workload = workloads.WORKLOADS[request["workload"]]
         with tempfile.TemporaryDirectory(dir=bootstrap.scratch_dir()) as tmp:
-            ctx = workloads.Context(
-                seed=request["seed"], ips=tuple(request["ips"]),
-                recorder=Recorder(), tmp=tmp,
-            )
+            ctx = workloads.Context(seed=request["seed"],
+                                    recorder=Recorder(), tmp=tmp)
             try:
                 workload.setup(ctx)
                 print(json.dumps({"import_s": import_s}), flush=True)

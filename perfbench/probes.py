@@ -25,6 +25,7 @@ import time
 from concurrent.futures import Future
 
 from repro.mutation.cache import ResultCache
+from repro.mutation.placement import SupervisedFuture
 
 #: Calls the flow front-end makes itself: ``(module, attribute, layer)``.
 FRONTEND_PATCHES = (
@@ -197,7 +198,7 @@ class TimedShard:
                 threading.get_ident())
 
 
-class _ChainedFuture(Future):
+class _ChainedFuture(SupervisedFuture):
     def __init__(self, inner: Future) -> None:
         super().__init__()
         self._inner = inner

@@ -85,14 +85,13 @@ def cpu_seconds() -> float:
     return t.user + t.system + t.children_user + t.children_system
 
 
-def time_setup(workload, seed: int, ips) -> "tuple[float | None, float | None]":
+def time_setup(workload, seed: int) -> "tuple[float | None, float | None]":
     """Interpreter start plus the workload's set-up, in a fresh child:
     from spawn until the child reports it is set up."""
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, os.path.join(workloads.HERE, "child.py"),
-         "setup", json.dumps({"workload": workload.name, "seed": seed,
-                              "ips": list(ips)})],
+         "setup", json.dumps({"workload": workload.name, "seed": seed})],
         stdout=subprocess.PIPE, text=True,
     )
     try:
@@ -111,12 +110,11 @@ def time_setup(workload, seed: int, ips) -> "tuple[float | None, float | None]":
 def measure(args) -> dict:
     """Set up, run units until the time is up, tear down."""
     workload = workloads.WORKLOADS[args.workload]
-    ips = tuple(args.ips.split(","))
     recorder = Recorder()
     cpu_start = cpu_seconds()
     setups, imports, setup_failures = [], [], 0
     for _ in range(SETUP_SAMPLES):
-        elapsed, import_s = time_setup(workload, args.seed, ips)
+        elapsed, import_s = time_setup(workload, args.seed)
         if elapsed is None:
             setup_failures += 1
         else:
@@ -129,8 +127,8 @@ def measure(args) -> dict:
     rss = None
     direct_p50 = None
     with tempfile.TemporaryDirectory(dir=bootstrap.scratch_dir()) as tmp:
-        ctx = workloads.Context(seed=args.seed, ips=ips, recorder=recorder,
-                                tmp=tmp, traced=traced, inject=args.inject)
+        ctx = workloads.Context(seed=args.seed, recorder=recorder, tmp=tmp,
+                                traced=traced, inject=args.inject)
         try:
             with contextlib.ExitStack() as stack:
                 if traced:
@@ -344,14 +342,16 @@ def run_one(args) -> int:
     if args.trace:
         print_self_time_table(run)
         print(f"  trace: {write_trace(run, args)}")
+    # A value that could not be measured (every set-up failed, a child
+    # timed out) is left out rather than written as a number that reads
+    # like a valid -- even the best -- result.
     result = {
         "correct": failed == 0,
         "attempted": attempted,
         "failed": failed,
         "metrics": {
-            name: {"value": value if math.isfinite(value) else 0.0,
-                   "unit": units_of[name]}
-            for name, value in metrics.items()
+            name: {"value": value, "unit": units_of[name]}
+            for name, value in metrics.items() if math.isfinite(value)
         },
     }
     print(json.dumps(result))
@@ -365,7 +365,7 @@ def run_all(args) -> int:
         command = [sys.executable, os.path.abspath(__file__),
                    "--workload", name, "--seed", str(args.seed),
                    "--seconds", str(args.seconds),
-                   "--trace", str(args.trace), "--ips", args.ips]
+                   "--trace", str(args.trace)]
         status |= subprocess.run(command).returncode
     return 1 if status else 0
 
@@ -377,15 +377,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--ips", default=",".join(workloads.IPS),
-                        help="comma-separated subset of the case studies")
     parser.add_argument("--inject",
                         choices=("flip-rtl-verdict", "corrupt-cache-entry"),
                         help="plant a wrong result (self-test only)")
     args = parser.parse_args(argv)
-    unknown = set(args.ips.split(",")) - set(workloads.IPS)
-    if unknown:
-        parser.error(f"unknown IPs: {', '.join(sorted(unknown))}")
     if args.workload is None:
         return run_all(args)
     return run_one(args)
