@@ -49,7 +49,9 @@ Commands
     left idle by big ones; the per-campaign reports stay deterministic
     (identical to standalone ``mutate`` runs).  ``--rtl-validation``
     interleaves each campaign's RTL-validation shards on the same
-    pool and prints a second table with the RTL results.
+    pool and prints a second table with the RTL results, listing the
+    mutants whose TLM and RTL verdicts disagree (any makes the exit
+    code non-zero).
 ``timing <ip> <sensor> [cycles] [--rtl-exec compiled|interpreted]``
     Measure the RTL / TLM / optimised-TLM simulation times on the IP's
     testbench workload.  ``--rtl-exec both`` additionally times the
@@ -305,6 +307,16 @@ def _cache_cell(report) -> str:
     return f"{report.cache_hits}/{report.cache_misses}"
 
 
+def _disagreement_cell(indices) -> str:
+    """The disagreeing mutant indices of one RTL-validated campaign, or
+    ``n.a.`` when its RTL testbench length differs from the TLM one."""
+    if indices is None:
+        return "n.a."
+    if not indices:
+        return "0"
+    return f"{len(indices)}: " + ", ".join(map(str, indices))
+
+
 def _cmd_bench(args) -> int:
     from repro.mutation import CampaignScheduler, run_benchmark_suite
 
@@ -361,15 +373,17 @@ def _cmd_bench(args) -> int:
         ),
     ))
     if suite.rtl_reports:
+        disagreements = suite.rtl_disagreements
         rtl_rows = [
             [ip, sensor, report.total, f"{report.risen_pct:.1f}%",
+             _disagreement_cell(disagreements.get((ip, sensor))),
              _cache_cell(report), f"{report.seconds:.2f}"]
             for (ip, sensor), report in sorted(suite.rtl_reports.items())
         ]
         print()
         print(format_table(
             ["IP", "sensor", "mutants", "errors risen",
-             "cache (hit/miss)", "time (s)"],
+             "TLM/RTL disagreements", "cache (hit/miss)", "time (s)"],
             rtl_rows,
             title=(
                 "RTL validation (same shared pool, interleaved with "
@@ -396,7 +410,8 @@ def _cmd_bench(args) -> int:
     # Same gate as mutate/flow -- 100% of judged mutants killed in
     # every campaign AND no stall-budget truncations -- plus, when RTL
     # validation ran, cross-level agreement: every Razor RTL report
-    # must have raised its error on every mutant.
+    # must have raised its error on every mutant, and every mutant's
+    # TLM and RTL verdicts must agree (same-length testbenches).
     return 0 if suite.all_killed and suite.timed_out_count == 0 \
         and suite.rtl_validation_ok else 1
 

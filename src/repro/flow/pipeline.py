@@ -202,121 +202,123 @@ def run_flow(
         steps.  The mutation report is deterministic for any worker
         count and cache state.
     """
-    _flow_span = trace_span("flow.run", ip=spec.name, sensor=sensor_type)
-    _flow_span.__enter__()
+    with trace_span("flow.run", ip=spec.name, sensor=sensor_type):
+        # -- step 0/1: characterise and insert sensors --------------------
+        with trace_span("flow.augment", ip=spec.name, sensor=sensor_type):
+            artifacts = build_augmented(
+                spec, sensor_type, exec_mode=rtl_exec_mode
+            )
+        synth, sta = artifacts.synth, artifacts.sta
+        critical = artifacts.critical
+        augmented = artifacts.augmented
+        module = augmented.module
+        original_rtl_loc = artifacts.original_rtl_loc
+        augmented_rtl_loc = artifacts.augmented_rtl_loc
 
-    # -- step 0/1: characterise and insert sensors ------------------------
-    with trace_span("flow.augment", ip=spec.name, sensor=sensor_type):
-        artifacts = build_augmented(
-            spec, sensor_type, exec_mode=rtl_exec_mode
-        )
-    synth, sta, critical = artifacts.synth, artifacts.sta, artifacts.critical
-    augmented = artifacts.augmented
-    module = augmented.module
-    original_rtl_loc = artifacts.original_rtl_loc
-    augmented_rtl_loc = artifacts.augmented_rtl_loc
-
-    # -- step 2: RTL-to-TLM abstraction, both data-type variants ------------
-    with trace_span("flow.tlm", ip=spec.name):
-        tlm_standard = generate_tlm(
-            module, variant="sctypes", augmented=augmented
-        )
-        tlm_optimized = generate_tlm(
-            module, variant="hdtlib", augmented=augmented
-        )
-
-    # -- step 3: mutant injection (ADAM) -------------------------------------
-    with trace_span("flow.inject", ip=spec.name):
-        injected = inject_mutants(augmented, variant="hdtlib")
-
-    # -- static analysis gate (repro.lint) -----------------------------------
-    lint_report = None
-    if lint:
-        from repro.lint import (
-            LintGateError,
-            apply_waivers,
-            lint_module,
-            waivers_for_ip,
-        )
-
-        lint_report = apply_waivers(
-            lint_module(module), waivers_for_ip(spec.name)
-        )
-        if not lint_report.ok:
-            raise LintGateError(lint_report)
-
-    result = FlowResult(
-        spec=spec,
-        sensor_type=sensor_type,
-        synth=synth,
-        sta=sta,
-        critical=critical,
-        augmented=augmented,
-        original_rtl_loc=original_rtl_loc,
-        augmented_rtl_loc=augmented_rtl_loc,
-        tlm_standard=tlm_standard,
-        tlm_optimized=tlm_optimized,
-        injected=injected,
-        lint_report=lint_report,
-    )
-
-    # -- step 4: mutation analysis ---------------------------------------------
-    if mutation_cycles is None:
-        mutation_cycles = spec.mutation_cycles
-    if rtl_validation_cycles is None:
-        # Full campaign length: slowly-toggling endpoints (e.g. the
-        # filter's /32-decimated output registers) need the complete
-        # testbench to be stimulated at RTL too.
-        rtl_validation_cycles = spec.mutation_cycles
-    if run_mutation:
-        stimuli = spec.stimulus(mutation_cycles)
-        prune_plan = None
-        if lint_prune:
-            from repro.lint import plan_pruning
-
-            # The augmented IR enables the frozen-target fold analysis
-            # on top of the scheduler-level equivalence criteria.
-            prune_plan = plan_pruning(injected, sensor_type, module=module)
-        # The GeneratedTlm itself (not a bare factory) keeps the
-        # golden fingerprintable, so a warm cache can replay the
-        # golden trace and skip the reference simulation entirely.
-        with trace_span("flow.mutation", ip=spec.name, sensor=sensor_type):
-            result.mutation = run_mutation_analysis(
-                tlm_optimized,
-                injected,
-                stimuli,
-                ip_name=spec.name,
-                sensor_type=sensor_type,
-                recovery=True,
-                workers=workers,
-                shard_size=shard_size,
-                batch_size=batch_size,
-                scheduler=scheduler,
-                cache=cache,
-                lint_prune=lint_prune,
-                prune_plan=prune_plan,
+        # -- step 2: RTL-to-TLM abstraction, both data-type variants --------
+        with trace_span("flow.tlm", ip=spec.name):
+            tlm_standard = generate_tlm(
+                module, variant="sctypes", augmented=augmented
+            )
+            tlm_optimized = generate_tlm(
+                module, variant="hdtlib", augmented=augmented
             )
 
-    if run_rtl_validation:
-        from repro.ips import rebuild_recipe
+        # -- step 3: mutant injection (ADAM) ------------------------------
+        with trace_span("flow.inject", ip=spec.name):
+            injected = inject_mutants(augmented, variant="hdtlib")
 
-        stimuli = spec.stimulus(rtl_validation_cycles)
-        with trace_span("flow.rtl_validation", ip=spec.name):
-            result.rtl_validation = validate_at_rtl(
-                augmented,
-                injected.mutants,
-                stimuli=stimuli,
-                cycles=rtl_validation_cycles,
-                ip_name=spec.name,
-                exec_mode=rtl_exec_mode,
-                # Worker processes rebuild the augmentation from the
-                # registry; an unregistered ad-hoc spec keeps the shards
-                # in the parent process.
-                rebuild=rebuild_recipe(spec),
-                workers=workers,
-                shard_size=shard_size,
-                scheduler=scheduler,
-                cache=cache,
+        # -- static analysis gate (repro.lint) ----------------------------
+        lint_report = None
+        if lint:
+            from repro.lint import (
+                LintGateError,
+                apply_waivers,
+                lint_module,
+                waivers_for_ip,
             )
-    _flow_span.__exit__(None, None, None)
-    return result
+
+            lint_report = apply_waivers(
+                lint_module(module), waivers_for_ip(spec.name)
+            )
+            if not lint_report.ok:
+                raise LintGateError(lint_report)
+
+        result = FlowResult(
+            spec=spec,
+            sensor_type=sensor_type,
+            synth=synth,
+            sta=sta,
+            critical=critical,
+            augmented=augmented,
+            original_rtl_loc=original_rtl_loc,
+            augmented_rtl_loc=augmented_rtl_loc,
+            tlm_standard=tlm_standard,
+            tlm_optimized=tlm_optimized,
+            injected=injected,
+            lint_report=lint_report,
+        )
+
+        # -- step 4: mutation analysis ------------------------------------
+        if mutation_cycles is None:
+            mutation_cycles = spec.mutation_cycles
+        if rtl_validation_cycles is None:
+            # Full campaign length: slowly-toggling endpoints (e.g. the
+            # filter's /32-decimated output registers) need the
+            # complete testbench to be stimulated at RTL too.
+            rtl_validation_cycles = spec.mutation_cycles
+        if run_mutation:
+            stimuli = spec.stimulus(mutation_cycles)
+            prune_plan = None
+            if lint_prune:
+                from repro.lint import plan_pruning
+
+                # The augmented IR enables the frozen-target fold
+                # analysis on top of the scheduler-level equivalence
+                # criteria.
+                prune_plan = plan_pruning(
+                    injected, sensor_type, module=module
+                )
+            # The GeneratedTlm itself (not a bare factory) keeps the
+            # golden fingerprintable, so a warm cache can replay the
+            # golden trace and skip the reference simulation entirely.
+            with trace_span("flow.mutation", ip=spec.name,
+                            sensor=sensor_type):
+                result.mutation = run_mutation_analysis(
+                    tlm_optimized,
+                    injected,
+                    stimuli,
+                    ip_name=spec.name,
+                    sensor_type=sensor_type,
+                    recovery=True,
+                    workers=workers,
+                    shard_size=shard_size,
+                    batch_size=batch_size,
+                    scheduler=scheduler,
+                    cache=cache,
+                    lint_prune=lint_prune,
+                    prune_plan=prune_plan,
+                )
+
+        if run_rtl_validation:
+            from repro.ips import rebuild_recipe
+
+            stimuli = spec.stimulus(rtl_validation_cycles)
+            with trace_span("flow.rtl_validation", ip=spec.name):
+                result.rtl_validation = validate_at_rtl(
+                    augmented,
+                    injected.mutants,
+                    stimuli=stimuli,
+                    cycles=rtl_validation_cycles,
+                    ip_name=spec.name,
+                    exec_mode=rtl_exec_mode,
+                    # Worker processes rebuild the augmentation from
+                    # the registry; an unregistered ad-hoc spec keeps
+                    # the shards in the parent process.
+                    rebuild=rebuild_recipe(spec),
+                    workers=workers,
+                    shard_size=shard_size,
+                    scheduler=scheduler,
+                    cache=cache,
+                )
+        return result

@@ -68,6 +68,7 @@ from .rtl_validation import (
     RtlMutantOutcome,
     RtlValidationReport,
     RtlValidationShard,
+    cross_level_disagreements,
     prepare_rtl_validation,
     validate_at_rtl,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "RtlMutantOutcome",
     "RtlValidationReport",
     "RtlValidationShard",
+    "cross_level_disagreements",
     "prepare_rtl_validation",
     "validate_at_rtl",
 ]

@@ -413,190 +413,186 @@ def prepare_campaign(
     carried in ``cached_outcomes`` / ``pruned_outcomes``, re-indexed
     to the current mutant table.
     """
-    # One span covers the whole preparation; explicit enter/exit keeps
-    # the long single-exit body un-indented.
-    _span = trace_span("campaign.prepare", ip=ip_name, sensor=sensor_type)
-    _span.__enter__()
-    specs = injected.mutants
-    taps = resolve_tap_order(injected, sensor_type, tap_order)
+    with trace_span("campaign.prepare", ip=ip_name, sensor=sensor_type):
+        specs = injected.mutants
+        taps = resolve_tap_order(injected, sensor_type, tap_order)
 
-    golden_trace = None
-    golden_cached = None
-    golden_key = None
-    if cache is not None and isinstance(golden, GeneratedTlm):
-        from .cache import (
-            decode_golden_trace,
-            golden_entry_key,
-            model_fingerprint,
-            stimuli_hash,
-        )
-
-        golden_key = golden_entry_key(
-            model_fingerprint(golden),
-            stimuli_hash(stimuli),
-            sensor_type,
-            recovery=recovery,
-        )
-        payload = cache.get(golden_key)
-        if payload is not None:
-            golden_trace = decode_golden_trace(payload)
-            golden_cached = True
-            REGISTRY.inc("repro_golden_cache_hits_total")
-    if golden_trace is None:
-        golden_model = _resolve_golden_model(golden)
-        with trace_span("campaign.golden", ip=ip_name,
-                        cycles=len(stimuli)):
-            golden_trace = compute_golden_trace(
-                golden_model, stimuli, sensor_type=sensor_type,
-                recovery=recovery
+        golden_trace = None
+        golden_cached = None
+        golden_key = None
+        if cache is not None and isinstance(golden, GeneratedTlm):
+            from .cache import (
+                decode_golden_trace,
+                golden_entry_key,
+                model_fingerprint,
+                stimuli_hash,
             )
-        if golden_key is not None:
-            from .cache import encode_golden_trace
 
-            cache.put(
-                golden_key, encode_golden_trace(golden_trace, ip=ip_name)
+            golden_key = golden_entry_key(
+                model_fingerprint(golden),
+                stimuli_hash(stimuli),
+                sensor_type,
+                recovery=recovery,
             )
-            golden_cached = False
-            REGISTRY.inc("repro_golden_cache_misses_total")
-
-    cached_outcomes: "list" = []
-    cache_keys = None
-    hits = misses = None
-    miss_indices = list(range(len(specs)))
-    if cache is not None:
-        from .cache import (
-            decode_outcome,
-            golden_trace_hash,
-            model_fingerprint,
-            mutant_entry_key,
-            stimuli_hash,
-        )
-
-        model_fp = model_fingerprint(injected)
-        stim_hash = stimuli_hash(stimuli)
-        golden_hash = golden_trace_hash(golden_trace)
-        cache_keys = tuple(
-            mutant_entry_key(
-                model_fp, stim_hash, golden_hash, sensor_type, spec,
-                recovery=recovery, tap_order=taps,
-            )
-            for spec in specs
-        )
-        with trace_span("campaign.cache_probe", ip=ip_name,
-                        keys=len(cache_keys)):
-            cached_outcomes, miss_indices = cache.probe(
-                cache_keys, decode_outcome
-            )
-        hits = len(cached_outcomes)
-        misses = len(miss_indices)
-
-    pruned_outcomes: "list" = []
-    duplicate_of: "dict[int, int]" = {}
-    duplicate_specs: "dict[int, object]" = {}
-    pruned_equivalent = pruned_duplicate = None
-    if lint_prune:
-        from repro.lint.mutants import (
-            clone_outcome,
-            equivalence_confirmed,
-            judge_equivalent,
-            plan_pruning,
-        )
-
-        plan = (
-            prune_plan
-            if prune_plan is not None
-            else plan_pruning(injected, sensor_type)
-        )
-        thresholds = None
-        if sensor_type == "counter":
-            thresholds = dict(
-                getattr(injected.compiled_class(), "LUT_THRESHOLDS", {})
-                or {}
-            )
-        confirmed = {
-            i: reason
-            for i, reason in plan.equivalent.items()
-            if equivalence_confirmed(reason, sensor_type, golden_trace)
-        }
-        # Plan-level counters (all table entries, not just cache
-        # misses) so cold and warm runs of the same campaign report
-        # identical prune statistics.
-        pruned_equivalent = len(confirmed)
-        pruned_duplicate = len(plan.duplicate_of)
-        known = {o.index: o for o in cached_outcomes}
-        remaining: "list[int]" = []
-        for i in miss_indices:
-            if i in confirmed:
-                outcome = judge_equivalent(
-                    i,
-                    specs[i],
-                    golden_trace,
-                    sensor_type=sensor_type,
-                    recovery=recovery,
-                    tap_order=taps,
-                    thresholds=thresholds,
+            payload = cache.get(golden_key)
+            if payload is not None:
+                golden_trace = decode_golden_trace(payload)
+                golden_cached = True
+                REGISTRY.inc("repro_golden_cache_hits_total")
+        if golden_trace is None:
+            golden_model = _resolve_golden_model(golden)
+            with trace_span("campaign.golden", ip=ip_name,
+                            cycles=len(stimuli)):
+                golden_trace = compute_golden_trace(
+                    golden_model, stimuli, sensor_type=sensor_type,
+                    recovery=recovery
                 )
-                pruned_outcomes.append(outcome)
-                known[i] = outcome
-            else:
-                remaining.append(i)
-        miss_indices = []
-        for i in remaining:
-            rep = plan.duplicate_of.get(i)
-            if rep is None:
-                miss_indices.append(i)
-            elif rep in known:
-                outcome = clone_outcome(known[rep], i, specs[i])
-                pruned_outcomes.append(outcome)
-                known[i] = outcome
-            else:
-                # Representative still executes; clone when its shard
-                # lands (PreparedCampaign.expand_outcomes).
-                duplicate_of[i] = rep
-                duplicate_specs[i] = specs[i]
-        if cache is not None and pruned_outcomes:
-            from .cache import encode_outcome
+            if golden_key is not None:
+                from .cache import encode_golden_trace
 
-            for outcome in pruned_outcomes:
-                payload = encode_outcome(outcome)
-                payload["ip"] = ip_name
-                cache.put(cache_keys[outcome.index], payload)
+                cache.put(
+                    golden_key, encode_golden_trace(golden_trace, ip=ip_name)
+                )
+                golden_cached = False
+                REGISTRY.inc("repro_golden_cache_misses_total")
 
-    shards = tuple(
-        CampaignShard(
-            indices=indices,
-            injected=injected,
-            stimuli=tuple(stimuli),
-            golden=golden_trace,
-            sensor_type=sensor_type,
-            recovery=recovery,
-            tap_order=taps,
-            exec_strategy="batched" if batch_size else "serial",
-            batch_size=batch_size or None,
-            trace=TRACER.enabled,
+        cached_outcomes: "list" = []
+        cache_keys = None
+        hits = misses = None
+        miss_indices = list(range(len(specs)))
+        if cache is not None:
+            from .cache import (
+                decode_outcome,
+                golden_trace_hash,
+                model_fingerprint,
+                mutant_entry_key,
+                stimuli_hash,
+            )
+
+            model_fp = model_fingerprint(injected)
+            stim_hash = stimuli_hash(stimuli)
+            golden_hash = golden_trace_hash(golden_trace)
+            cache_keys = tuple(
+                mutant_entry_key(
+                    model_fp, stim_hash, golden_hash, sensor_type, spec,
+                    recovery=recovery, tap_order=taps,
+                )
+                for spec in specs
+            )
+            with trace_span("campaign.cache_probe", ip=ip_name,
+                            keys=len(cache_keys)):
+                cached_outcomes, miss_indices = cache.probe(
+                    cache_keys, decode_outcome
+                )
+            hits = len(cached_outcomes)
+            misses = len(miss_indices)
+
+        pruned_outcomes: "list" = []
+        duplicate_of: "dict[int, int]" = {}
+        duplicate_specs: "dict[int, object]" = {}
+        pruned_equivalent = pruned_duplicate = None
+        if lint_prune:
+            from repro.lint.mutants import (
+                clone_outcome,
+                equivalence_confirmed,
+                judge_equivalent,
+                plan_pruning,
+            )
+
+            plan = (
+                prune_plan
+                if prune_plan is not None
+                else plan_pruning(injected, sensor_type)
+            )
+            thresholds = None
+            if sensor_type == "counter":
+                thresholds = dict(
+                    getattr(injected.compiled_class(), "LUT_THRESHOLDS", {})
+                    or {}
+                )
+            confirmed = {
+                i: reason
+                for i, reason in plan.equivalent.items()
+                if equivalence_confirmed(reason, sensor_type, golden_trace)
+            }
+            # Plan-level counters (all table entries, not just cache
+            # misses) so cold and warm runs of the same campaign report
+            # identical prune statistics.
+            pruned_equivalent = len(confirmed)
+            pruned_duplicate = len(plan.duplicate_of)
+            known = {o.index: o for o in cached_outcomes}
+            remaining: "list[int]" = []
+            for i in miss_indices:
+                if i in confirmed:
+                    outcome = judge_equivalent(
+                        i,
+                        specs[i],
+                        golden_trace,
+                        sensor_type=sensor_type,
+                        recovery=recovery,
+                        tap_order=taps,
+                        thresholds=thresholds,
+                    )
+                    pruned_outcomes.append(outcome)
+                    known[i] = outcome
+                else:
+                    remaining.append(i)
+            miss_indices = []
+            for i in remaining:
+                rep = plan.duplicate_of.get(i)
+                if rep is None:
+                    miss_indices.append(i)
+                elif rep in known:
+                    outcome = clone_outcome(known[rep], i, specs[i])
+                    pruned_outcomes.append(outcome)
+                    known[i] = outcome
+                else:
+                    # Representative still executes; clone when its shard
+                    # lands (PreparedCampaign.expand_outcomes).
+                    duplicate_of[i] = rep
+                    duplicate_specs[i] = specs[i]
+            if cache is not None and pruned_outcomes:
+                from .cache import encode_outcome
+
+                for outcome in pruned_outcomes:
+                    payload = encode_outcome(outcome)
+                    payload["ip"] = ip_name
+                    cache.put(cache_keys[outcome.index], payload)
+
+        shards = tuple(
+            CampaignShard(
+                indices=indices,
+                injected=injected,
+                stimuli=tuple(stimuli),
+                golden=golden_trace,
+                sensor_type=sensor_type,
+                recovery=recovery,
+                tap_order=taps,
+                exec_strategy="batched" if batch_size else "serial",
+                batch_size=batch_size or None,
+                trace=TRACER.enabled,
+            )
+            for indices in _shard_sequence(miss_indices, workers, shard_size)
         )
-        for indices in _shard_sequence(miss_indices, workers, shard_size)
-    )
-    prepared = PreparedCampaign(
-        ip_name=ip_name,
-        sensor_type=sensor_type,
-        variant=injected.variant,
-        cycles_per_run=len(stimuli),
-        total=len(specs),
-        shards=shards,
-        cached_outcomes=tuple(cached_outcomes),
-        cache_keys=cache_keys,
-        cache_hits=hits,
-        cache_misses=misses,
-        golden_cached=golden_cached,
-        pruned_outcomes=tuple(pruned_outcomes),
-        duplicate_of=duplicate_of or None,
-        duplicate_specs=duplicate_specs or None,
-        pruned_equivalent=pruned_equivalent,
-        pruned_duplicate=pruned_duplicate,
-    )
-    _span.__exit__(None, None, None)
-    return prepared
+        prepared = PreparedCampaign(
+            ip_name=ip_name,
+            sensor_type=sensor_type,
+            variant=injected.variant,
+            cycles_per_run=len(stimuli),
+            total=len(specs),
+            shards=shards,
+            cached_outcomes=tuple(cached_outcomes),
+            cache_keys=cache_keys,
+            cache_hits=hits,
+            cache_misses=misses,
+            golden_cached=golden_cached,
+            pruned_outcomes=tuple(pruned_outcomes),
+            duplicate_of=duplicate_of or None,
+            duplicate_specs=duplicate_specs or None,
+            pruned_equivalent=pruned_equivalent,
+            pruned_duplicate=pruned_duplicate,
+        )
+        return prepared
 
 
 def run_campaign(

@@ -15,15 +15,50 @@ which makes the two levels indistinguishable to the sensors:
 
 These run on the event-driven kernel with the sensor banks active, so
 they exercise the true shadow-latch / HF-counter mechanics rather than
-the TLM emulation.
+the TLM emulation.  :func:`cross_level_disagreements` compares the
+verdicts of the two levels mutant by mutant.
+
+Forked sweep
+------------
+A mutant differs from the nominal design in one thing only: the
+transport delay of its endpoint.  Until the first write that changes
+the endpoint's value its simulation *is* the nominal one, so each
+:class:`RtlValidationShard` runs its mutants as one forked sweep on a
+single simulator:
+
+* **golden pass** -- the testbench runs once at nominal delays,
+  recording each cycle's judged sensor output (Razor ``tap.error``,
+  Counter ``tap.meas_val``) and the time each monitored endpoint first
+  changes value; it stops once every endpoint of the shard has;
+* **fork point** -- that change lands ``nominal`` ps after the write
+  that caused it, so a mutant restores a golden snapshot
+  (:meth:`~repro.rtl.Simulation.snapshot_state`) taken at the last
+  cycle boundary before that write.  The endpoint's writes still
+  pending there were made before it changed, so they are no-ops in the
+  mutant and are dropped.  The mutant then applies its delay, takes the
+  golden observations for the skipped cycles and simulates only the
+  rest.  A second golden run walks the fork points in cycle order,
+  holding one snapshot at a time;
+* **settled verdicts stop** -- ``error_risen`` is a Razor mutant's
+  only verdict field, so its simulation stops at the first raised
+  error;
+* **judged from the golden pass** -- a mutant whose endpoint never
+  changes within the testbench is state-identical to the nominal run,
+  so its verdict comes from the golden observations without simulating.
+
+Verdicts are field-identical to simulating each mutant on a fresh
+simulator for the full testbench.  The sweep calls the testbench driver
+``drive(sim, i)`` out of order -- cycle ``i`` of the golden runs, then
+of each fork -- so ``drive`` must depend only on ``sim`` and ``i``
+(the canonical stimulus driver and every legacy caller do).
 
 Execution model
 ---------------
 Validation is lowered to :class:`RtlValidationShard` work units served
 by the same :class:`~repro.mutation.scheduler.CampaignScheduler` pool
-as the TLM campaign shards (the historical serial per-mutant loop is
-gone): mixed TLM-campaign + RTL-validation suites interleave on one
-executor (:func:`repro.mutation.scheduler.run_benchmark_suite` with
+as the TLM campaign shards: mixed TLM-campaign + RTL-validation suites
+interleave on one executor
+(:func:`repro.mutation.scheduler.run_benchmark_suite` with
 ``rtl_validation=True``).
 
 An :class:`~repro.sensors.insertion.AugmentedIP` holds native sensor
@@ -51,6 +86,7 @@ cache.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, field
 
@@ -64,6 +100,7 @@ __all__ = [
     "RtlValidationReport",
     "RtlValidationShard",
     "PreparedRtlValidation",
+    "cross_level_disagreements",
     "prepare_rtl_validation",
     "validate_at_rtl",
 ]
@@ -84,6 +121,8 @@ class RtlValidationReport:
     ip_name: str
     sensor_type: str
     outcomes: "list[RtlMutantOutcome]" = field(default_factory=list)
+    #: Testbench cycles each mutant was judged over.
+    cycles_per_run: int = 0
     #: Wall-clock time -- runtime metadata, excluded from equality.
     seconds: float = field(default=0.0, compare=False)
     #: Result-cache accounting (``None`` when validated cache-less);
@@ -103,6 +142,23 @@ class RtlValidationReport:
         return 100.0 * sum(o.error_risen for o in self.outcomes) / len(
             self.outcomes
         )
+
+
+def cross_level_disagreements(tlm, rtl: RtlValidationReport) -> "list[int]":
+    """Indices of the mutants whose TLM and RTL verdicts differ on
+    ``error_risen`` or ``meas_val``, or that only one level judged --
+    the per-mutant form of the paper's Section 8.5 claim that each TLM
+    mutant reproduced at RTL makes the sensors raise the same errors.
+    ``tlm`` is the campaign's
+    :class:`~repro.mutation.analysis.MutationReport`."""
+    def verdicts(report):
+        return {o.index: (o.error_risen, o.meas_val) for o in report.outcomes}
+
+    tlm_verdicts, rtl_verdicts = verdicts(tlm), verdicts(rtl)
+    return sorted(
+        index for index in tlm_verdicts.keys() | rtl_verdicts.keys()
+        if tlm_verdicts.get(index) != rtl_verdicts.get(index)
+    )
 
 
 def _rtl_delay_for(spec: MutantSpec, augmented: AugmentedIP) -> int:
@@ -146,39 +202,129 @@ def _stimulus_driver(augmented: AugmentedIP, stimuli,
     return drive
 
 
-def _run_rtl_mutant(augmented: AugmentedIP, index: int, spec: MutantSpec,
-                    drive, cycles: int, exec_mode: str) -> RtlMutantOutcome:
-    """Reproduce one mutant at RTL: fresh simulator, one delayed
-    endpoint, ``cycles`` driven testbench cycles, sensor taps read
-    every cycle."""
+def _judged_tap(augmented: AugmentedIP, register: str):
+    """The sensor tap monitoring ``register`` and the output a mutant
+    of it is judged on: Razor ``error``, Counter ``meas_val``."""
+    if augmented.sensor_type == "razor":
+        tap = next(
+            t for t in augmented.bank.taps if t.register.name == register
+        )
+        return tap, tap.error
+    tap = augmented.bank.tap_for(register)
+    return tap, tap.meas_val
+
+
+def _verdict(augmented: AugmentedIP, tap,
+             observed: "list[int]") -> "tuple[bool, int | None]":
+    """``(error_risen, meas_val)`` from a mutant's judged sensor
+    output, one value per testbench cycle: Razor rises on any error;
+    Counter reports the last non-zero measurement and rises on any
+    above the LUT threshold."""
+    if augmented.sensor_type == "razor":
+        return any(observed), None
+    measured = [meas for meas in observed if meas]
+    return (
+        any(meas > tap.lut_threshold for meas in measured),
+        measured[-1] if measured else None,
+    )
+
+
+def _forked_sweep(augmented: AugmentedIP, indices, specs, drive,
+                  cycles: int, exec_mode: str) -> "list[RtlMutantOutcome]":
+    """Reproduce a shard's mutants at RTL as one forked sweep on a
+    single simulator (see the module docstring); outcomes in
+    ``indices`` order, field-identical to simulating each mutant on a
+    fresh simulator for the full testbench."""
     sim = augmented.make_simulation(
         input_launch_at_edge=True, exec_mode=exec_mode
     )
-    endpoint = augmented.endpoint_for(spec.register)
-    sim.set_transport_delay(endpoint, _rtl_delay_for(spec, augmented))
-    risen = False
-    measured = None
-    if augmented.sensor_type == "razor":
-        tap = next(
-            t for t in augmented.bank.taps
-            if t.register.name == spec.register
+    razor = augmented.sensor_type == "razor"
+    taps = {spec.register: _judged_tap(augmented, spec.register)
+            for spec in specs}
+    endpoint_of = {reg: augmented.endpoint_for(reg) for reg in taps}
+    snap = sim.snapshot_state()
+
+    # -- golden pass: judged outputs per cycle, first endpoint changes --
+    golden: "dict[str, list[int]]" = {reg: [] for reg in taps}
+    unchanged = {ep: sim.peek(ep) for ep in endpoint_of.values()}
+    changed_at: dict = {}  # endpoint -> time its value first changed
+
+    def first_change(sim, t) -> None:
+        for ep in [ep for ep, v0 in unchanged.items()
+                   if sim.peek(ep) != v0]:
+            changed_at[ep] = t
+            del unchanged[ep]
+
+    bounds = [sim.time]  # bounds[c]: simulated time after c cycles
+    sim.watch(first_change)
+    for i in range(cycles):
+        if not unchanged:
+            break  # every fork point is known
+        drive(sim, i)
+        bounds.append(sim.time)
+        for reg, (_, judged) in taps.items():
+            golden[reg].append(sim.peek_int(judged))
+    sim.unwatch(first_change)
+    # A change written inside the testbench may land after its end,
+    # where a mutant with a shorter delay still sees it.
+    for land, _, sig, value in (
+        sim.snapshot_state()["delayed"] if unchanged else ()
+    ):
+        if sig in unchanged and value != unchanged[sig]:
+            changed_at[sig] = min(land, changed_at.get(sig, land))
+
+    # -- fork points: the last cycle boundary before the first write
+    # that changes the endpoint (it lands ``nominal`` ps later) --------
+    observed: "dict[int, list[int]]" = {}
+    forks: "dict[int, list]" = {}
+    for index, spec in zip(indices, specs):
+        tap, _ = taps[spec.register]
+        endpoint = endpoint_of[spec.register]
+        if endpoint not in changed_at:
+            # State-identical to the golden run for the whole testbench.
+            observed[index] = golden[spec.register]
+            continue
+        write = changed_at[endpoint] - tap.nominal_delay_ps
+        fork = max(0, bisect.bisect_left(bounds, write) - 1)
+        forks.setdefault(fork, []).append((index, spec))
+
+    # -- forks, in cycle order along one more golden run holding one
+    # snapshot at a time ------------------------------------------------
+    sim.restore_state(snap)
+    done = 0
+    for fork in sorted(forks):
+        for i in range(done, fork):
+            drive(sim, i)
+        done = fork
+        snap = sim.snapshot_state()
+        for index, spec in forks[fork]:
+            tap, judged = taps[spec.register]
+            endpoint = endpoint_of[spec.register]
+            # Every pending write to the endpoint predates its first
+            # changing write, so each lands as a no-op in the mutant.
+            sim.restore_state({**snap, "delayed": sorted(
+                e for e in snap["delayed"] if e[2] is not endpoint
+            )})
+            sim.set_transport_delay(endpoint, _rtl_delay_for(spec, augmented))
+            seen = observed[index] = golden[spec.register][:fork]
+            # error_risen is a Razor mutant's only verdict field: the
+            # first raised error settles it.
+            if not (razor and any(seen)):
+                for i in range(fork, cycles):
+                    drive(sim, i)
+                    seen.append(sim.peek_int(judged))
+                    if razor and seen[-1]:
+                        break
+            sim.set_transport_delay(endpoint, tap.nominal_delay_ps)
+        sim.restore_state(snap)
+    return [
+        RtlMutantOutcome(
+            spec, *_verdict(augmented, taps[spec.register][0],
+                            observed[index]),
+            index=index,
         )
-        for i in range(cycles):
-            drive(sim, i)
-            if sim.peek_int(tap.error):
-                risen = True
-    else:
-        tap = augmented.bank.tap_for(spec.register)
-        for i in range(cycles):
-            drive(sim, i)
-            meas = sim.peek_int(tap.meas_val)
-            if meas:
-                measured = meas
-                if meas > tap.lut_threshold:
-                    risen = True
-    return RtlMutantOutcome(
-        spec=spec, error_risen=risen, meas_val=measured, index=index
-    )
+        for index, spec in zip(indices, specs)
+    ]
 
 
 #: Per-process memo of rebuilt augmented designs, keyed by
@@ -246,12 +392,10 @@ class RtlValidationShard:
             drive = _stimulus_driver(
                 augmented, list(self.stimuli), self.recovery_value
             )
-        return [
-            _run_rtl_mutant(
-                augmented, index, spec, drive, self.cycles, self.exec_mode
-            )
-            for index, spec in zip(self.indices, self.specs)
-        ]
+        return _forked_sweep(
+            augmented, self.indices, self.specs, drive, self.cycles,
+            self.exec_mode,
+        )
 
 
 @dataclass(frozen=True)
@@ -265,6 +409,7 @@ class PreparedRtlValidation:
     ip_name: str
     sensor_type: str
     total: int
+    cycles_per_run: int
     shards: "tuple[RtlValidationShard, ...]"
     cached_outcomes: "tuple" = ()
     cache_keys: "tuple[str, ...] | None" = None
@@ -283,6 +428,7 @@ class PreparedRtlValidation:
             ip_name=self.ip_name,
             sensor_type=self.sensor_type,
             outcomes=sorted(outcomes, key=lambda o: o.index),
+            cycles_per_run=self.cycles_per_run,
             seconds=seconds,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
@@ -378,6 +524,7 @@ def prepare_rtl_validation(
         ip_name=ip_name,
         sensor_type=augmented.sensor_type,
         total=len(specs),
+        cycles_per_run=cycles,
         shards=shards,
         cached_outcomes=tuple(cached_outcomes),
         cache_keys=cache_keys,

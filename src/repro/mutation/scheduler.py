@@ -540,16 +540,34 @@ class SuiteResult:
         return sum(r.timed_out_count for r in self.reports.values())
 
     @property
+    def rtl_disagreements(self) -> "dict[tuple[str, str], list[int]]":
+        """Per RTL-validated campaign whose two levels ran the same
+        testbench length, the indices of the mutants whose TLM and RTL
+        ``error_risen``/``meas_val`` disagree
+        (:func:`~repro.mutation.rtl_validation.cross_level_disagreements`).
+        A campaign validated over a different RTL length is left out:
+        a shorter testbench may legitimately miss an arrival."""
+        from .rtl_validation import cross_level_disagreements
+
+        return {
+            key: cross_level_disagreements(self.reports[key], rtl)
+            for key, rtl in self.rtl_reports.items()
+            if rtl.cycles_per_run == self.reports[key].cycles_per_run
+        }
+
+    @property
     def rtl_validation_ok(self) -> bool:
         """True when no RTL validation ran, or every Razor RTL report
-        raised its error on every mutant (the paper's cross-level
-        agreement criterion).  Counter risen percentages sit below
-        100% by LUT-threshold design, so they are not gated."""
+        raised its error on every mutant and every mutant of
+        :attr:`rtl_disagreements` agrees across the two levels (the
+        paper's cross-level agreement criterion).  Counter risen
+        percentages sit below 100% by LUT-threshold design, so only
+        their per-mutant agreement is gated."""
         return all(
             r.risen_pct == 100.0
             for (_, sensor), r in self.rtl_reports.items()
             if sensor == "razor"
-        )
+        ) and not any(self.rtl_disagreements.values())
 
 
 @dataclass

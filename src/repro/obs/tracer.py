@@ -84,9 +84,13 @@ class _Span:
         self._start = time.perf_counter()
         return self
 
-    def __exit__(self, *exc) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
         tracer = self._tracer
         end = time.perf_counter()
+        args = {**tracer.current_attrs(), **self._args}
+        if exc_type is not None:
+            # A span left by an exception still records, tagged with it.
+            args["error"] = exc_type.__name__
         tracer._record({
             "name": self._name,
             "ph": "X",
@@ -94,7 +98,7 @@ class _Span:
             "dur": end - self._start,
             "pid": os.getpid(),
             "tid": threading.get_ident(),
-            "args": {**tracer.current_attrs(), **self._args},
+            "args": args,
         })
         return False
 

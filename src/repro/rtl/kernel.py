@@ -40,6 +40,7 @@ allocating a seen-set and a woken-list per delta.
 
 from __future__ import annotations
 
+import copy
 import heapq
 
 from .compile import compile_process
@@ -87,6 +88,13 @@ class NativeCtx:
     def read(self, sig: Signal) -> LV:
         """Current value of a signal (pre-commit view)."""
         return self._sim._values[sig]
+
+    @property
+    def values(self) -> "dict[Signal, LV]":
+        """The committed value store itself (read-only by contract): a
+        process scanning many signals per activation indexes it once
+        instead of paying one :meth:`read` call per signal."""
+        return self._sim._values
 
     def write(self, sig: Signal, value: "LV | int") -> None:
         """Non-blocking write, committed with the surrounding delta."""
@@ -721,7 +729,10 @@ class Simulation:
         process state -- never the elaborated structures (runner
         closures, wake masks, sensitivity maps), which are immutable
         after construction and shared by every fork.  ``LV`` values are
-        immutable, so the planes shallow-copy.
+        immutable, so the planes shallow-copy; native process state may
+        nest mutable containers, so it is deep-copied here and again on
+        every :meth:`restore_state` -- one snapshot can seed any number
+        of forks without the live run ever aliasing it.
 
         The returned dict feeds :meth:`restore_state` on *this*
         simulation; the pair is what lets a batched mutant sweep
@@ -740,10 +751,7 @@ class Simulation:
             "pending_native": dict(self._pending_native),
             "pending_arrays": list(self._pending_arrays),
             "delayed": list(self._delayed),
-            "native_state": {
-                key: dict(state)
-                for key, state in self._native_state.items()
-            },
+            "native_state": copy.deepcopy(self._native_state),
             "cycles": self.stats["cycles"],
         }
 
@@ -773,7 +781,7 @@ class Simulation:
         self._pending_native.update(snapshot["pending_native"])
         self._pending_arrays[:] = snapshot["pending_arrays"]
         self._delayed[:] = snapshot["delayed"]
-        for key, state in snapshot["native_state"].items():
+        for key, state in copy.deepcopy(snapshot["native_state"]).items():
             store = self._native_state[key]
             store.clear()
             store.update(state)

@@ -144,6 +144,14 @@ class LV:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LV values are immutable")
 
+    # An immutable value is its own copy (the default slot-by-slot copy
+    # would trip the ``__setattr__`` guard above).
+    def __copy__(self) -> "LV":
+        return self
+
+    def __deepcopy__(self, memo) -> "LV":
+        return self
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

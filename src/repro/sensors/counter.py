@@ -107,6 +107,15 @@ class CounterBank:
         raise KeyError(register_name)
 
 
+def _write_changed(ctx, values, sig: Signal, value: int) -> None:
+    """``ctx.write(sig, value)`` unless ``sig`` already holds ``value``:
+    committing an equal value to an undelayed signal changes nothing,
+    so skipping it only saves the allocation."""
+    current = values[sig]
+    if current.unk or current.value != value:
+        ctx.write(sig, value)
+
+
 def attach_counter_bank(
     module: Module,
     clock: Signal,
@@ -131,7 +140,7 @@ def attach_counter_bank(
         module=module, clock=clock, hf_clock=hf_clock, hf_ratio=hf_ratio
     )
 
-    cps_extractors: dict[int, object] = {}
+    cps_extractors: list = []
     cps_bits = cps_bits or {}
     for register, endpoint, nominal in monitored:
         cps = module.signal(f"{register.name}__cps")
@@ -163,9 +172,11 @@ def attach_counter_bank(
             cps_index=chosen,
         )
         bank.taps.append(tap)
-        cps_extractors[id(tap)] = extract
+        cps_extractors.append(extract)
 
     taps = list(bank.taps)
+    lanes = range(len(taps))
+    endpoints = [t.endpoint for t in taps]
     ratio = hf_ratio
     meas_cap = (1 << MEAS_WIDTH) - 1
     latency_slots = MEASUREMENT_LATENCY_CYCLES - 1
@@ -182,51 +193,62 @@ def attach_counter_bank(
         the latched CPS value (R1 for rising, R2 for falling), pushed
         through the three-cycle latency pipeline, compared against the
         LUT threshold, and the window state cleared.
+
+        Sampling is change-driven: per-tap state lives in flat lists
+        indexed by tap position, and a tap whose endpoint still holds
+        the very ``LV`` object it held at the previous tick is skipped.
+        That is exact -- values are immutable and the kernel replaces a
+        stored value only when it changes, so the same object means the
+        same CPS bit and therefore no transition.
         """
         state = ctx.state
         if not state:
             state["count"] = 0
-            state["taps"] = {
-                id(t): {"prev": None, "r1": 0, "r2": 0, "seen": False}
-                for t in taps
-            }
-            state["pipe"] = {
-                id(t): [0] * latency_slots for t in taps
-            }
+            state["seen_lv"] = [None] * len(taps)  # endpoint at last tick
+            state["cps"] = [None] * len(taps)      # CPS bit at last tick
+            state["r1"] = [0] * len(taps)
+            state["r2"] = [0] * len(taps)
+            state["seen"] = [False] * len(taps)
+            state["pipe"] = [[0] * latency_slots for _ in taps]
 
-        state["count"] += 1
-        count = state["count"]
-        for tap in taps:
-            ts = state["taps"][id(tap)]
-            cur = cps_extractors[id(tap)](ctx.read(tap.endpoint))
-            prev = ts["prev"]
+        count = state["count"] + 1
+        state["count"] = count
+        values = ctx.values
+        seen_lv, cps = state["seen_lv"], state["cps"]
+        for k in lanes:
+            lv = values[endpoints[k]]
+            if lv is seen_lv[k]:
+                continue
+            seen_lv[k] = lv
+            cur = cps_extractors[k](lv)
+            prev = cps[k]
             if prev is not None and cur != prev:
                 if cur == 1:
-                    ts["r1"] = count
+                    state["r1"][k] = count
                 else:
-                    ts["r2"] = count
-                ts["seen"] = True
-            ts["prev"] = cur
+                    state["r2"][k] = count
+                state["seen"][k] = True
+            cps[k] = cur
 
         if ctx.now % main_period_ps == 0:
             # Window boundary: emit this window's measurement and reopen.
-            for tap in taps:
-                ts = state["taps"][id(tap)]
-                if ts["seen"]:
-                    meas = ts["r1"] if ts["prev"] == 1 else ts["r2"]
+            r1, r2, seen = state["r1"], state["r2"], state["seen"]
+            for k in lanes:
+                if seen[k]:
+                    meas = r1[k] if cps[k] == 1 else r2[k]
                 else:
                     meas = 0
-                queue = state["pipe"][id(tap)]
+                queue = state["pipe"][k]
                 queue.append(min(meas, meas_cap))
                 out = queue.pop(0)
-                ctx.write(tap.meas_val, out)
-                ctx.write(
-                    tap.out_ok,
+                tap = taps[k]
+                _write_changed(ctx, values, tap.meas_val, out)
+                _write_changed(
+                    ctx, values, tap.out_ok,
                     1 if (out == 0 or out <= tap.lut_threshold) else 0,
                 )
-                ts["r1"] = 0
-                ts["r2"] = 0
-                ts["seen"] = False
+                r1[k] = r2[k] = 0
+                seen[k] = False
             state["count"] = 0
 
     module.native(

@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.abstraction import MutantSpec, generate_tlm
 from repro.faults import FaultPlan, active_plan
-from repro.flow import run_flow
+from repro.flow import build_augmented, run_flow
 from repro.ips import CASE_STUDIES, case_study
 from repro.mutation import (
     GoldenTrace,
@@ -665,3 +665,31 @@ class TestKernelSnapshot:
         sim.restore_state(snap)
         c = drive(6, 6)
         assert a == b == c
+
+    def test_restore_isolates_native_process_state(self):
+        """The Counter bank's native process keeps nested per-tap
+        state; neither the live run nor a restore may share it with
+        the snapshot."""
+        spec = case_study("dsp")
+        aug = build_augmented(spec, "counter").augmented
+        sim = aug.make_simulation(input_launch_at_edge=True)
+        inputs = {p.name: p for p in aug.module.inputs()}
+        stim = spec.stimulus(24)
+
+        def drive(n, start):
+            observed = []
+            for vec in stim[start:start + n]:
+                sim.cycle({inputs[k]: v for k, v in vec.items()})
+                observed.append(
+                    tuple(sim.peek_int(t.meas_val) for t in aug.bank.taps)
+                )
+            return observed
+
+        drive(6, 0)
+        snap = sim.snapshot_state()
+        first = drive(18, 6)
+        assert any(any(row) for row in first)
+        sim.restore_state(snap)
+        assert drive(18, 6) == first
+        sim.restore_state(snap)
+        assert drive(18, 6) == first

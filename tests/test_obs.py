@@ -6,6 +6,8 @@ Acceptance contract:
   spans, instants, thread-local context attributes and absorbed
   worker-shard captures when enabled; its Chrome-trace export passes
   :func:`repro.obs.validate_chrome_trace`;
+* a step that raises still closes its span, tagged with the exception
+  type (``error="LintGateError"`` on a lint-gated ``flow.run``);
 * tracing changes **nothing** about campaign results: reports run
   with the tracer on compare field-for-field equal to reports run
   with it off (the full IP x sensor x workers x batch sweep is gated
@@ -149,6 +151,60 @@ class TestTracer:
             pass
         TRACER.enable()
         assert len(TRACER) == 0
+
+
+def _spans_named(name):
+    return [e for e in TRACER.chrome_trace()["traceEvents"]
+            if e["name"] == name]
+
+
+class TestFailedRunsAreTraced:
+    """A step that raises still closes its span, tagged with the
+    exception type."""
+
+    def test_span_records_the_error_type(self):
+        TRACER.enable()
+        with pytest.raises(KeyError):
+            with trace_span("work"):
+                raise KeyError("missing")
+        (span,) = _spans_named("work")
+        assert span["args"]["error"] == "KeyError"
+
+    def test_lint_gated_flow_run(self, monkeypatch):
+        import repro.lint
+        from repro.lint import LintGateError, lint_module
+        from repro.rtl import Assign, Module, const
+
+        broken = Module("dd")
+        clk = broken.input("clk")
+        q = broken.output("q", 4)
+        broken.sync("p1", clk, [Assign(q, const(1, 4))])
+        broken.sync("p2", clk, [Assign(q, const(2, 4))])
+        report = lint_module(broken)
+        monkeypatch.setattr(repro.lint, "lint_module", lambda m: report)
+        TRACER.enable()
+        with pytest.raises(LintGateError):
+            run_flow(case_study("dsp"), "razor", run_mutation=False)
+        (span,) = _spans_named("flow.run")
+        assert span["args"]["error"] == "LintGateError"
+        assert span["args"]["ip"] == "dsp"
+        assert validate_chrome_trace(TRACER.chrome_trace()) == []
+
+    def test_failing_golden_run_in_campaign_prepare(self, flow):
+        from repro.mutation import prepare_campaign
+
+        def golden():
+            raise RuntimeError("golden model unavailable")
+
+        TRACER.enable()
+        with pytest.raises(RuntimeError):
+            prepare_campaign(
+                golden, flow.injected,
+                case_study("filter").stimulus(REDUCED_CYCLES),
+                ip_name="filter", sensor_type="razor",
+            )
+        (span,) = _spans_named("campaign.prepare")
+        assert span["args"]["error"] == "RuntimeError"
 
 
 class TestShardCapture:

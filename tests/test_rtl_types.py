@@ -1,5 +1,7 @@
 """Unit and property tests for four-valued logic scalars and vectors."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,6 +141,12 @@ class TestLVConstruction:
 
     def test_hashable(self):
         assert len({LV.from_int(4, 1), LV.from_int(4, 1)}) == 1
+
+    def test_copies_are_the_value_itself(self):
+        v = LV.from_str("1X0Z")
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+        assert copy.deepcopy({"prev": [v]})["prev"][0] is v
 
 
 # ----------------------------------------------------------------------
