@@ -11,7 +11,7 @@ import pytest
 
 from repro.flow import run_flow
 from repro.ips import case_study
-from repro.mutation import run_mutation_analysis
+from repro.mutation import run_campaign
 from repro.reporting import format_table
 
 from conftest import emit_report
@@ -84,7 +84,7 @@ def test_campaign_speed(benchmark, dsp_razor):
     stimuli = case_study("dsp").stimulus(48)
 
     def one_mutant():
-        return run_mutation_analysis(
+        return run_campaign(
             dsp_razor.golden_factory(),
             dsp_razor.injected,
             stimuli,

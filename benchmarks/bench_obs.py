@@ -4,13 +4,13 @@ Two gates over the span tracer / metrics instrumentation
 (:mod:`repro.obs`) threaded through the campaign engine:
 
 * **field-identity gate** -- for every case-study IP x sensor type x
-  workers {1, 2} x batch {serial, 3}, the campaign run with tracing
+  workers {1, 2} x shard size {default, 3}, the campaign run with tracing
   **on** must produce a report field-identical (outcome lists
   included) to the same campaign run with tracing **off**.  Obs data
   is runtime metadata; any verdict drift fails the run loudly
   (exit 1);
 * **overhead gate** -- enabling the tracer may not slow the
-  single-worker serial campaign by more than ``MAX_OVERHEAD_PCT``
+  single-worker campaign by more than ``MAX_OVERHEAD_PCT``
   (5%).  Both sides take the best of ``--repeat`` runs; the gate
   reads the *minimum* overhead across the IP x sensor grid, so one
   noisy cell cannot fail CI while a real regression -- which slows
@@ -49,10 +49,12 @@ SENSORS = ("razor", "counter")
 #: Acceptance sweep (ISSUE PR 10): every cell must be field-identical
 #: traced vs untraced.
 WORKER_COUNTS = (1, 2)
-BATCH_SIZES = (None, 3)
+#: Shard sizes (each shard is one batched sweep): the default split
+#: and a fixed width of 3.
+SHARD_SIZES = (None, 3)
 
 #: Overhead gate: tracing may not cost more than this much wall time
-#: on the single-worker serial campaign.
+#: on the single-worker campaign.
 MAX_OVERHEAD_PCT = 5.0
 
 #: --quick testbench length (full identity sweep, tiny campaigns).
@@ -91,19 +93,20 @@ def bench_ip(name, sensor, repeat, cycles):
             ip_name=name, sensor_type=sensor, **kw
         )
 
-    # Field-identity sweep: workers x batch, traced vs untraced.
+    # Field-identity sweep: workers x shard size, traced vs untraced.
     mismatches = []
     for workers in WORKER_COUNTS:
-        for batch in BATCH_SIZES:
-            off = run(workers=workers, batch_size=batch)
-            on = _traced(lambda w=workers, b=batch:
-                         run(workers=w, batch_size=b))
+        for shard_size in SHARD_SIZES:
+            off = run(workers=workers, shard_size=shard_size)
+            on = _traced(lambda w=workers, s=shard_size:
+                         run(workers=w, shard_size=s))
             if not (on == off and on.outcomes == off.outcomes):
                 mismatches.append(
-                    f"workers={workers} batch={batch or 'serial'}"
+                    f"workers={workers} "
+                    f"shard_size={shard_size or 'default'}"
                 )
 
-    # Overhead: single-worker serial campaign, best-of-repeat.
+    # Overhead: single-worker campaign, best-of-repeat.
     off_s, _ = _best(run, repeat)
     on_s, _ = _best(lambda: _traced(run), repeat)
     overhead_pct = (on_s - off_s) / off_s * 100.0 if off_s else 0.0
@@ -116,7 +119,7 @@ def bench_ip(name, sensor, repeat, cycles):
         "untraced_s": off_s,
         "traced_s": on_s,
         "overhead_pct": overhead_pct,
-        "identity_cells": len(WORKER_COUNTS) * len(BATCH_SIZES),
+        "identity_cells": len(WORKER_COUNTS) * len(SHARD_SIZES),
         "mismatches": mismatches,
     }
 
@@ -158,7 +161,7 @@ def main(argv=None) -> int:
          "traced (s)", "overhead", "identical cells"],
         rows,
         title="Span tracing overhead and field-identity sweep "
-              "(workers x batch, traced vs untraced)",
+              "(workers x shard size, traced vs untraced)",
     ))
 
     mismatches = [

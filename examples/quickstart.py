@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.abstraction import generate_tlm
-from repro.mutation import inject_mutants, run_mutation_analysis
+from repro.mutation import inject_mutants, run_campaign
 from repro.reporting import format_kv, format_table
 from repro.rtl import Assign, If, Module, const
 from repro.sensors import insert_sensors
@@ -92,7 +92,7 @@ def main() -> None:
     print("Step 4: mutation analysis")
     print("=" * 64)
     stimuli = [{"din": (i * 13 + 1) % 256, "en": 1} for i in range(30)]
-    report = run_mutation_analysis(
+    report = run_campaign(
         lambda: tlm.instantiate(),
         injected,
         stimuli,

@@ -16,31 +16,25 @@ Commands
     ``--format json`` emits the machine-readable reports (findings,
     severity counts, waived entries) instead of the text listing.
 ``mutate <ip> <sensor> [--workers N] [--shard-size M] [--cycles C]
-[--batch K] [--cache-dir DIR] [--no-cache] [--lint-prune]
-[--trace FILE]``
+[--cache-dir DIR] [--no-cache] [--trace FILE]``
     Run only the mutation campaign through the sharded engine
-    (:mod:`repro.mutation.campaign`).  ``--workers`` distributes the
-    mutant shards across worker processes (the report is
-    deterministic for any worker count); ``--shard-size`` overrides
-    the automatic one-shard-per-worker batching; ``--cycles``
-    overrides the testbench length; ``--batch`` executes each shard
-    as batched multi-mutant sweeps of K mutants sharing one base
-    simulation with fork-on-divergence and early-kill
-    (:mod:`repro.mutation.batched`; the report stays
-    field-identical); ``--lint-prune`` lets the static
-    mutant analyzer (:mod:`repro.lint.mutants`) synthesise verdicts
-    for provably-equivalent and duplicate mutants instead of
-    simulating them (the report stays field-identical);
+    (:mod:`repro.mutation.campaign`): statically equivalent and
+    duplicate mutants are pruned (:mod:`repro.lint.mutants`) and each
+    shard runs as one batched sweep with fork-on-divergence and
+    early-kill (:mod:`repro.mutation.batched`).  ``--workers``
+    distributes the mutant shards across worker processes (the report
+    is deterministic for any worker count); ``--shard-size`` overrides
+    the automatic one-shard-per-worker split (and with it the sweep
+    width); ``--cycles`` overrides the testbench length;
     ``--trace FILE`` records the run with the span tracer
     (:mod:`repro.obs`) and writes a Chrome/Perfetto ``trace.json``
     (load it at ``chrome://tracing`` or https://ui.perfetto.dev; the
-    report stays field-identical).  Prints
-    campaign throughput (mutants/sec) alongside the Table-5
-    percentages.  Timed-out (stall-budget-truncated) runs are
-    excluded from every percentage and called out separately in the
-    summary.
+    report stays field-identical).  Prints campaign throughput
+    (mutants actually simulated per second) alongside the Table-5
+    percentages.  Timed-out (stall-budget-truncated) runs are excluded
+    from every percentage and called out separately in the summary.
 ``bench [--ips a,b] [--sensors razor,counter] [--workers N]
-[--rtl-validation] [--cache-dir DIR] [--no-cache] [--lint-prune] ...``
+[--rtl-validation] [--cache-dir DIR] [--no-cache] ...``
     Run the whole cross-IP campaign suite (every selected IP x sensor
     type) on one shared persistent worker pool through the streaming
     scheduler (:mod:`repro.mutation.scheduler`), with live per-shard
@@ -84,13 +78,10 @@ Campaign service (see :mod:`repro.service` and ``docs/service.md``)
     var).  ``--trace`` enables the span tracer server-side, so every
     job records spans exportable via ``repro trace`` (reports stay
     field-identical; see ``docs/observability.md``).
-``submit <ip> <sensor> [--cycles C] [--shard-size M] [--batch K]
-[--no-recovery] [--stop-on-survivor] [--score-threshold X] [--watch]
-[--host] [--port]``
+``submit <ip> <sensor> [--cycles C] [--shard-size M] [--no-recovery]
+[--stop-on-survivor] [--score-threshold X] [--watch] [--host] [--port]``
     Submit one campaign job; prints the job id (``--watch`` then
-    streams it to completion like ``repro watch``).  ``--batch``
-    executes the job's shards as batched multi-mutant sweeps (the
-    report stays field-identical).
+    streams it to completion like ``repro watch``).
 ``status [job_id] [--server] [--host] [--port]``
     One job's record and report summary, or -- without an id -- a
     table of every job the service knows.  ``--server`` renders the
@@ -250,9 +241,7 @@ def _cmd_mutate(args) -> int:
         mutation_cycles=args.cycles,
         workers=args.workers,
         shard_size=args.shard_size,
-        batch_size=args.batch,
         cache=_resolve_cache(args),
-        lint_prune=args.lint_prune,
     )
     report = result.mutation
     if args.trace:
@@ -271,7 +260,6 @@ def _cmd_mutate(args) -> int:
         ("testbench cycles", report.cycles_per_run),
         ("workers", args.workers),
         ("shard size", args.shard_size if args.shard_size else "auto"),
-        ("batch size", args.batch if args.batch else "serial"),
     ] + mutation_summary_pairs(report) + [
         ("campaign time", f"{report.seconds:.2f} s"),
         ("throughput", f"{report.mutants_per_second:.2f} mutants/s"),
@@ -340,14 +328,12 @@ def _cmd_bench(args) -> int:
             sensors,
             workers=args.workers,
             shard_size=args.shard_size,
-            batch_size=args.batch,
             mutation_cycles=args.cycles,
             scheduler=scheduler,
             progress=progress,
             cache=cache,
             rtl_validation=args.rtl_validation,
             rtl_validation_cycles=args.rtl_cycles,
-            lint_prune=args.lint_prune,
         )
     rows = []
     for (ip, sensor), report in sorted(suite.reports.items()):
@@ -672,7 +658,6 @@ def _cmd_submit(args) -> int:
         "sensor": args.sensor,
         "cycles": args.cycles,
         "shard_size": args.shard_size,
-        "batch_size": args.batch,
         "recovery": not args.no_recovery,
         "stop_on_survivor": args.stop_on_survivor,
         "score_threshold": args.score_threshold,
@@ -1042,18 +1027,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mut.add_argument("--workers", type=int, default=1,
                        help="worker processes for the campaign shards")
     p_mut.add_argument("--shard-size", type=int, default=None,
-                       help="mutants per shard (default: auto)")
+                       help="mutants per shard, i.e. per batched sweep "
+                            "(default: auto)")
     p_mut.add_argument("--cycles", type=int, default=None,
                        help="testbench cycles (default: per-IP value)")
-    p_mut.add_argument("--batch", type=int, default=None,
-                       help="mutants per batched sweep: one base "
-                            "simulation shared per K mutants with "
-                            "fork-on-divergence (default: serial, one "
-                            "simulation per mutant; report unchanged)")
-    p_mut.add_argument("--lint-prune", action="store_true",
-                       help="statically prune equivalent/duplicate "
-                            "mutants (verdicts synthesised, report "
-                            "unchanged)")
     p_mut.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run with the span tracer and "
                             "write Chrome/Perfetto trace-event JSON "
@@ -1087,10 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="mutants per shard (default: auto)")
     p_bench.add_argument("--cycles", type=int, default=None,
                          help="testbench cycles (default: per-IP value)")
-    p_bench.add_argument("--batch", type=int, default=None,
-                         help="mutants per batched sweep in every "
-                              "campaign (default: serial; reports "
-                              "unchanged)")
     p_bench.add_argument("--no-progress", action="store_true",
                          help="suppress the live per-shard progress lines")
     p_bench.add_argument("--rtl-validation", action="store_true",
@@ -1102,10 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--cycles, else the per-IP value; short "
                               "RTL testbenches can legitimately miss "
                               "100%% risen)")
-    p_bench.add_argument("--lint-prune", action="store_true",
-                         help="statically prune equivalent/duplicate "
-                              "mutants in every campaign (reports "
-                              "unchanged; RTL validation never pruned)")
     _add_cache_options(p_bench)
 
     p_time = sub.add_parser("timing", help="RTL vs TLM simulation speed")
@@ -1193,10 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="testbench cycles (default: per-IP value)")
     p_submit.add_argument("--shard-size", type=int, default=None,
                           help="mutants per shard (default: auto)")
-    p_submit.add_argument("--batch", type=int, default=None,
-                          help="mutants per batched sweep in the job's "
-                               "shards (default: serial; report "
-                               "unchanged)")
     p_submit.add_argument("--no-recovery", action="store_true",
                           help="disable Razor recovery in the campaign")
     p_submit.add_argument("--stop-on-survivor", action="store_true",

@@ -30,6 +30,12 @@ site                      effect when the plan fires
                           ``os._exit`` when the plan allows it (daemon runs),
                           a loud :class:`FaultInjectionError` otherwise ->
                           restart re-queues and resumes warm from the cache
+``job.hold``              the job runner parks at job start and at each
+                          shard-batch boundary until the site is released
+                          (:meth:`FaultPlan.release`), the job is cancelled
+                          or the service closes (bounded by
+                          :attr:`FaultPlan.hang_seconds`) -> tests attach
+                          to a job's stream, or cancel it, at a fixed point
 ========================  ====================================================
 
 Activation is ambient and process-local: tests install a plan with
@@ -68,6 +74,7 @@ KNOWN_SITES = (
     "worker.hang",
     "cache.corrupt_entry",
     "server.crash.mid_job",
+    "job.hold",
 )
 
 
@@ -181,8 +188,9 @@ class FaultPlan:
     ) -> None:
         self.seed = int(seed)
         self.rules = dict(rules or {})
-        #: Upper bound of a ``worker.hang`` stall, so an in-process test
-        #: harness is never wedged forever by its own injected hang.
+        #: Upper bound of a ``worker.hang`` stall or a ``job.hold``
+        #: park, so an in-process test harness is never wedged forever
+        #: by its own injected hang.
         self.hang_seconds = float(hang_seconds)
         #: Whether ``server.crash.mid_job`` may ``os._exit`` the
         #: process.  Only the ``repro serve`` entry point (a dedicated
@@ -192,6 +200,10 @@ class FaultPlan:
         self._lock = threading.Lock()
         self._hits: "dict[str, int]" = {}
         self._fires: "dict[str, int]" = {}
+        #: Hold sites opened by :meth:`release`; parked threads wait on
+        #: ``_parked`` (which shares ``_lock``).
+        self._released: "set[str]" = set()
+        self._parked = threading.Condition(self._lock)
 
     # -- the decision function ------------------------------------------
 
@@ -220,6 +232,28 @@ class FaultPlan:
             if fire:
                 self._fires[site] = self._fires.get(site, 0) + 1
             return fire
+
+    def hold(self, site: str, cancelled: threading.Event) -> None:
+        """Park the calling thread at a fired hold site until
+        :meth:`release` opens the site, ``cancelled`` is set (its owner
+        then calls :meth:`wake`), or :attr:`hang_seconds` pass."""
+        with self._parked:
+            self._parked.wait_for(
+                lambda: site in self._released or cancelled.is_set(),
+                timeout=self.hang_seconds,
+            )
+
+    def release(self, site: str) -> None:
+        """Open a hold site for good: every thread parked there
+        resumes, and later firings no longer park."""
+        with self._parked:
+            self._released.add(site)
+            self._parked.notify_all()
+
+    def wake(self) -> None:
+        """Have parked threads re-check their ``cancelled`` events."""
+        with self._parked:
+            self._parked.notify_all()
 
     def error(self, site: str, detail: str = "") -> FaultInjectionError:
         """A structured error naming the firing that just happened."""
@@ -262,8 +296,9 @@ class FaultPlan:
 
         Assignments are ``;``-separated.  ``seed=N`` seeds the decision
         hash (default 0); ``hang=SECONDS`` bounds ``worker.hang``
-        stalls; every other assignment is ``site=RULE`` with ``RULE``
-        as accepted by :meth:`FaultRule.parse`.
+        stalls and ``job.hold`` parks; every other assignment is
+        ``site=RULE`` with ``RULE`` as accepted by
+        :meth:`FaultRule.parse`.
         """
         seed = 0
         hang_seconds = 30.0

@@ -25,7 +25,7 @@ from repro.mutation import (
     MutationReport,
     RtlValidationReport,
     inject_mutants,
-    run_mutation_analysis,
+    run_campaign,
     validate_at_rtl,
 )
 from repro.obs import trace_span
@@ -97,12 +97,7 @@ class AugmentationArtifacts:
     augmented_rtl_loc: int
 
 
-def build_augmented(
-    spec: IpSpec,
-    sensor_type: str,
-    *,
-    exec_mode: str = "compiled",
-) -> AugmentationArtifacts:
+def build_augmented(spec: IpSpec, sensor_type: str) -> AugmentationArtifacts:
     """Steps 0-1 of the flow: characterise a fresh IP instance and
     insert sensors at the critical endpoints.
 
@@ -126,7 +121,6 @@ def build_augmented(
         critical,
         sensor_type=sensor_type,
         calibration_stimuli=calibration,
-        exec_mode=exec_mode,
     )
     return AugmentationArtifacts(
         synth=synth,
@@ -148,12 +142,9 @@ def run_flow(
     rtl_validation_cycles: "int | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     scheduler=None,
-    rtl_exec_mode: str = "compiled",
     cache=None,
     lint: bool = True,
-    lint_prune: bool = False,
 ) -> FlowResult:
     """Execute the full methodology for one IP and sensor type.
 
@@ -167,20 +158,12 @@ def run_flow(
         workers / shard_size: forwarded to the sharded campaign engine
             (:mod:`repro.mutation.campaign`) *and* to the RTL
             validation shards.
-        batch_size: execute the TLM campaign's shards as batched
-            multi-mutant sweeps of this many mutants
-            (:mod:`repro.mutation.batched`); the report stays
-            field-identical to the serial default.
         scheduler: a :class:`repro.mutation.CampaignScheduler` letting
             many ``run_flow`` calls (and the RTL validation) share one
             persistent worker pool instead of paying a pool spin-up
             per call -- the cross-IP batching entry point
             :func:`repro.mutation.run_benchmark_suite` builds on
             exactly this.
-        rtl_exec_mode: RTL kernel execution mode for every
-            event-driven simulation the flow runs (``"compiled"``
-            closures by default, ``"interpreted"`` for the reference
-            IR walker -- see :mod:`repro.rtl.compile`).
         cache: a :class:`repro.mutation.ResultCache`; campaign and
             RTL-validation verdicts are replayed from it when their
             content-addressed keys match, and written back otherwise.
@@ -191,11 +174,6 @@ def run_flow(
             :class:`repro.lint.LintGateError` instead of simulating a
             broken netlist.  The report lands in
             :attr:`FlowResult.lint_report` either way.
-        lint_prune: additionally run the static mutant analyzer
-            (:mod:`repro.lint.mutants`): provably-equivalent mutants
-            are judged against the golden trace and duplicates clone
-            their representative's verdict, without changing a single
-            reported field.
 
     Returns:
         A :class:`FlowResult` carrying every artefact of the four
@@ -205,9 +183,7 @@ def run_flow(
     with trace_span("flow.run", ip=spec.name, sensor=sensor_type):
         # -- step 0/1: characterise and insert sensors --------------------
         with trace_span("flow.augment", ip=spec.name, sensor=sensor_type):
-            artifacts = build_augmented(
-                spec, sensor_type, exec_mode=rtl_exec_mode
-            )
+            artifacts = build_augmented(spec, sensor_type)
         synth, sta = artifacts.synth, artifacts.sta
         critical = artifacts.critical
         augmented = artifacts.augmented
@@ -269,22 +245,12 @@ def run_flow(
             rtl_validation_cycles = spec.mutation_cycles
         if run_mutation:
             stimuli = spec.stimulus(mutation_cycles)
-            prune_plan = None
-            if lint_prune:
-                from repro.lint import plan_pruning
-
-                # The augmented IR enables the frozen-target fold
-                # analysis on top of the scheduler-level equivalence
-                # criteria.
-                prune_plan = plan_pruning(
-                    injected, sensor_type, module=module
-                )
             # The GeneratedTlm itself (not a bare factory) keeps the
             # golden fingerprintable, so a warm cache can replay the
             # golden trace and skip the reference simulation entirely.
             with trace_span("flow.mutation", ip=spec.name,
                             sensor=sensor_type):
-                result.mutation = run_mutation_analysis(
+                result.mutation = run_campaign(
                     tlm_optimized,
                     injected,
                     stimuli,
@@ -293,11 +259,8 @@ def run_flow(
                     recovery=True,
                     workers=workers,
                     shard_size=shard_size,
-                    batch_size=batch_size,
                     scheduler=scheduler,
                     cache=cache,
-                    lint_prune=lint_prune,
-                    prune_plan=prune_plan,
                 )
 
         if run_rtl_validation:
@@ -311,7 +274,6 @@ def run_flow(
                     stimuli=stimuli,
                     cycles=rtl_validation_cycles,
                     ip_name=spec.name,
-                    exec_mode=rtl_exec_mode,
                     # Worker processes rebuild the augmentation from
                     # the registry; an unregistered ad-hoc spec keeps
                     # the shards in the parent process.

@@ -9,10 +9,10 @@ simulation:
   :class:`~repro.lint.findings.LintFinding` records with a severity
   model and per-IP waivers;
 * :mod:`repro.lint.mutants` -- static classification of a ``MUTANTS``
-  table into equivalent / duplicate / must-execute entries, consumed
-  by :func:`repro.mutation.campaign.prepare_campaign` under
-  ``lint_prune=True`` to cut executed-mutant counts without changing
-  a single verdict.
+  table into equivalent / duplicate / must-execute entries, applied
+  by :func:`repro.mutation.campaign.prepare_campaign` to every
+  campaign to cut executed-mutant counts without changing a single
+  verdict.
 
 Exposed on the CLI as ``repro lint`` and run automatically in front of
 every :func:`repro.flow.run_flow` mutation campaign.
@@ -32,8 +32,6 @@ from .ir_lint import CHECKS, lint_module
 from .mutants import (
     PrunePlan,
     clone_outcome,
-    equivalence_confirmed,
-    frozen_signal_names,
     judge_equivalent,
     plan_pruning,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "lint_module",
     "PrunePlan",
     "plan_pruning",
-    "frozen_signal_names",
-    "equivalence_confirmed",
     "judge_equivalent",
     "clone_outcome",
 ]

@@ -3,30 +3,18 @@ simulation.
 
 The ``MUTANTS`` table of an injected TLM model
 (:class:`repro.abstraction.GeneratedTlm`) is analysed purely
-structurally:
+structurally, and :func:`repro.mutation.campaign.prepare_campaign`
+acts on the result for every campaign:
 
 **Equivalent mutants** (``equivalent_static``) are entries whose
 activation provably cannot change the observable stream, so their
 verdict can be *synthesised* from the golden trace by replaying the
-exact judging logic of :mod:`repro.mutation.analysis` over it:
-
-* ``hf-first-tick`` -- dual-scheduler (Counter) mutants with
-  ``hf_tick == 1``: the postponed endpoint commit is applied
-  immediately after the main delta cycle, *before* the first HF
-  sample, which is exactly where the golden commit is first
-  observable.  The two schedules are indistinguishable.
-* ``frozen-target`` -- mutants whose target signal is structurally
-  frozen at its init value: every driver statement is a plain
-  assignment whose right-hand side constant-folds (through
-  :func:`repro.rtl.compile.fold_constant`, i.e. the reference
-  interpreter) to the signal's init, and no native process or partial
-  write touches it.  Postponing writes that never change the value is
-  a no-op.  For Razor campaigns this additionally requires a *clean*
-  golden trace (no stall/error anywhere): a stalling golden would
-  desynchronise the driver's re-presentation handshake against the
-  synthesised verdict.  (By construction golden Razor traces are
-  clean -- main and shadow always capture the same committed value --
-  so the guard is defensive, not restrictive.)
+exact judging logic of :mod:`repro.mutation.analysis` over it.  One
+criterion applies -- ``hf-first-tick``: dual-scheduler (Counter)
+mutants with ``hf_tick == 1``, whose postponed endpoint commit is
+applied immediately after the main delta cycle, *before* the first HF
+sample, which is exactly where the golden commit is first observable.
+The two schedules are indistinguishable.
 
 Mutants that merely never *apply* (wrong kind for the scheduler) are
 **not** equivalent: activation alone diverts every write of the target
@@ -47,22 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.rtl.compile import fold_constant
-from repro.rtl.ir import (
-    Assign,
-    CombProcess,
-    Module,
-    NativeProcess,
-    SliceAssign,
-    SyncProcess,
-    walk_stmts,
-)
-
 __all__ = [
     "PrunePlan",
     "plan_pruning",
-    "frozen_signal_names",
-    "equivalence_confirmed",
     "judge_equivalent",
     "clone_outcome",
 ]
@@ -73,7 +48,7 @@ class PrunePlan:
     """Static classification of one ``MUTANTS`` table."""
 
     total: int
-    #: mutant index -> reason ("hf-first-tick" | "frozen-target").
+    #: mutant index -> reason (``"hf-first-tick"``).
     equivalent: "dict[int, str]" = field(default_factory=dict)
     #: duplicate index -> representative (lowest) index with the same
     #: behavioural fingerprint.
@@ -114,76 +89,8 @@ def _fingerprint(spec, scheduler_kind: str):
     return (spec.kind, spec.target)
 
 
-def frozen_signal_names(module: Module, candidates: "set[str]") -> "set[str]":
-    """The subset of ``candidates`` (signal names) provably frozen at
-    their init value: every driver statement anywhere in the tree is a
-    plain :class:`Assign` whose expression constant-folds to the init,
-    with no native-process or partial (slice) writes."""
-    if not candidates:
-        return set()
-    state: "dict[str, bool]" = {}
-    sig_of: "dict[str, object]" = {}
-    memo: "dict[int, bool]" = {}
-    for _, proc in module.all_processes():
-        if isinstance(proc, NativeProcess):
-            for sig in proc.writes:
-                if sig.name in candidates:
-                    state[sig.name] = False
-            continue
-        stmt_lists = [proc.stmts]
-        if isinstance(proc, SyncProcess) and proc.reset_stmts:
-            stmt_lists.append(proc.reset_stmts)
-        if not isinstance(proc, (SyncProcess, CombProcess)):
-            continue
-        for stmts in stmt_lists:
-            for stmt in walk_stmts(stmts):
-                target = getattr(stmt, "target", None)
-                if target is None or target.name not in candidates:
-                    continue
-                name = target.name
-                sig_of[name] = target
-                if state.get(name) is False:
-                    continue
-                if not isinstance(stmt, Assign) or isinstance(
-                    stmt, SliceAssign
-                ):
-                    state[name] = False
-                    continue
-                folded = fold_constant(stmt.expr, memo)
-                frozen = (
-                    folded is not None
-                    and folded.unk == 0
-                    and folded.value == target.init
-                )
-                state[name] = state.get(name, True) and frozen
-    # A candidate with no IR driver at all keeps its init value too --
-    # but only when no native process writes it (handled above).
-    out = set()
-    for name in candidates:
-        if state.get(name, None) is True:
-            out.add(name)
-        elif name not in state:
-            # Never written anywhere: frozen iff the signal exists.
-            try:
-                module.find_signal(name)
-            except KeyError:
-                continue
-            out.add(name)
-    return out
-
-
-def plan_pruning(
-    injected, sensor_type: str, *, module: "Module | None" = None
-) -> PrunePlan:
-    """Classify every ``MUTANTS`` entry of an injected model.
-
-    ``module`` (the augmented IR the model was generated from) enables
-    the ``frozen-target`` fold analysis; without it only the
-    scheduler-level criteria apply.  The plan is advisory:
-    :func:`repro.mutation.campaign.prepare_campaign` re-confirms each
-    equivalence against the golden trace
-    (:func:`equivalence_confirmed`) before pruning.
-    """
+def plan_pruning(injected, sensor_type: str) -> PrunePlan:
+    """Classify every ``MUTANTS`` entry of an injected model."""
     specs = injected.mutants
     scheduler_kind = injected.scheduler_kind
     equivalent: "dict[int, str]" = {}
@@ -192,14 +99,6 @@ def plan_pruning(
         for i, spec in enumerate(specs):
             if spec.hf_tick == 1:
                 equivalent[i] = "hf-first-tick"
-
-    if module is not None:
-        frozen = frozen_signal_names(
-            module, {spec.target for spec in specs}
-        )
-        for i, spec in enumerate(specs):
-            if i not in equivalent and spec.target in frozen:
-                equivalent[i] = "frozen-target"
 
     duplicate_of: "dict[int, int]" = {}
     if (sensor_type, scheduler_kind) in (
@@ -221,62 +120,20 @@ def plan_pruning(
     )
 
 
-def equivalence_confirmed(reason: str, sensor_type: str, golden) -> bool:
-    """Final gate before an equivalence is acted on, evaluated at
-    prepare time against the campaign's golden trace."""
-    if reason == "frozen-target" and sensor_type == "razor":
-        # A stalling golden would desynchronise the stall handshake
-        # between the synthesised verdict and an executed run.
-        return all(
-            not outs.get("razor_stall", 0) and not outs.get("razor_err", 0)
-            for outs in golden.full
-        )
-    return True
-
-
 def judge_equivalent(
     index: int,
     spec,
     golden,
     *,
-    sensor_type: str,
-    recovery: bool,
     tap_order,
     thresholds: "dict[str, int] | None" = None,
 ):
-    """Synthesise the verdict of a statically-equivalent mutant by
-    judging the golden trace as the mutant stream -- the byte-identical
-    replay of :func:`repro.mutation.analysis._run_razor_mutant` /
-    ``_run_counter_mutant`` for a mutant whose stream *is* the golden
-    stream."""
+    """Synthesise the verdict of a statically-equivalent Counter mutant
+    by judging the golden trace as the mutant stream -- the
+    byte-identical replay of
+    :func:`repro.mutation.analysis._run_counter_mutant` for a mutant
+    whose stream *is* the golden stream."""
     from repro.mutation.analysis import MutantOutcome
-
-    if sensor_type == "razor":
-        error_seen = any(
-            outs.get("razor_err", 0) for outs in golden.full
-        )
-        corrected = None
-        if recovery:
-            # The mutant stream is the golden stream, so the golden
-            # functional trace is trivially a subsequence of it; the
-            # executed path's ``error_seen and _is_subsequence(...)``
-            # reduces to ``error_seen`` (False for a confirmed
-            # equivalence -- clean golden).
-            corrected = bool(error_seen)
-        return MutantOutcome(
-            index=index,
-            kind=spec.kind,
-            target=spec.target,
-            register=spec.register,
-            hf_tick=spec.hf_tick,
-            killed=False,
-            detected=error_seen,
-            error_risen=error_seen,
-            corrected=corrected,
-            meas_val=None,
-            first_divergence=None,
-            timed_out=False,
-        )
 
     tap_order = list(tap_order)
     thresholds = thresholds or {}

@@ -3,19 +3,19 @@
 Campaign execution goes through the sharded engine in
 :mod:`repro.mutation.campaign` and the streaming cross-IP scheduler in
 :mod:`repro.mutation.scheduler`: the golden stimulus run is memoised
-once per campaign (it is mutant-independent), mutants are batched into
-shards so the generated-model source is compiled once per shard, and
-shards execute on a persistent :class:`CampaignScheduler` worker pool
--- ``workers=1`` runs inline, ``workers=N`` shards across ``N``
-processes with a deterministic merge (byte-identical
-:class:`MutationReport` for any worker count, any shard size, and
-shared or ephemeral pools).
+once per campaign (it is mutant-independent), statically equivalent and
+duplicate mutants are pruned (:mod:`repro.lint.mutants`), the rest are
+grouped into shards that each run as one batched sweep
+(:mod:`repro.mutation.batched`), and shards execute on a persistent
+:class:`CampaignScheduler` worker pool -- ``workers=1`` runs inline,
+``workers=N`` shards across ``N`` processes with a deterministic merge
+(a :class:`MutationReport` equal to the serial, unpruned oracle for any
+worker count, any shard size, and shared or ephemeral pools).
 
 Three consumption styles share that machinery:
 
-* :func:`run_campaign` / :func:`run_mutation_analysis` -- blocking,
-  one merged report per campaign (the historical signatures, now with
-  ``scheduler=`` / ``progress=``);
+* :func:`run_campaign` -- blocking, one merged report per campaign
+  (``scheduler=`` / ``progress=`` optional);
 * :func:`iter_campaign` -- streaming: yields each
   :class:`MutantOutcome` as its shard completes, with
   :class:`CampaignProgress` callbacks and :class:`AbortPolicy`
@@ -26,7 +26,7 @@ Three consumption styles share that machinery:
   slots (``rtl_validation=True`` interleaves
   :class:`RtlValidationShard` units on the same pool).
 
-All four styles accept ``cache=`` (a :class:`ResultCache` from
+All three styles accept ``cache=`` (a :class:`ResultCache` from
 :mod:`repro.mutation.cache`): verdicts are content-addressed by
 (model fingerprint, stimuli/golden hash, mutant spec, sensor type,
 judgement parameters), so re-running an unchanged campaign replays
@@ -44,7 +44,6 @@ from .analysis import (
     MutantOutcome,
     MutationReport,
     compute_golden_trace,
-    run_mutation_analysis,
 )
 from .cache import ResultCache, shard_entry_keys
 from .campaign import (
@@ -93,7 +92,6 @@ __all__ = [
     "MutantOutcome",
     "MutationReport",
     "compute_golden_trace",
-    "run_mutation_analysis",
     "CampaignShard",
     "PreparedCampaign",
     "ShardResult",

@@ -24,9 +24,10 @@ recovery-capable pipelines require anyway).
 The golden stream depends only on the stimuli (and the recovery
 setting), never on the active mutant, so it is computed **once per
 campaign** as a :class:`GoldenTrace` and shared by every per-mutant
-run.  :func:`run_mutation_analysis` is a thin compatibility wrapper
-over the sharded engine in :mod:`repro.mutation.campaign`, which in
-turn executes through the streaming cross-IP scheduler in
+run.  Campaigns run through the sharded engine in
+:mod:`repro.mutation.campaign`
+(:func:`~repro.mutation.campaign.run_campaign`), which executes
+through the streaming cross-IP scheduler in
 :mod:`repro.mutation.scheduler`.
 
 Score accounting
@@ -47,8 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.abstraction import GeneratedTlm
-
 __all__ = [
     "CounterMutantJudge",
     "GoldenTrace",
@@ -56,7 +55,6 @@ __all__ = [
     "MutationReport",
     "RazorMutantJudge",
     "compute_golden_trace",
-    "run_mutation_analysis",
 ]
 
 #: Sensor-infrastructure ports excluded from functional comparison.
@@ -108,15 +106,21 @@ class MutationReport:
     #: (``True``), simulated and stored (``False``), or the campaign
     #: ran cache-less / with an unfingerprintable golden (``None``).
     golden_cache_hit: "bool | None" = field(default=None, compare=False)
-    #: Static-prune accounting (:mod:`repro.lint.mutants`): ``None``
-    #: when the campaign ran without ``lint_prune``, otherwise the
-    #: number of mutants whose verdicts were synthesised from the
-    #: golden trace (equivalents) or cloned from a representative
-    #: (duplicates) instead of simulated.  ``compare=False`` for the
-    #: same reason as the cache counters -- pruning must never change
-    #: a verdict, so pruned and unpruned reports compare equal.
+    #: Static-prune accounting (:mod:`repro.lint.mutants`) over the
+    #: whole mutant table: the number of mutants whose verdicts are
+    #: synthesised from the golden trace (equivalents) or cloned from
+    #: a representative (duplicates) instead of simulated; ``None``
+    #: on a report that does not carry them (e.g. one decoded from the
+    #: service wire).  ``compare=False`` for the same reason as the
+    #: cache counters -- pruning must never change a verdict, so
+    #: pruned reports compare equal to the serial, unpruned oracle.
     pruned_equivalent: "int | None" = field(default=None, compare=False)
     pruned_duplicate: "int | None" = field(default=None, compare=False)
+    #: Mutants this run actually simulated: outcomes whose index sat
+    #: in an executed shard (cache replays, pruned verdicts and
+    #: duplicate clones excluded).  The numerator of
+    #: :attr:`mutants_per_second`.
+    executed: int = field(default=0, compare=False)
     #: Aggregated observability data (:mod:`repro.obs`): per-campaign
     #: shard-capture counters (batched forks, early kills, re-joins,
     #: executed shard/mutant counts).  ``None`` unless at least one
@@ -171,13 +175,14 @@ class MutationReport:
     @property
     def mutants_per_second(self) -> float:
         """Campaign throughput: mutants actually *executed* per
-        wall-clock second.  Cache-replayed verdicts are excluded (a
-        fully-warm campaign reports 0.0 rather than a replay rate
-        mislabelled as execution), matching
+        wall-clock second (:attr:`executed`).  Cache-replayed and
+        statically-pruned verdicts are excluded (a fully-warm campaign
+        reports 0.0 rather than a replay rate mislabelled as
+        execution), matching
         :attr:`repro.mutation.scheduler.SuiteResult.mutants_per_second`."""
         if self.seconds <= 0:
             return 0.0
-        return (self.total - (self.cache_hits or 0)) / self.seconds
+        return self.executed / self.seconds
 
     @property
     def mutation_score(self) -> float:
@@ -250,78 +255,6 @@ def compute_golden_trace(
         functional_ports=functional_ports,
         full=tuple(full),
         functional=tuple(_functional(o, functional_ports) for o in full),
-    )
-
-
-def run_mutation_analysis(
-    golden_factory,
-    injected: GeneratedTlm,
-    stimuli: "list[dict[str, int]]",
-    *,
-    ip_name: str = "ip",
-    sensor_type: str = "razor",
-    recovery: bool = True,
-    tap_order: "list[str] | None" = None,
-    workers: int = 1,
-    shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
-    scheduler=None,
-    progress=None,
-    cache=None,
-    lint_prune: bool = False,
-    prune_plan=None,
-) -> MutationReport:
-    """Run the full campaign: one golden/injected pair per mutant.
-
-    Compatibility wrapper over
-    :func:`repro.mutation.campaign.run_campaign`: the golden stimulus
-    run is memoised once per campaign, mutants are batched into shards,
-    and ``workers > 1`` distributes the shards across worker processes
-    (``scheduler=`` shares one persistent
-    :class:`~repro.mutation.scheduler.CampaignScheduler` pool across
-    campaigns; ``progress=`` receives per-shard
-    :class:`~repro.mutation.scheduler.CampaignProgress` callbacks;
-    ``cache=`` replays previously-computed verdicts from a
-    :class:`~repro.mutation.cache.ResultCache`;
-    ``lint_prune=True`` synthesises verdicts for statically-equivalent
-    and duplicate mutants via :mod:`repro.lint.mutants` instead of
-    simulating them -- pass a module-aware ``prune_plan`` to enable
-    the frozen-target fold analysis;
-    ``batch_size=K`` executes each shard as batched multi-mutant
-    sweeps of K mutants sharing one base simulation, forking a mutant
-    into its own simulation only once it diverges --
-    :mod:`repro.mutation.batched`).
-    The merged report is deterministic -- byte-identical outcomes and
-    percentages for any ``workers`` / ``shard_size`` / ``batch_size``
-    / cache state / ``lint_prune`` combination.
-
-    ``golden_factory()`` must return a fresh non-injected model;
-    ``injected`` is the ADAM-generated model description (a fresh
-    instance is created per mutant).  ``tap_order`` gives the register
-    order of the Counter ``meas_val`` bus (resolved lazily, and only
-    for Counter campaigns, when omitted).
-
-    Returns the merged :class:`MutationReport` (outcomes in mutant-
-    index order; aggregate percentages exclude timed-out runs).
-    """
-    from .campaign import run_campaign
-
-    return run_campaign(
-        golden_factory,
-        injected,
-        stimuli,
-        ip_name=ip_name,
-        sensor_type=sensor_type,
-        recovery=recovery,
-        tap_order=tap_order,
-        workers=workers,
-        shard_size=shard_size,
-        batch_size=batch_size,
-        scheduler=scheduler,
-        progress=progress,
-        cache=cache,
-        lint_prune=lint_prune,
-        prune_plan=prune_plan,
     )
 
 

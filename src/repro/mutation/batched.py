@@ -1,12 +1,14 @@
-"""Batched multi-mutant execution: K mutants per simulation sweep.
+"""Batched multi-mutant execution: one simulation sweep per shard.
 
-Serial shard execution re-runs the full stimulus once per mutant, yet
-mutants of one generated model differ only at the ``MUTANTS``-table
-postponement site: until the postponed target actually changes value,
-a mutant's committed state is provably identical to the base (no
-active mutant) simulation.  A batched sweep exploits that:
+A one-simulation-per-mutant loop re-runs the full stimulus once per
+mutant, yet mutants of one generated model differ only at the
+``MUTANTS``-table postponement site: until the postponed target
+actually changes value, a mutant's committed state is provably
+identical to the base (no active mutant) simulation.  Every TLM
+campaign shard therefore runs as one batched sweep over all of its
+mutants:
 
-* one **base** instance runs the stimulus; every mutant of the batch
+* one **base** instance runs the stimulus; every mutant of the shard
   starts *attached* to it, its judge fed the shared base outputs
   (stimulus decode and golden comparison paid once per sweep);
 * before each cycle the sweep snapshots the base state and the
@@ -20,20 +22,22 @@ active mutant) simulation.  A batched sweep exploits that:
 * forked Counter mutants step in lockstep with the base and
   **re-join** (re-attach) once their committed state converges back
   to the base's -- on the slowly-toggling decimated endpoints of the
-  filter IP this recovers most of the sweep sharing;
-* Counter mutants applying at HF tick 1 never fork at all: their
-  postponed commit lands before the first HF sample, so they are
-  state-identical to the base at every observation point.
+  filter IP this recovers most of the sweep sharing.  (Counter
+  mutants applying at HF tick 1 never reach a sweep: they are
+  state-identical to the base at every observation point, so
+  :func:`~repro.mutation.campaign.prepare_campaign` judges them from
+  the golden trace.)
 
 The cycle-boundary value compare is an exact divergence detector only
 for targets the generator proved immune to change-and-revert within a
 cycle (``BATCH_SAFE_TARGETS``, emitted by
 :meth:`repro.abstraction.codegen._Generator._batch_safe_targets`);
-mutants on any other target fall back to the plain serial runner
-inside batched mode.  Batched reports are therefore **field-identical**
-to serial ones -- same ``first_divergence``, same ``timed_out``, same
-cache write-back keys -- for any batch size, which
-``tests/test_batched_exec.py`` locks down.
+mutants on any other target fall back to the plain per-mutant runner
+(:func:`~repro.mutation.analysis._run_razor_mutant` /
+``_run_counter_mutant``).  Reports are therefore **field-identical**
+to the serial, one-simulation-per-mutant oracle -- same
+``first_divergence``, same ``timed_out``, same cache write-back keys
+-- for any shard size, which ``tests/test_batched_exec.py`` locks down.
 """
 
 from __future__ import annotations
@@ -155,11 +159,9 @@ def _sweep_razor(cls, group, specs, stimuli, recovery, golden, safe):
 
 
 def _sweep_counter(cls, group, specs, stimuli, tap_order, golden, safe):
-    """One Counter sweep: attached mutants ride the base simulation;
-    max/delta mutants fork the cycle their endpoint changes (their HF
-    samples then lag the base's) and re-attach once their state
-    converges back; HF-tick-1 mutants never fork (their postponed
-    commit lands before the first HF sample of the cycle)."""
+    """One Counter sweep: attached mutants ride the base simulation,
+    fork the cycle their endpoint changes (their HF samples then lag
+    the base's) and re-attach once their state converges back."""
     thresholds = getattr(cls, "LUT_THRESHOLDS", {}) or {}
     judges = {}
     for i in group:
@@ -173,9 +175,8 @@ def _sweep_counter(cls, group, specs, stimuli, tap_order, golden, safe):
     attached = list(group)
     forked = []
     for cyc, inputs in enumerate(stimuli):
-        watch = [i for i in attached if specs[i].hf_tick != 1]
-        snapshot = _copy_state(base.__dict__) if watch else None
-        pre = [(i, getattr(base, safe[specs[i].target])) for i in watch]
+        snapshot = _copy_state(base.__dict__) if attached else None
+        pre = [(i, getattr(base, safe[specs[i].target])) for i in attached]
         outs = base.b_transport(dict(inputs))
         functional = _functional(outs, golden.functional_ports)
         newly_forked = []
@@ -204,40 +205,37 @@ def _sweep_counter(cls, group, specs, stimuli, tap_order, golden, safe):
 
 
 def run_batched_shard(shard) -> "list":
-    """Evaluate a shard's mutants in batched sweeps of
-    ``shard.batch_size``.  Mutants whose target is not in the generated
-    model's ``BATCH_SAFE_TARGETS`` map (or any mutant of a model
-    generated without one) run the plain serial path; outcomes are
-    returned in ``shard.indices`` order either way."""
+    """Evaluate a shard's mutants in one batched sweep.  Mutants whose
+    target is not in the generated model's ``BATCH_SAFE_TARGETS`` map
+    (or any mutant of a model generated without one) run the plain
+    per-mutant path; outcomes are returned in ``shard.indices`` order
+    either way."""
     stimuli = list(shard.stimuli)
     tap_order = list(shard.tap_order)
     specs = shard.injected.mutants
     cls = shard.injected.compiled_class()
     safe = getattr(cls, "BATCH_SAFE_TARGETS", None) or {}
-    batch = max(1, shard.batch_size or 1)
     razor = shard.sensor_type == "razor"
 
     outcomes: "dict[int, object]" = {}
-    for lo in range(0, len(shard.indices), batch):
-        chunk = shard.indices[lo:lo + batch]
-        group = [i for i in chunk if specs[i].target in safe]
-        for index in chunk:
-            if index in group:
-                continue
-            mutant = shard.injected.instantiate()
-            mutant.activate_mutant(index)
-            if razor:
-                outcomes[index] = _run_razor_mutant(
-                    index, specs[index], mutant, stimuli,
-                    shard.recovery, shard.golden,
-                )
-            else:
-                outcomes[index] = _run_counter_mutant(
-                    index, specs[index], mutant, stimuli, tap_order,
-                    shard.golden,
-                )
-        if not group:
+    group = []
+    for index in shard.indices:
+        if specs[index].target in safe:
+            group.append(index)
             continue
+        mutant = shard.injected.instantiate()
+        mutant.activate_mutant(index)
+        if razor:
+            outcomes[index] = _run_razor_mutant(
+                index, specs[index], mutant, stimuli,
+                shard.recovery, shard.golden,
+            )
+        else:
+            outcomes[index] = _run_counter_mutant(
+                index, specs[index], mutant, stimuli, tap_order,
+                shard.golden,
+            )
+    if group:
         with shard_span("batch.sweep", mutants=len(group),
                         sensor=shard.sensor_type):
             if razor:

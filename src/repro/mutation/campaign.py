@@ -9,11 +9,16 @@ source.  The engine amortises both:
 1. the golden trace is computed **once per campaign**
    (:func:`repro.mutation.analysis.compute_golden_trace`) and shipped
    to workers inside the shard payload;
-2. mutants are batched into **shards**; the generated source is
+2. mutants are grouped into **shards**; the generated source is
    compiled once per shard/worker process (the
-   :meth:`GeneratedTlm.compiled_class` cache), so each mutant pays only
-   object construction plus its own simulation;
-3. shard execution goes through the streaming cross-IP scheduler
+   :meth:`GeneratedTlm.compiled_class` cache), and each shard runs as
+   one batched sweep (:mod:`repro.mutation.batched`): its mutants ride
+   a shared base simulation and fork off on first divergence;
+3. statically equivalent and duplicate mutants are **pruned** at
+   preparation (:mod:`repro.lint.mutants`): their verdicts are
+   synthesised from the golden trace or cloned from a representative
+   instead of simulated;
+4. shard execution goes through the streaming cross-IP scheduler
    (:mod:`repro.mutation.scheduler`): ``workers > 1`` runs the shards
    on a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
    owned by a :class:`~repro.mutation.scheduler.CampaignScheduler`
@@ -23,7 +28,7 @@ source.  The engine amortises both:
    **deterministic** -- byte-identical outcomes and percentages for
    any ``workers`` / ``shard_size`` combination, including the inline
    ``workers=1`` path;
-4. with a :class:`~repro.mutation.cache.ResultCache` (``cache=``),
+5. with a :class:`~repro.mutation.cache.ResultCache` (``cache=``),
    previously-computed verdicts are **replayed** instead of executed:
    :func:`prepare_campaign` probes the cache per mutant, shards only
    the misses, and carries the replayed outcomes (plus per-mutant
@@ -35,9 +40,9 @@ source.  The engine amortises both:
    fingerprintable.
 
 This module owns campaign *preparation* (tap-order resolution, golden
-memoisation, shard construction -- :func:`prepare_campaign`) and the
-blocking :func:`run_campaign` entry point; streaming consumption lives
-in :func:`repro.mutation.scheduler.iter_campaign`.
+memoisation, pruning, shard construction -- :func:`prepare_campaign`)
+and the blocking :func:`run_campaign` entry point; streaming
+consumption lives in :func:`repro.mutation.scheduler.iter_campaign`.
 """
 
 from __future__ import annotations
@@ -54,13 +59,8 @@ from repro.obs import (
     trace_span,
 )
 
-from .analysis import (
-    GoldenTrace,
-    MutationReport,
-    _run_counter_mutant,
-    _run_razor_mutant,
-    compute_golden_trace,
-)
+from .analysis import GoldenTrace, MutationReport, compute_golden_trace
+from .batched import run_batched_shard
 
 __all__ = [
     "CampaignShard",
@@ -92,8 +92,9 @@ class ShardResult(list):
 
 @dataclass(frozen=True)
 class CampaignShard:
-    """One picklable unit of campaign work: a batch of mutant indices
-    plus everything a worker process needs to evaluate them."""
+    """One picklable unit of campaign work: a group of mutant indices
+    plus everything a worker process needs to evaluate them in one
+    batched sweep (:func:`~repro.mutation.batched.run_batched_shard`)."""
 
     indices: "tuple[int, ...]"
     injected: GeneratedTlm
@@ -102,13 +103,6 @@ class CampaignShard:
     sensor_type: str
     recovery: bool
     tap_order: "tuple[str, ...]"
-    #: Execution mode: ``"serial"`` runs one full simulation per
-    #: mutant; ``"batched"`` runs sweeps of ``batch_size`` mutants
-    #: sharing one base simulation with fork-on-divergence
-    #: (:mod:`repro.mutation.batched`).  Batched and serial shards
-    #: produce field-identical outcomes.
-    exec_strategy: str = "serial"
-    batch_size: "int | None" = None
     #: Record worker-side spans (:mod:`repro.obs`) during execution.
     #: Counters are collected regardless (cheap integer adds); spans
     #: only when the coordinator prepared the campaign with tracing
@@ -124,10 +118,10 @@ class CampaignShard:
     remote_ok = True
 
     def run(self) -> "list":
-        """Evaluate the shard's mutants (in a worker process, or inline
-        for ``workers=1``).  The generated model class is compiled once
-        per process via the :meth:`GeneratedTlm.compiled_class` cache;
-        each mutant then pays only construction + simulation.
+        """Evaluate the shard's mutants as one batched sweep (in a
+        worker process, or inline for ``workers=1``).  The generated
+        model class is compiled once per process via the
+        :meth:`GeneratedTlm.compiled_class` cache.
 
         Returns a :class:`ShardResult`: the outcome list plus the
         shard's obs payload (execution counters always; relative-
@@ -135,48 +129,18 @@ class CampaignShard:
         with shard_capture(self.trace) as capture:
             capture.count("shards", 1)
             capture.count("mutants", len(self.indices))
-            with shard_span(
-                "shard.execute",
-                mutants=len(self.indices),
-                strategy=self.exec_strategy,
-            ):
-                outcomes = self._execute()
+            with shard_span("shard.execute", mutants=len(self.indices)):
+                outcomes = run_batched_shard(self)
             return ShardResult(outcomes, obs=capture.payload())
-
-    def _execute(self) -> "list":
-        if self.exec_strategy == "batched":
-            from .batched import run_batched_shard
-
-            return run_batched_shard(self)
-        stimuli = list(self.stimuli)
-        tap_order = list(self.tap_order)
-        specs = self.injected.mutants
-        outcomes = []
-        for index in self.indices:
-            mutant = self.injected.instantiate()
-            mutant.activate_mutant(index)
-            spec = specs[index]
-            with shard_span("mutant", index=index):
-                if self.sensor_type == "razor":
-                    outcomes.append(_run_razor_mutant(
-                        index, spec, mutant, stimuli, self.recovery,
-                        self.golden
-                    ))
-                else:
-                    outcomes.append(_run_counter_mutant(
-                        index, spec, mutant, stimuli, tap_order,
-                        self.golden
-                    ))
-        return outcomes
 
 
 @dataclass(frozen=True)
 class PreparedCampaign:
     """A campaign lowered to its schedulable form: the shard list plus
     the metadata needed to assemble the merged :class:`MutationReport`.
-    Preparation (golden trace, tap order, cache probe) runs once in the
-    parent; the shards are then free to execute on any pool,
-    interleaved with shards from other campaigns.
+    Preparation (golden trace, tap order, cache probe, pruning) runs
+    once in the parent; the shards are then free to execute on any
+    pool, interleaved with shards from other campaigns.
 
     When prepared against a :class:`~repro.mutation.cache.ResultCache`,
     ``shards`` covers only the cache *misses*; the replayed verdicts
@@ -184,14 +148,13 @@ class PreparedCampaign:
     maps every mutant index to its entry key so executed outcomes can
     be written back.
 
-    When prepared with ``lint_prune=True``, statically-equivalent
-    mutants are judged against the golden trace at prepare time
-    (``pruned_outcomes``) and duplicates of still-executing
-    representatives are deferred (``duplicate_of`` /
+    Statically-equivalent mutants are judged against the golden trace
+    at prepare time (``pruned_outcomes``) and duplicates of
+    still-executing representatives are deferred (``duplicate_of`` /
     ``duplicate_specs``) until :meth:`expand_outcomes` clones them as
     their representative's shard completes.  Pruned mutants are
     *counted, never dropped*: every mutant index appears in the final
-    outcome stream either way.
+    outcome stream.
     """
 
     ip_name: str
@@ -221,8 +184,8 @@ class PreparedCampaign:
     #: Deferred duplicates' own table entries (spec fields for the
     #: cloned outcome).
     duplicate_specs: "dict[int, object] | None" = None
-    pruned_equivalent: "int | None" = None
-    pruned_duplicate: "int | None" = None
+    pruned_equivalent: int = 0
+    pruned_duplicate: int = 0
 
     @property
     def replayed_outcomes(self) -> "tuple":
@@ -266,7 +229,12 @@ class PreparedCampaign:
         by mutant index plus the campaign metadata captured at prepare
         time.  Shared by :func:`run_campaign` and
         :func:`repro.mutation.scheduler.run_benchmark_suite` so their
-        reports cannot drift apart."""
+        reports cannot drift apart.
+
+        ``executed`` counts the outcomes whose index sat in a shard:
+        replayed, pruned and cloned verdicts never are, and a shard an
+        abort left unrun contributes no outcome at all."""
+        sharded = {i for shard in self.shards for i in shard.indices}
         report = MutationReport(
             ip_name=self.ip_name,
             sensor_type=self.sensor_type,
@@ -278,6 +246,7 @@ class PreparedCampaign:
             golden_cache_hit=self.golden_cached,
             pruned_equivalent=self.pruned_equivalent,
             pruned_duplicate=self.pruned_duplicate,
+            executed=sum(o.index in sharded for o in outcomes),
         )
         report.seconds = seconds
         return report
@@ -317,32 +286,25 @@ def shard_indices(
 
 
 def resolve_tap_order(
-    injected: GeneratedTlm,
-    sensor_type: str,
-    tap_order: "list[str] | tuple[str, ...] | None" = None,
+    injected: GeneratedTlm, sensor_type: str
 ) -> "tuple[str, ...]":
-    """Resolve the ``meas_val`` lane order of a Counter campaign.
+    """Derive the ``meas_val`` lane order of a Counter campaign: the
+    generated model's ``COUNTER_TAP_ORDER``, else the order in which
+    the mutant table first names each register.
 
     Only the Counter mutant runner reads the tap order, so for every
-    other sensor type this returns without touching the generated
-    source -- probing ``COUNTER_TAP_ORDER`` through
+    other sensor type this returns ``()`` without touching the
+    generated source -- probing ``COUNTER_TAP_ORDER`` through
     :meth:`GeneratedTlm.compiled_class` would pay a full generated-
     source compile in the parent process that razor campaigns never
     need (their workers compile in their own processes).
     """
     if sensor_type != "counter":
-        return tuple(tap_order or ())
-    if tap_order is None:
-        tap_order = list(
-            getattr(injected.compiled_class(), "COUNTER_TAP_ORDER", ())
-        ) or None
-    if tap_order is None:
-        seen: "list[str]" = []
-        for spec in injected.mutants:
-            if spec.register not in seen:
-                seen.append(spec.register)
-        tap_order = seen
-    return tuple(tap_order)
+        return ()
+    tap_order = getattr(injected.compiled_class(), "COUNTER_TAP_ORDER", ())
+    if tap_order:
+        return tuple(tap_order)
+    return tuple(dict.fromkeys(spec.register for spec in injected.mutants))
 
 
 def _run_shard(shard) -> "list":
@@ -371,35 +333,24 @@ def prepare_campaign(
     ip_name: str = "ip",
     sensor_type: str = "razor",
     recovery: bool = True,
-    tap_order: "list[str] | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     cache=None,
-    lint_prune: bool = False,
-    prune_plan=None,
 ) -> PreparedCampaign:
     """Run the mutant-independent campaign setup once.
 
     Simulates the golden model (exactly once, regardless of the mutant
     count -- or not at all, when ``cache`` holds the golden trace for
     this (golden fingerprint, stimuli) pair and ``golden`` is a
-    fingerprintable :class:`GeneratedTlm`), resolves the Counter tap
-    order lazily (razor campaigns skip the generated-source probe
-    entirely), probes ``cache`` (a
-    :class:`~repro.mutation.cache.ResultCache`) for already-known
-    verdicts, and partitions the remaining mutant indices into
-    :class:`CampaignShard` work units sized for ``workers`` /
-    ``shard_size``.  ``batch_size=K`` marks the shards for batched
-    execution (sweeps of K mutants sharing one base simulation --
-    :mod:`repro.mutation.batched`); verdicts and cache write-back keys
-    are identical either way.
+    fingerprintable :class:`GeneratedTlm`), derives the Counter tap
+    order (razor campaigns skip the generated-source probe entirely),
+    probes ``cache`` (a :class:`~repro.mutation.cache.ResultCache`) for
+    already-known verdicts, and partitions the remaining mutant indices
+    into :class:`CampaignShard` work units sized for ``workers`` /
+    ``shard_size`` -- each shard executes as one batched sweep.
 
-    With ``lint_prune=True`` the static mutant analyzer
-    (:func:`repro.lint.mutants.plan_pruning`, or a precomputed
-    ``prune_plan`` -- pass one built with the augmented IR module to
-    enable the ``frozen-target`` fold analysis) additionally removes
-    provably-equivalent mutants from the executable set: their
+    The static mutant analyzer (:func:`repro.lint.mutants.plan_pruning`)
+    removes provably-equivalent mutants from the executable set: their
     verdicts are synthesised against the golden trace right here and
     written back to ``cache`` like executed ones.  Duplicate mutants
     clone their representative's verdict -- immediately when it is
@@ -408,14 +359,19 @@ def prepare_campaign(
     shard completes.
 
     Returns a :class:`PreparedCampaign` whose ``shards`` cover exactly
-    the cache misses minus the pruned set (every mutant, when ``cache``
-    is ``None`` and ``lint_prune`` is off); replayed verdicts are
+    the cache misses minus the pruned set; replayed verdicts are
     carried in ``cached_outcomes`` / ``pruned_outcomes``, re-indexed
     to the current mutant table.
     """
+    from repro.lint.mutants import (
+        clone_outcome,
+        judge_equivalent,
+        plan_pruning,
+    )
+
     with trace_span("campaign.prepare", ip=ip_name, sensor=sensor_type):
         specs = injected.mutants
-        taps = resolve_tap_order(injected, sensor_type, tap_order)
+        taps = resolve_tap_order(injected, sensor_type)
 
         golden_trace = None
         golden_cached = None
@@ -487,77 +443,49 @@ def prepare_campaign(
             hits = len(cached_outcomes)
             misses = len(miss_indices)
 
+        plan = plan_pruning(injected, sensor_type)
+        thresholds = None
+        if plan.equivalent:
+            thresholds = dict(
+                getattr(injected.compiled_class(), "LUT_THRESHOLDS", {})
+                or {}
+            )
         pruned_outcomes: "list" = []
         duplicate_of: "dict[int, int]" = {}
         duplicate_specs: "dict[int, object]" = {}
-        pruned_equivalent = pruned_duplicate = None
-        if lint_prune:
-            from repro.lint.mutants import (
-                clone_outcome,
-                equivalence_confirmed,
-                judge_equivalent,
-                plan_pruning,
-            )
-
-            plan = (
-                prune_plan
-                if prune_plan is not None
-                else plan_pruning(injected, sensor_type)
-            )
-            thresholds = None
-            if sensor_type == "counter":
-                thresholds = dict(
-                    getattr(injected.compiled_class(), "LUT_THRESHOLDS", {})
-                    or {}
+        known = {o.index: o for o in cached_outcomes}
+        remaining: "list[int]" = []
+        for i in miss_indices:
+            if i in plan.equivalent:
+                outcome = judge_equivalent(
+                    i, specs[i], golden_trace,
+                    tap_order=taps, thresholds=thresholds,
                 )
-            confirmed = {
-                i: reason
-                for i, reason in plan.equivalent.items()
-                if equivalence_confirmed(reason, sensor_type, golden_trace)
-            }
-            # Plan-level counters (all table entries, not just cache
-            # misses) so cold and warm runs of the same campaign report
-            # identical prune statistics.
-            pruned_equivalent = len(confirmed)
-            pruned_duplicate = len(plan.duplicate_of)
-            known = {o.index: o for o in cached_outcomes}
-            remaining: "list[int]" = []
-            for i in miss_indices:
-                if i in confirmed:
-                    outcome = judge_equivalent(
-                        i,
-                        specs[i],
-                        golden_trace,
-                        sensor_type=sensor_type,
-                        recovery=recovery,
-                        tap_order=taps,
-                        thresholds=thresholds,
-                    )
-                    pruned_outcomes.append(outcome)
-                    known[i] = outcome
-                else:
-                    remaining.append(i)
-            miss_indices = []
-            for i in remaining:
-                rep = plan.duplicate_of.get(i)
-                if rep is None:
-                    miss_indices.append(i)
-                elif rep in known:
-                    outcome = clone_outcome(known[rep], i, specs[i])
-                    pruned_outcomes.append(outcome)
-                    known[i] = outcome
-                else:
-                    # Representative still executes; clone when its shard
-                    # lands (PreparedCampaign.expand_outcomes).
-                    duplicate_of[i] = rep
-                    duplicate_specs[i] = specs[i]
-            if cache is not None and pruned_outcomes:
-                from .cache import encode_outcome
+                pruned_outcomes.append(outcome)
+                known[i] = outcome
+            else:
+                remaining.append(i)
+        miss_indices = []
+        for i in remaining:
+            rep = plan.duplicate_of.get(i)
+            if rep is None:
+                miss_indices.append(i)
+            elif rep in known:
+                outcome = clone_outcome(known[rep], i, specs[i])
+                pruned_outcomes.append(outcome)
+                known[i] = outcome
+            else:
+                # Representative still executes; clone when its shard
+                # lands (PreparedCampaign.expand_outcomes).
+                duplicate_of[i] = rep
+                duplicate_specs[i] = specs[i]
+        if cache is not None and pruned_outcomes:
+            from .cache import encode_outcome
 
-                for outcome in pruned_outcomes:
-                    payload = encode_outcome(outcome)
-                    payload["ip"] = ip_name
-                    cache.put(cache_keys[outcome.index], payload)
+            for outcome in pruned_outcomes:
+                payload = encode_outcome(outcome)
+                payload["ip"] = ip_name
+                cache.put(cache_keys[outcome.index], payload)
 
         shards = tuple(
             CampaignShard(
@@ -568,13 +496,11 @@ def prepare_campaign(
                 sensor_type=sensor_type,
                 recovery=recovery,
                 tap_order=taps,
-                exec_strategy="batched" if batch_size else "serial",
-                batch_size=batch_size or None,
                 trace=TRACER.enabled,
             )
             for indices in _shard_sequence(miss_indices, workers, shard_size)
         )
-        prepared = PreparedCampaign(
+        return PreparedCampaign(
             ip_name=ip_name,
             sensor_type=sensor_type,
             variant=injected.variant,
@@ -589,10 +515,12 @@ def prepare_campaign(
             pruned_outcomes=tuple(pruned_outcomes),
             duplicate_of=duplicate_of or None,
             duplicate_specs=duplicate_specs or None,
-            pruned_equivalent=pruned_equivalent,
-            pruned_duplicate=pruned_duplicate,
+            # Plan-level counters (all table entries, not just cache
+            # misses) so cold and warm runs of the same campaign report
+            # identical prune statistics.
+            pruned_equivalent=plan.equivalent_count,
+            pruned_duplicate=plan.duplicate_count,
         )
-        return prepared
 
 
 def run_campaign(
@@ -603,15 +531,11 @@ def run_campaign(
     ip_name: str = "ip",
     sensor_type: str = "razor",
     recovery: bool = True,
-    tap_order: "list[str] | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     scheduler=None,
     progress=None,
     cache=None,
-    lint_prune: bool = False,
-    prune_plan=None,
 ) -> MutationReport:
     """Run a full mutation campaign, sharded across ``workers``.
 
@@ -622,17 +546,12 @@ def run_campaign(
             pass the :class:`GeneratedTlm` itself to let a warm
             ``cache`` replay the golden trace and skip even that one
             simulation.
-        injected: the ADAM-generated description; a fresh instance is
-            created per mutant from a per-process compiled class.
+        injected: the ADAM-generated description.
         stimuli: per-cycle ``name -> int`` input vectors.
         workers / shard_size: shard sizing (``shard_size`` overrides
-            the automatic one-shard-per-worker batching).
-        batch_size: execute each shard as batched sweeps of this many
-            mutants sharing one base simulation, with
-            fork-on-divergence and early-kill
-            (:mod:`repro.mutation.batched`); ``None`` keeps the
-            one-simulation-per-mutant serial path.  Verdicts are
-            field-identical either way.
+            the automatic one-shard-per-worker split).  Each shard is
+            one batched sweep (:mod:`repro.mutation.batched`), so the
+            shard size is also the sweep width.
         scheduler: a
             :class:`~repro.mutation.scheduler.CampaignScheduler` to
             reuse one persistent worker pool across many campaigns
@@ -644,24 +563,18 @@ def run_campaign(
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
             verdicts are replayed instead of executed, and fresh
             verdicts are written back as their shards complete.
-        lint_prune: run the static mutant analyzer
-            (:mod:`repro.lint.mutants`) at prepare time; provably
-            equivalent mutants are judged against the golden trace
-            without simulation and duplicates clone their
-            representative's verdict.  ``prune_plan`` optionally
-            supplies a precomputed (module-aware)
-            :class:`~repro.lint.mutants.PrunePlan`.
 
     Returns:
         The merged :class:`MutationReport`, with ``cache_hits`` /
-        ``cache_misses`` set when a cache was in play and
-        ``pruned_equivalent`` / ``pruned_duplicate`` set when
-        ``lint_prune`` was on.
+        ``cache_misses`` set when a cache was in play and the
+        whole-table ``pruned_equivalent`` / ``pruned_duplicate``
+        counts of the static mutant analyzer
+        (:mod:`repro.lint.mutants`).
 
-    Determinism: the report is byte-identical on every scored field
-    for any ``workers`` / ``shard_size`` / ``batch_size`` /
-    ``scheduler`` combination, for any cache state (cold, warm, or
-    partial), and for ``lint_prune`` on vs off.
+    Determinism: the report equals the serial, unpruned
+    one-simulation-per-mutant oracle on every scored field, for any
+    ``workers`` / ``shard_size`` / ``scheduler`` combination and any
+    cache state (cold, warm, or partial).
     """
     from .scheduler import (
         _ephemeral_width,
@@ -678,13 +591,9 @@ def run_campaign(
             ip_name=ip_name,
             sensor_type=sensor_type,
             recovery=recovery,
-            tap_order=tap_order,
             workers=workers if scheduler is None else scheduler.workers,
             shard_size=shard_size,
-            batch_size=batch_size,
             cache=cache,
-            lint_prune=lint_prune,
-            prune_plan=prune_plan,
         )
         outcomes: "list" = []
         obs_counters: "dict[str, int]" = {}

@@ -230,14 +230,12 @@ def _verdict(augmented: AugmentedIP, tap,
 
 
 def _forked_sweep(augmented: AugmentedIP, indices, specs, drive,
-                  cycles: int, exec_mode: str) -> "list[RtlMutantOutcome]":
+                  cycles: int) -> "list[RtlMutantOutcome]":
     """Reproduce a shard's mutants at RTL as one forked sweep on a
     single simulator (see the module docstring); outcomes in
     ``indices`` order, field-identical to simulating each mutant on a
     fresh simulator for the full testbench."""
-    sim = augmented.make_simulation(
-        input_launch_at_edge=True, exec_mode=exec_mode
-    )
+    sim = augmented.make_simulation(input_launch_at_edge=True)
     razor = augmented.sensor_type == "razor"
     taps = {spec.register: _judged_tap(augmented, spec.register)
             for spec in specs}
@@ -327,16 +325,14 @@ def _forked_sweep(augmented: AugmentedIP, indices, specs, drive,
     ]
 
 
-#: Per-process memo of rebuilt augmented designs, keyed by
-#: ``((ip_name, sensor_type), exec_mode)``: every shard of the same
+#: Per-process memo of rebuilt augmented designs, keyed by the
+#: ``(ip_name, sensor_type)`` recipe: every shard of the same
 #: validation campaign served by one worker reuses one rebuild.
 _REBUILT_AUGMENTED: "dict[tuple, AugmentedIP]" = {}
 
 
-def _rebuilt_augmented(recipe: "tuple[str, str]",
-                       exec_mode: str) -> AugmentedIP:
-    key = (recipe, exec_mode)
-    augmented = _REBUILT_AUGMENTED.get(key)
+def _rebuilt_augmented(recipe: "tuple[str, str]") -> AugmentedIP:
+    augmented = _REBUILT_AUGMENTED.get(recipe)
     if augmented is None:
         # Function-level import: repro.flow imports repro.mutation, so
         # the reverse edge must stay out of module import time.
@@ -344,10 +340,8 @@ def _rebuilt_augmented(recipe: "tuple[str, str]",
         from repro.ips import case_study
 
         ip_name, sensor_type = recipe
-        augmented = build_augmented(
-            case_study(ip_name), sensor_type, exec_mode=exec_mode
-        ).augmented
-        _REBUILT_AUGMENTED[key] = augmented
+        augmented = build_augmented(case_study(ip_name), sensor_type).augmented
+        _REBUILT_AUGMENTED[recipe] = augmented
     return augmented
 
 
@@ -364,7 +358,6 @@ class RtlValidationShard:
     indices: "tuple[int, ...]"
     specs: "tuple[MutantSpec, ...]"           # aligned with ``indices``
     cycles: int
-    exec_mode: str
     recovery_value: int
     stimuli: "tuple[dict, ...] | None"        # None -> ``drive`` carried
     rebuild: "tuple[str, str] | None"         # (ip registry name, sensor)
@@ -386,15 +379,14 @@ class RtlValidationShard:
     def run(self) -> "list[RtlMutantOutcome]":
         augmented = self.augmented
         if augmented is None:
-            augmented = _rebuilt_augmented(self.rebuild, self.exec_mode)
+            augmented = _rebuilt_augmented(self.rebuild)
         drive = self.drive
         if drive is None:
             drive = _stimulus_driver(
                 augmented, list(self.stimuli), self.recovery_value
             )
         return _forked_sweep(
-            augmented, self.indices, self.specs, drive, self.cycles,
-            self.exec_mode,
+            augmented, self.indices, self.specs, drive, self.cycles
         )
 
 
@@ -443,7 +435,6 @@ def prepare_rtl_validation(
     drive=None,
     cycles: int = 24,
     ip_name: str = "ip",
-    exec_mode: str = "compiled",
     recovery_value: int = 0,
     rebuild: "str | None" = None,
     workers: int = 1,
@@ -505,13 +496,12 @@ def prepare_rtl_validation(
         # (not setdefault) so inline shards always simulate exactly
         # the object being validated -- ``rebuild=`` asserts it equals
         # the registry build, which is what pool workers reconstruct.
-        _REBUILT_AUGMENTED[(recipe, exec_mode)] = augmented
+        _REBUILT_AUGMENTED[recipe] = augmented
     shards = tuple(
         RtlValidationShard(
             indices=indices,
             specs=tuple(specs[i] for i in indices),
             cycles=cycles,
-            exec_mode=exec_mode,
             recovery_value=recovery_value,
             stimuli=tuple(stimuli) if stimuli is not None else None,
             rebuild=recipe,
@@ -541,7 +531,6 @@ def validate_at_rtl(
     stimuli=None,
     cycles: int = 24,
     ip_name: str = "ip",
-    exec_mode: str = "compiled",
     recovery_value: int = 0,
     rebuild: "str | None" = None,
     workers: int = 1,
@@ -564,9 +553,6 @@ def validate_at_rtl(
             cycle, with the Razor recovery enable poked to
             ``recovery_value``.
         cycles: testbench cycles per mutant.
-        exec_mode: kernel execution mode (compiled closures by
-            default; per-process compilation is memoised, so each
-            worker compiles each process exactly once).
         rebuild: registry name of the IP, enabling worker processes to
             reconstruct the augmentation instead of pickling it --
             required for the shards to leave the parent process.
@@ -601,7 +587,6 @@ def validate_at_rtl(
         drive=drive,
         cycles=cycles,
         ip_name=ip_name,
-        exec_mode=exec_mode,
         recovery_value=recovery_value,
         rebuild=rebuild,
         workers=workers if scheduler is None else scheduler.workers,

@@ -408,16 +408,12 @@ def iter_campaign(
     ip_name: str = "ip",
     sensor_type: str = "razor",
     recovery: bool = True,
-    tap_order: "list[str] | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     scheduler: "ShardPlacement | None" = None,
     progress=None,
     abort: "AbortPolicy | None" = None,
     cache=None,
-    lint_prune: bool = False,
-    prune_plan=None,
 ):
     """Stream one campaign: yield ``MutantOutcome``s as shards complete.
 
@@ -440,9 +436,8 @@ def iter_campaign(
     :class:`~repro.mutation.cache.ResultCache`) replays known verdicts
     as the very first batch -- so with a warm cache the stream yields
     everything instantly and submits nothing -- and writes fresh
-    verdicts back as shards complete.  ``lint_prune`` / ``prune_plan``
-    mirror :func:`~repro.mutation.campaign.run_campaign`: statically
-    pruned verdicts join the first (replayed) batch.
+    verdicts back as shards complete.  Statically pruned verdicts join
+    that first (replayed) batch.
     """
     prepared = prepare_campaign(
         golden,
@@ -451,13 +446,9 @@ def iter_campaign(
         ip_name=ip_name,
         sensor_type=sensor_type,
         recovery=recovery,
-        tap_order=tap_order,
         workers=workers if scheduler is None else scheduler.workers,
         shard_size=shard_size,
-        batch_size=batch_size,
         cache=cache,
-        lint_prune=lint_prune,
-        prune_plan=prune_plan,
     )
     with _leased_scheduler(
         scheduler, _ephemeral_width(workers, prepared)
@@ -520,14 +511,14 @@ class SuiteResult:
     def mutants_per_second(self) -> float:
         """Pool throughput over the campaign window: mutants actually
         *executed* per second.  RTL-validation mutants run inside the
-        same window, so they count; cache-replayed verdicts never
-        touch the pool, so they do not (a fully-warm re-run reports
-        0.0 rather than a replay rate mislabelled as execution)."""
+        same window, so they count; cache-replayed and statically
+        pruned verdicts never touch the pool, so they do not (a
+        fully-warm re-run reports 0.0 rather than a replay rate
+        mislabelled as execution)."""
         if self.campaign_seconds <= 0:
             return 0.0
-        executed = (
-            self.total_mutants + self.total_rtl_mutants
-            - (self.cache_hits or 0)
+        executed = sum(r.executed for r in self.reports.values()) + sum(
+            r.total - (r.cache_hits or 0) for r in self.rtl_reports.values()
         )
         return executed / self.campaign_seconds
 
@@ -587,8 +578,7 @@ class _SuiteJob:
 
     def expand(self, outcomes) -> "list":
         """Resolve deferred duplicate clones against a fresh shard
-        batch (no-op unless the campaign was prepared with
-        ``lint_prune=True``)."""
+        batch."""
         return self.prepared.expand_outcomes(outcomes)
 
     def write_back(self, cache, outcomes) -> None:
@@ -643,7 +633,6 @@ def run_benchmark_suite(
     *,
     workers: int = 4,
     shard_size: "int | None" = None,
-    batch_size: "int | None" = None,
     mutation_cycles: "int | None" = None,
     scheduler: "ShardPlacement | None" = None,
     progress=None,
@@ -651,8 +640,6 @@ def run_benchmark_suite(
     cache=None,
     rtl_validation: bool = False,
     rtl_validation_cycles: "int | None" = None,
-    rtl_exec_mode: str = "compiled",
-    lint_prune: bool = False,
 ) -> SuiteResult:
     """Run the cross-IP campaign suite on one shared worker pool.
 
@@ -662,11 +649,8 @@ def run_benchmark_suite(
             one campaign (duplicates are run once).
         sensor_types: the sensor variants to cover (default both).
         workers: pool width when no ``scheduler`` is passed.
-        shard_size: overrides the one-shard-per-worker batching.
-        batch_size: execute every TLM shard as batched multi-mutant
-            sweeps of this many mutants
-            (:mod:`repro.mutation.batched`); reports stay
-            field-identical to the serial default.
+        shard_size: overrides the one-shard-per-worker split (and
+            with it the width of each TLM shard's batched sweep).
         mutation_cycles: overrides each IP's testbench length.
         scheduler: a :class:`CampaignScheduler` owning the shared pool
             (its ``workers`` takes precedence).
@@ -694,13 +678,6 @@ def run_benchmark_suite(
             100% risen -- same caveat as the TLM kill gate on short
             testbenches; pass ``rtl_validation_cycles`` explicitly to
             decouple.
-        rtl_exec_mode: kernel execution mode for the RTL shards.
-        lint_prune: run the static mutant analyzer
-            (:mod:`repro.lint.mutants`) on every campaign; equivalent
-            mutants are judged against the golden trace instead of
-            simulated, duplicates clone their representative's
-            verdict.  Reports stay field-identical to an unpruned run
-            (RTL validation is never pruned).
 
     Each campaign's flow (characterise + insert + abstract + inject)
     and golden trace are prepared in the parent, and its shards are
@@ -801,14 +778,7 @@ def run_benchmark_suite(
                 seen.add(key)
                 flow = (flows or {}).get(key)
                 if flow is None:
-                    # Forward the kernel mode so the parent-side
-                    # design (RTL fingerprints, inline shards, memo
-                    # seeding) is built exactly as pool workers will
-                    # rebuild it.
-                    flow = run_flow(
-                        spec, sensor, run_mutation=False,
-                        rtl_exec_mode=rtl_exec_mode,
-                    )
+                    flow = run_flow(spec, sensor, run_mutation=False)
                 stimuli = spec.stimulus(
                     mutation_cycles or spec.mutation_cycles
                 )
@@ -816,17 +786,6 @@ def run_benchmark_suite(
                 # trace + sharding), matching run_campaign.seconds --
                 # the flow build above is suite setup, not campaign.
                 job_started = time.perf_counter()
-                prune_plan = None
-                if lint_prune:
-                    from repro.lint.mutants import plan_pruning
-
-                    # The augmented IR module enables the
-                    # frozen-target fold analysis on top of the
-                    # scheduler-level criteria.
-                    prune_plan = plan_pruning(
-                        flow.injected, sensor,
-                        module=flow.augmented.module,
-                    )
                 prepared = prepare_campaign(
                     # The GeneratedTlm (not a bare factory) keeps the
                     # golden fingerprintable for golden-trace caching.
@@ -838,10 +797,7 @@ def run_benchmark_suite(
                     recovery=True,
                     workers=sched.workers,
                     shard_size=shard_size,
-                    batch_size=batch_size,
                     cache=cache,
-                    lint_prune=lint_prune,
-                    prune_plan=prune_plan,
                 )
                 job = _SuiteJob(
                     key=key,
@@ -872,7 +828,6 @@ def run_benchmark_suite(
                         stimuli=rtl_stimuli,
                         cycles=len(rtl_stimuli),
                         ip_name=spec.name,
-                        exec_mode=rtl_exec_mode,
                         rebuild=rebuild_recipe(spec),
                         workers=sched.workers,
                         shard_size=shard_size,

@@ -38,13 +38,12 @@ The generated code preserves the four-valued semantics of
   modes share one source of truth for literal semantics.
 
 The interpreter remains the semantic reference: construct the
-simulator with ``Simulation(..., exec_mode="interpreted")`` (or pass
-``exec_mode="interpreted"`` through ``AugmentedIP.make_simulation`` /
-``run_flow(rtl_exec_mode=...)``) to force it, e.g. when debugging a
-suspected miscompile.  ``tests/test_compiled_kernel.py`` drives both
-modes in lockstep over randomised designs and all three case-study
-IPs (including X-init and delay-annotated runs) to keep the contract
-honest.
+simulator with ``Simulation(..., exec_mode="interpreted")`` (or time
+it with ``repro timing --rtl-exec interpreted``) to force it, e.g.
+when debugging a suspected miscompile.
+``tests/test_compiled_kernel.py`` drives both modes in lockstep over
+randomised designs and all three case-study IPs (including X-init and
+delay-annotated runs) to keep the contract honest.
 
 Compiled closures are memoised per process object in a weak-key
 cache, fingerprinted over the full statement/expression structure, so

@@ -108,8 +108,6 @@ def calibrate_cps_bits(
     clocks: "dict[Signal, int]",
     endpoints: "dict[Signal, Signal]",
     stimuli: "list[dict[str, int]]",
-    *,
-    exec_mode: str = "compiled",
 ) -> "dict[str, int | str]":
     """Select each endpoint's critical bit from testbench activity.
 
@@ -123,7 +121,7 @@ def calibrate_cps_bits(
     per-bit toggles of every endpoint, and picks the most active bit
     (falling back to the parity detector when nothing toggles).
     """
-    sim = Simulation(module, clocks, exec_mode=exec_mode)
+    sim = Simulation(module, clocks)
     inputs = {p.name: p for p in module.inputs()}
     watched = list(endpoints.items())
     toggles: dict[int, list[int]] = {
@@ -160,15 +158,12 @@ def insert_sensors(
     hf_ratio: int = HF_RATIO_DEFAULT,
     lut_threshold: int = LUT_THRESHOLD_DEFAULT,
     calibration_stimuli: "list[dict[str, int]] | None" = None,
-    exec_mode: str = "compiled",
 ) -> AugmentedIP:
     """Insert one sensor per critical path endpoint (in place).
 
     For Counter sensors, ``calibration_stimuli`` (normally the IP's
     own testbench) drives the CPS-bit selection; without it the LSB is
-    used.  ``exec_mode`` selects the RTL kernel mode of the
-    calibration simulation, so a flow forced to the reference
-    interpreter stays interpreted end to end.
+    used.
     """
     if sensor_type not in ("razor", "counter"):
         raise InsertionError(f"unknown sensor type {sensor_type!r}")
@@ -207,7 +202,6 @@ def insert_sensors(
                 {clock: period},
                 endpoint_of,
                 calibration_stimuli,
-                exec_mode=exec_mode,
             )
         hf_clock = module.input("hf_clk")
         bank = attach_counter_bank(

@@ -78,7 +78,8 @@ NDJSON_CONTENT_TYPE = "application/x-ndjson"
 def encode_report(report) -> dict:
     """JSON payload for a :class:`~repro.mutation.MutationReport`
     (verdict fields plus the runtime metadata excluded from report
-    equality: ``seconds`` and the cache counters)."""
+    equality: ``seconds``, the cache counters and the executed-mutant
+    count)."""
     return {
         "ip_name": report.ip_name,
         "sensor_type": report.sensor_type,
@@ -88,6 +89,7 @@ def encode_report(report) -> dict:
         "cache_hits": report.cache_hits,
         "cache_misses": report.cache_misses,
         "golden_cache_hit": report.golden_cache_hit,
+        "executed": report.executed,
         "obs": report.obs,
         "outcomes": [encode_outcome(o) for o in report.outcomes],
     }
@@ -111,6 +113,7 @@ def decode_report(payload: dict):
         cache_hits=payload.get("cache_hits"),
         cache_misses=payload.get("cache_misses"),
         golden_cache_hit=payload.get("golden_cache_hit"),
+        executed=payload.get("executed", 0),
     )
     report.seconds = payload.get("seconds", 0.0)
     report.obs = payload.get("obs")
@@ -183,8 +186,6 @@ def encode_shard(shard) -> dict:
         "sensor_type": shard.sensor_type,
         "recovery": shard.recovery,
         "tap_order": list(shard.tap_order),
-        "exec_strategy": shard.exec_strategy,
-        "batch_size": shard.batch_size,
         "trace": shard.trace,
     }
 
@@ -206,10 +207,6 @@ def decode_shard(payload: dict):
         sensor_type=payload["sensor_type"],
         recovery=payload["recovery"],
         tap_order=tuple(payload["tap_order"]),
-        # Older coordinators omit the batching/tracing fields: default
-        # to the serial, untraced path they expect.
-        exec_strategy=payload.get("exec_strategy", "serial"),
-        batch_size=payload.get("batch_size"),
         trace=payload.get("trace", False),
     )
 

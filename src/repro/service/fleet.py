@@ -52,6 +52,7 @@ that, including mid-campaign worker kill and re-dispatch.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import threading
@@ -79,22 +80,8 @@ __all__ = [
 
 def _shard_subset(shard: CampaignShard, indices) -> CampaignShard:
     """The same shard narrowed to ``indices`` (after a cache probe
-    stripped the known mutants).  Execution knobs travel with it:
-    dropping ``exec_strategy``/``batch_size`` would silently demote a
-    batched remainder to serial, and dropping ``trace`` would lose the
-    worker-side spans of every cache-narrowed shard."""
-    return CampaignShard(
-        indices=tuple(indices),
-        injected=shard.injected,
-        stimuli=shard.stimuli,
-        golden=shard.golden,
-        sensor_type=shard.sensor_type,
-        recovery=shard.recovery,
-        tap_order=shard.tap_order,
-        exec_strategy=shard.exec_strategy,
-        batch_size=shard.batch_size,
-        trace=shard.trace,
-    )
+    stripped the known mutants); every other field travels with it."""
+    return dataclasses.replace(shard, indices=tuple(indices))
 
 
 def _probe_shard(cache, shard):

@@ -34,7 +34,7 @@ import os
 import tempfile
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["JOB_STATUSES", "JobRecord", "JobSpec", "JobStore", "new_job_id"]
 
@@ -67,10 +67,6 @@ class JobSpec:
     sensor: str
     cycles: "int | None" = None
     shard_size: "int | None" = None
-    #: Batched multi-mutant sweeps of this many mutants per shard
-    #: (:mod:`repro.mutation.batched`); ``None`` keeps the serial
-    #: path.  Field-identical reports either way.
-    batch_size: "int | None" = None
     recovery: bool = True
     stop_on_survivor: bool = False
     score_threshold: "float | None" = None
@@ -86,8 +82,6 @@ class JobSpec:
             raise ValueError("cycles must be >= 1")
         if self.shard_size is not None and self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
     def abort_policy(self):
         """The :class:`~repro.mutation.AbortPolicy` this spec asks
@@ -109,7 +103,6 @@ class JobSpec:
             "sensor": self.sensor,
             "cycles": self.cycles,
             "shard_size": self.shard_size,
-            "batch_size": self.batch_size,
             "recovery": self.recovery,
             "stop_on_survivor": self.stop_on_survivor,
             "score_threshold": self.score_threshold,
@@ -121,12 +114,7 @@ class JobSpec:
         """Build a spec from a wire/stored payload, rejecting unknown
         fields (a typo'd parameter must 400, not silently fall back to
         a default)."""
-        known = {
-            "ip", "sensor", "cycles", "shard_size", "batch_size",
-            "recovery", "stop_on_survivor", "score_threshold",
-            "min_judged",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(
                 f"unknown job spec field(s): {', '.join(sorted(unknown))}"
@@ -191,9 +179,17 @@ class JobRecord:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "JobRecord":
+        """Rebuild a stored record.  A stored spec was validated when it
+        was submitted, so spec fields retired since (the batch width of
+        records written before every shard became one batched sweep)
+        are dropped and the job still loads after an upgrade; a fresh
+        ``POST /jobs`` naming one is still rejected by
+        :meth:`JobSpec.from_payload`."""
+        known = {f.name for f in fields(JobSpec)}
+        spec = {k: v for k, v in payload["spec"].items() if k in known}
         return cls(
             id=payload["id"],
-            spec=JobSpec.from_payload(payload["spec"]),
+            spec=JobSpec.from_payload(spec),
             status=payload["status"],
             created=payload.get("created", 0.0),
             started=payload.get("started"),

@@ -73,7 +73,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.faults import fault_point
+from repro.faults import fault_point, get_fault_plan
 from repro.mutation import CampaignScheduler, prepare_campaign
 from repro.mutation.placement import PlacementLostError
 from repro.mutation.scheduler import stream_shard_batches
@@ -324,6 +324,7 @@ class CampaignService:
         cancel = self._cancels.get(job_id)
         if cancel is not None:
             cancel.set()
+            _wake_holds()
         return record
 
     def subscribe(self, job_id: str):
@@ -501,6 +502,7 @@ class CampaignService:
             return
         self._post(self._update, job_id, status="running",
                    started=time.time())
+        self._hold(cancel)
         try:
             spec = record.spec
             # Every span (and the shard spans absorbed back from the
@@ -530,7 +532,6 @@ class CampaignService:
                     recovery=spec.recovery,
                     workers=self.fleet.workers,
                     shard_size=spec.shard_size,
-                    batch_size=spec.batch_size,
                     cache=self.cache,
                 )
                 abort = _JobAbort(spec.abort_policy(), cancel)
@@ -554,6 +555,7 @@ class CampaignService:
                     plan = fault_point("server.crash.mid_job")
                     if plan is not None:
                         self._crash(plan)
+                    self._hold(cancel)
                 report = prepared.build_report(
                     outcomes, seconds=time.perf_counter() - started
                 )
@@ -565,6 +567,18 @@ class CampaignService:
         except Exception as exc:
             self._post(self._finish, job_id, "failed",
                        error=f"{type(exc).__name__}: {exc}")
+
+    @staticmethod
+    def _hold(cancel: threading.Event) -> None:
+        """The ``job.hold`` fault site, reached at job start and at
+        every shard-batch boundary: when it fires, the job thread
+        parks until the plan releases the site, the job is cancelled,
+        or the service closes (bounded by the plan's
+        ``hang_seconds``).  Tests use it to attach to a job's event
+        stream, or to cancel it, at a fixed point of its run."""
+        plan = fault_point("job.hold")
+        if plan is not None:
+            plan.hold("job.hold", cancel)
 
     @staticmethod
     def _crash(plan) -> None:
@@ -597,10 +611,18 @@ class CampaignService:
         self.worker.hang_release.set()
         for cancel in self._cancels.values():
             cancel.set()
+        _wake_holds()
         self._executor.shutdown(wait=True, cancel_futures=True)
         self._shard_executor.shutdown(wait=True, cancel_futures=True)
         self.fleet.shutdown(wait=False)
         self.scheduler.shutdown()
+
+
+def _wake_holds() -> None:
+    """Let job threads parked at ``job.hold`` see a cancellation."""
+    plan = get_fault_plan()
+    if plan is not None:
+        plan.wake()
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
-"""Execution-equivalence suite for batched multi-mutant sweeps.
+"""Execution-equivalence suite for batched sweeps and static pruning.
 
-The batched execution mode (:mod:`repro.mutation.batched`) runs K
-mutants per simulation sweep -- attached mutants ride one base
+Every TLM campaign shard runs as one batched sweep
+(:mod:`repro.mutation.batched`) -- attached mutants ride one base
 simulation, fork on their first divergence, and Razor forks stop early
-once their verdict is settled.  Its contract is *field identity*: for
-any batch size, worker count, shard size, cache state and fault plan,
-the merged :class:`~repro.mutation.MutationReport` is equal on every
-scored field to the serial one -- same ``first_divergence``, same
+once their verdict is settled -- after
+:func:`~repro.mutation.campaign.prepare_campaign` has pruned the
+statically equivalent and duplicate mutants (:mod:`repro.lint.mutants`).
+The contract is *field identity* with the serial, unpruned oracle
+(``tests/serial_oracle.py``): for any shard size (which is also the
+sweep width), worker count, cache state and fault plan, the merged
+:class:`~repro.mutation.MutationReport` equals the one-simulation-per-
+mutant report on every scored field -- same ``first_divergence``, same
 ``timed_out``, same cache write-back keys.
 
 This module locks that contract down:
 
 * field identity across all three case-study IPs x both sensor types
-  x batch sizes {1, 3, all} x workers {1, 2} x cold/warm cache;
+  x shard sizes {1, 3, default} x workers {1, 2} x cold/warm cache;
 * randomized-design lockstep (Hypothesis-built datapaths, in the
   style of ``tests/test_compiled_kernel.py``);
 * early-kill semantics at the :func:`_drive_razor` level -- identical
@@ -20,7 +24,7 @@ This module locks that contract down:
   budget would only have been exhausted in skipped tail cycles;
 * fork isolation -- the shared :class:`~repro.mutation.GoldenTrace`
   is bit-identical before and after a batched sweep;
-* interplay with lint-pruning (deferred duplicate clones) and with a
+* interplay with pruning (deferred duplicate clones) and with a
   seeded worker-crash fault plan;
 * the kernel-level :meth:`~repro.rtl.Simulation.snapshot_state` /
   ``restore_state`` pair the fork machinery builds on.
@@ -37,26 +41,20 @@ from repro.faults import FaultPlan, active_plan
 from repro.flow import build_augmented, run_flow
 from repro.ips import CASE_STUDIES, case_study
 from repro.mutation import (
-    GoldenTrace,
     ResultCache,
     CampaignScheduler,
     compute_golden_trace,
     inject_mutants,
     run_campaign,
 )
-from repro.mutation.analysis import (
-    RazorMutantJudge,
-    _drive_razor,
-    _run_counter_mutant,
-    _run_razor_mutant,
-)
-from repro.mutation.batched import run_batched_shard
+from repro.mutation.analysis import RazorMutantJudge, _drive_razor
 from repro.mutation.cache import encode_golden_trace
 from repro.mutation.campaign import prepare_campaign
 from repro.rtl import Assign, If, Simulation, Module, const
 from repro.sensors import insert_sensors
 from repro.sta import analyze, bin_critical_paths
 from repro.synth import synthesize
+from serial_oracle import assert_matches_oracle, serial_report
 
 #: Reduced testbench lengths: long enough to exercise forks and
 #: re-joins on every IP, short enough for the full matrix.
@@ -65,32 +63,28 @@ REDUCED = {"plasma": 40, "dsp": 48, "filter": 96}
 IPS = sorted(CASE_STUDIES)
 SENSORS = ("razor", "counter")
 
+#: Shard sizes of the identity matrix; the shard is also the width of
+#: its batched sweep.  ``None`` is the default split (one shard per
+#: worker: each worker's whole share, "all", in one sweep).
+SHARD_SIZES = [1, 3, pytest.param(None, id="all")]
+
 _case_cache: dict = {}
 
 
 def case_campaign(ip, sensor):
-    """(flow, stimuli, serial baseline report) for one IP x sensor,
+    """(flow, stimuli, serial oracle report) for one IP x sensor,
     computed once per test session."""
     key = (ip, sensor)
     if key not in _case_cache:
         spec = case_study(ip)
         flow = run_flow(spec, sensor, run_mutation=False)
         stim = spec.stimulus(REDUCED[ip])
-        baseline = run_campaign(
+        oracle = serial_report(
             flow.tlm_optimized, flow.injected, stim,
-            ip_name=ip, sensor_type=sensor, workers=1,
+            ip_name=ip, sensor_type=sensor,
         )
-        _case_cache[key] = (flow, stim, baseline)
+        _case_cache[key] = (flow, stim, oracle)
     return _case_cache[key]
-
-
-def assert_reports_identical(report, baseline):
-    """Field identity on the scored report plus outcome-by-outcome
-    equality (covers ``first_divergence`` / ``timed_out`` / every
-    verdict field of every mutant)."""
-    assert report == baseline
-    assert report.outcomes == baseline.outcomes
-    assert report.cycles_per_run == baseline.cycles_per_run
 
 
 @pytest.fixture(scope="module")
@@ -145,50 +139,46 @@ def synthetic_campaign(sensor, module_factory=build_ip, stim=None):
 # ----------------------------------------------------------------------
 
 class TestFieldIdentity:
-    @pytest.mark.parametrize("ip", IPS)
-    @pytest.mark.parametrize("sensor", SENSORS)
-    @pytest.mark.parametrize("batch", [1, 3, "all"])
-    def test_cold_then_warm_cache(self, ip, sensor, batch):
-        flow, stim, baseline = case_campaign(ip, sensor)
-        batch_k = baseline.total if batch == "all" else batch
+    @staticmethod
+    def _cold_then_warm(ip, sensor, **kw):
+        flow, stim, oracle = case_campaign(ip, sensor)
         cache = ResultCache(None)
         cold = run_campaign(
             flow.tlm_optimized, flow.injected, stim,
-            ip_name=ip, sensor_type=sensor,
-            batch_size=batch_k, cache=cache,
+            ip_name=ip, sensor_type=sensor, cache=cache, **kw
         )
-        assert_reports_identical(cold, baseline)
-        assert cold.cache_misses == baseline.total
+        assert_matches_oracle(cold, oracle)
+        assert cold.cache_misses == oracle.total
         warm = run_campaign(
             flow.tlm_optimized, flow.injected, stim,
-            ip_name=ip, sensor_type=sensor,
-            batch_size=batch_k, cache=cache,
+            ip_name=ip, sensor_type=sensor, cache=cache, **kw
         )
-        assert_reports_identical(warm, baseline)
-        # Batched write-back produced the exact keys a warm serial (or
-        # batched) rerun replays from: everything hits.
-        assert warm.cache_hits == baseline.total
+        assert_matches_oracle(warm, oracle)
+        # Batched write-back (pruned verdicts included) produced the
+        # exact keys a warm rerun replays from: everything hits.
+        assert warm.cache_hits == oracle.total
+        assert warm.executed == 0
 
     @pytest.mark.parametrize("ip", IPS)
     @pytest.mark.parametrize("sensor", SENSORS)
-    @pytest.mark.parametrize("batch", [1, 3, "all"])
-    def test_two_workers(self, ip, sensor, batch, sched2):
-        flow, stim, baseline = case_campaign(ip, sensor)
-        batch_k = baseline.total if batch == "all" else batch
-        report = run_campaign(
-            flow.tlm_optimized, flow.injected, stim,
-            ip_name=ip, sensor_type=sensor,
-            shard_size=2, batch_size=batch_k, scheduler=sched2,
-        )
-        assert_reports_identical(report, baseline)
+    @pytest.mark.parametrize("shard_size", SHARD_SIZES)
+    def test_cold_then_warm_cache(self, ip, sensor, shard_size):
+        self._cold_then_warm(ip, sensor, workers=1, shard_size=shard_size)
+
+    @pytest.mark.parametrize("ip", IPS)
+    @pytest.mark.parametrize("sensor", SENSORS)
+    @pytest.mark.parametrize("shard_size", SHARD_SIZES)
+    def test_two_workers(self, ip, sensor, shard_size, sched2):
+        self._cold_then_warm(ip, sensor, shard_size=shard_size,
+                             scheduler=sched2)
 
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_partial_cache_mixes_replay_and_batch(self, sensor):
         """A cache warmed by a *subset* shard leaves non-contiguous
         miss indices; batched sweeps over them stay identical."""
-        flow, stim, baseline = case_campaign("dsp", sensor)
-        # Seed every other mutant's verdict from a fully-warm serial
-        # cache, leaving a non-contiguous miss set for the batched run.
+        flow, stim, oracle = case_campaign("dsp", sensor)
+        # Seed every other mutant's verdict from a fully-warm cache,
+        # leaving a non-contiguous miss set for the batched run.
         cache = ResultCache(None)
         full_cache = ResultCache(None)
         run_campaign(
@@ -208,24 +198,23 @@ class TestFieldIdentity:
         report = run_campaign(
             flow.tlm_optimized, flow.injected, stim,
             ip_name="dsp", sensor_type=sensor,
-            cache=cache, batch_size=4,
+            cache=cache, shard_size=4,
         )
-        assert_reports_identical(report, baseline)
-        assert report.cache_hits == (baseline.total + 1) // 2
+        assert_matches_oracle(report, oracle)
+        assert report.cache_hits == (oracle.total + 1) // 2
 
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_synthetic_ip_every_batch_size(self, sensor):
-        """Exhaustive batch-size scan on the fast synthetic IP."""
+        """Exhaustive sweep-width (= shard size) scan on the fast
+        synthetic IP."""
         golden, injected, stim = synthetic_campaign(sensor)
-        baseline = run_campaign(
-            golden, injected, stim, sensor_type=sensor
-        )
-        for batch in range(1, len(injected.mutants) + 2):
+        oracle = serial_report(golden, injected, stim, sensor_type=sensor)
+        for shard_size in range(1, len(injected.mutants) + 2):
             report = run_campaign(
                 golden, injected, stim,
-                sensor_type=sensor, batch_size=batch,
+                sensor_type=sensor, shard_size=shard_size,
             )
-            assert_reports_identical(report, baseline)
+            assert_matches_oracle(report, oracle)
 
 
 # ----------------------------------------------------------------------
@@ -284,12 +273,13 @@ def test_prop_random_design_batched_equals_serial(data):
     golden, injected, stim = synthetic_campaign(
         sensor, module_factory=factory, stim=stim
     )
-    baseline = run_campaign(golden, injected, stim, sensor_type=sensor)
-    for batch in (2, len(injected.mutants)):
+    oracle = serial_report(golden, injected, stim, sensor_type=sensor)
+    for shard_size in (2, None):
         report = run_campaign(
-            golden, injected, stim, sensor_type=sensor, batch_size=batch
+            golden, injected, stim, sensor_type=sensor,
+            shard_size=shard_size,
         )
-        assert_reports_identical(report, baseline)
+        assert_matches_oracle(report, oracle)
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +425,7 @@ class TestForkIsolation:
     def test_golden_trace_bit_identical_after_sweep(self, sensor):
         golden, injected, stim = synthetic_campaign(sensor)
         prepared = prepare_campaign(
-            golden, injected, stim,
-            sensor_type=sensor, batch_size=len(injected.mutants),
+            golden, injected, stim, sensor_type=sensor
         )
         (shard,) = prepared.shards
         before = json.dumps(
@@ -461,7 +450,7 @@ class TestForkIsolation:
         )
         snapshot = [dict(o) for o in trace.full]
         prepared = prepare_campaign(
-            golden, injected, stim, sensor_type="razor", batch_size=3
+            golden, injected, stim, sensor_type="razor", shard_size=3
         )
         for shard in prepared.shards:
             shard.run()
@@ -469,36 +458,29 @@ class TestForkIsolation:
 
 
 # ----------------------------------------------------------------------
-# Interplay: lint-prune and fault plans
+# Interplay: pruning, fault plans, the shard wire codec
 # ----------------------------------------------------------------------
 
 class TestInterplay:
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_batch_composed_with_lint_prune(self, sensor):
-        from repro.lint import plan_pruning
-
-        flow, stim, baseline = case_campaign("dsp", sensor)
-        # Module-aware plan, exactly as run_flow builds it -- this is
-        # the variant that actually defers duplicate clones.
-        plan = plan_pruning(
-            flow.injected, sensor, module=flow.augmented.module
-        )
+        flow, stim, oracle = case_campaign("dsp", sensor)
         report = run_campaign(
             flow.tlm_optimized, flow.injected, stim,
-            ip_name="dsp", sensor_type=sensor,
-            batch_size=4, lint_prune=True, prune_plan=plan,
+            ip_name="dsp", sensor_type=sensor, shard_size=4,
         )
-        assert_reports_identical(report, baseline)
-        # Prune accounting is present either way; when the analyzer
-        # found duplicates, their clones expanded off *batched* shard
-        # results without changing a field.
-        assert report.pruned_equivalent is not None
-        assert report.pruned_duplicate is not None
+        assert_matches_oracle(report, oracle)
+        # The hf-first-tick third of a Counter table is judged from
+        # the golden trace; it never reaches a batched shard.
+        pruned = oracle.total // 3 if sensor == "counter" else 0
+        assert report.pruned_equivalent == pruned
+        assert report.pruned_duplicate == 0
+        assert report.executed == oracle.total - pruned
 
     def test_batch_with_deferred_duplicate_clones(self):
         """An hf_ratio=2 Counter build collides max/delta mutants onto
         one HF tick, so the pruner defers duplicate clones until the
-        representative's shard lands -- here, a *batched* shard."""
+        representative's shard lands -- here, a batched shard."""
         from repro.lint import plan_pruning
 
         spec = case_study("dsp")
@@ -516,59 +498,65 @@ class TestInterplay:
         golden = generate_tlm(module, variant="hdtlib", augmented=aug)
         injected = inject_mutants(aug, variant="hdtlib")
         stim = spec.stimulus(spec.mutation_cycles)
-        plan = plan_pruning(injected, "counter", module=module)
+        plan = plan_pruning(injected, "counter")
         assert plan.duplicate_of  # the fixture must actually defer
 
-        baseline = run_campaign(
-            golden, injected, stim, sensor_type="counter"
-        )
+        oracle = serial_report(golden, injected, stim,
+                               sensor_type="counter")
         report = run_campaign(
-            golden, injected, stim, sensor_type="counter",
-            batch_size=4, lint_prune=True, prune_plan=plan,
+            golden, injected, stim, sensor_type="counter", shard_size=4,
         )
-        assert_reports_identical(report, baseline)
+        assert_matches_oracle(report, oracle)
         assert report.pruned_duplicate == len(plan.duplicate_of)
 
     def test_batch_under_seeded_worker_crashes(self, sched2):
         """Self-healing re-dispatch of batched shards: a seeded
         worker-crash plan leaves the report field-identical."""
-        flow, stim, baseline = case_campaign("dsp", "razor")
+        flow, stim, oracle = case_campaign("dsp", "razor")
         plan = FaultPlan.from_spec("seed=11;pool.break_worker=p0.3x2")
         with active_plan(plan):
             with CampaignScheduler(workers=2) as scheduler:
                 report = run_campaign(
                     flow.tlm_optimized, flow.injected, stim,
                     ip_name="dsp", sensor_type="razor",
-                    shard_size=1, batch_size=3, scheduler=scheduler,
+                    shard_size=3, scheduler=scheduler,
                 )
-        assert_reports_identical(report, baseline)
+        assert_matches_oracle(report, oracle)
 
     def test_shard_codec_round_trips_batching_fields(self):
+        """The wire carries no batching knob any more: every shard is
+        one batched sweep, so the decoded shard equals the original
+        field for field and runs to the same outcomes."""
         from repro.service.api import decode_shard, encode_shard
 
         golden, injected, stim = synthetic_campaign("razor")
         prepared = prepare_campaign(
-            golden, injected, stim, sensor_type="razor", batch_size=2
+            golden, injected, stim, sensor_type="razor", shard_size=2
         )
         (shard, *_) = prepared.shards
-        decoded = decode_shard(encode_shard(shard))
-        assert decoded.exec_strategy == "batched"
-        assert decoded.batch_size == 2
+        payload = encode_shard(shard)
+        assert "exec_strategy" not in payload
+        assert "batch_size" not in payload
+        decoded = decode_shard(payload)
+        assert decoded == shard
         assert decoded.run() == shard.run()
 
-    def test_decode_shard_defaults_to_serial(self):
-        """Payloads from pre-batching coordinators decode serial."""
+    def test_decode_shard_ignores_retired_batching_fields(self):
+        """Payloads from coordinators that still send the retired
+        ``exec_strategy`` / ``batch_size`` fields decode to the one
+        batched shard."""
         from repro.service.api import decode_shard, encode_shard
 
         golden, injected, stim = synthetic_campaign("razor")
         prepared = prepare_campaign(
             golden, injected, stim, sensor_type="razor"
         )
-        payload = encode_shard(prepared.shards[0])
-        del payload["exec_strategy"], payload["batch_size"]
+        (shard,) = prepared.shards
+        payload = encode_shard(shard)
+        payload.update(exec_strategy="serial", batch_size=None)
         decoded = decode_shard(payload)
-        assert decoded.exec_strategy == "serial"
-        assert decoded.batch_size is None
+        assert decoded == shard
+        assert decoded.run() == shard.run()
 
 
 # ----------------------------------------------------------------------

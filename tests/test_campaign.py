@@ -15,7 +15,6 @@ from repro.mutation import (
     compute_golden_trace,
     inject_mutants,
     run_campaign,
-    run_mutation_analysis,
     shard_indices,
 )
 from repro.mutation.analysis import _run_razor_mutant
@@ -114,21 +113,6 @@ class TestDeterminism:
         assert serial.corrected_pct == parallel.corrected_pct
         assert serial.cycles_per_run == parallel.cycles_per_run
 
-    def test_wrapper_threads_workers_through(self):
-        aug = augment("razor")
-        injected = inject_mutants(aug)
-        golden = golden_tlm("razor")
-        stim = stimulus(20)
-        serial = run_mutation_analysis(
-            lambda: golden.instantiate(), injected, stim,
-            sensor_type="razor",
-        )
-        parallel = run_mutation_analysis(
-            lambda: golden.instantiate(), injected, stim,
-            sensor_type="razor", workers=2,
-        )
-        assert serial.outcomes == parallel.outcomes
-
     def test_campaign_matches_paper_shape(self):
         """The engine preserves the Table-5 claims of the old loop."""
         aug = augment("razor")
@@ -157,7 +141,7 @@ class TestAmortisation:
             calls.append(1)
             return golden.instantiate()
 
-        report = run_mutation_analysis(
+        report = run_campaign(
             factory, injected, stimulus(20), sensor_type="razor"
         )
         assert report.total > 1       # several mutants ...

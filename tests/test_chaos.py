@@ -16,6 +16,7 @@ coordinator + worker-daemon fleet for the CI ``chaos`` job.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -159,8 +160,43 @@ class TestFaultPlanDecisions:
         assert set(KNOWN_SITES) == {
             "pool.break_worker", "net.drop.post_shards",
             "worker.hang", "cache.corrupt_entry",
-            "server.crash.mid_job",
+            "server.crash.mid_job", "job.hold",
         }
+
+
+class TestJobHold:
+    """``job.hold`` parks a thread until release, cancel or timeout."""
+
+    @staticmethod
+    def _park(plan, cancelled):
+        thread = threading.Thread(
+            target=plan.hold, args=("job.hold", cancelled)
+        )
+        thread.start()
+        return thread
+
+    def test_release_opens_the_site_for_good(self):
+        plan = FaultPlan.from_spec("job.hold=always;hang=60")
+        thread = self._park(plan, threading.Event())
+        plan.release("job.hold")
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        # Released sites no longer park.
+        assert plan.should_fire("job.hold")
+        plan.hold("job.hold", threading.Event())
+
+    def test_cancel_plus_wake_unparks(self):
+        plan = FaultPlan.from_spec("job.hold=always;hang=60")
+        cancelled = threading.Event()
+        thread = self._park(plan, cancelled)
+        cancelled.set()
+        plan.wake()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_park_is_bounded_by_hang_seconds(self):
+        plan = FaultPlan.from_spec("job.hold=always;hang=0.01")
+        plan.hold("job.hold", threading.Event())
 
 
 class TestAmbientActivation:

@@ -1,41 +1,46 @@
 """Tests for static mutant pruning (:mod:`repro.lint.mutants`).
 
-The contract under test is the ISSUE acceptance bar: with
-``lint_prune=True`` every report stays **field-identical** to the
-unpruned run -- pruned mutants are counted and judged, never dropped
--- while the executed-mutant set measurably shrinks.  Coverage:
+Every campaign prunes.  The contract under test: every report stays
+**field-identical** to the serial, unpruned oracle
+(``tests/serial_oracle.py``) -- pruned mutants are counted and judged,
+never dropped -- while the executed-mutant set measurably shrinks.
+Coverage:
 
 * plan-level classification (``hf-first-tick`` is exactly one third
   of every Counter table; Razor tables have no equivalents at the
   default HF ratio);
-* prune on/off report equality for all three IPs x both sensors,
+* pruned-vs-oracle report equality for all three IPs x both sensors,
   including the full outcome lists;
-* shard accounting: pruned mutants leave the executable set;
-* cache interplay in both directions (cold-pruned seeds a warm
-  unpruned replay and vice versa) with identical prune counters on
-  cold and warm runs;
+* shard accounting: pruned mutants leave the executable set, and
+  throughput counts only the executed ones;
+* cache interplay in both directions (a pruned run writes every
+  verdict an unpruned reader looks up, and a cache an unpruned run
+  filled replays in full) with identical prune counters on cold and
+  warm runs;
 * the deferred-duplicate clone path (representative executes, clones
   attach at shard completion) via an ``hf_ratio=2`` Counter build that
   actually produces fingerprint collisions;
-* multi-worker / shared-pool runs (:func:`run_benchmark_suite`) with
-  pruning on.
+* multi-worker / shared-pool runs (:func:`run_benchmark_suite`).
 """
 
 import pytest
 
-from repro.flow import build_augmented, run_flow
+from repro.flow import run_flow
 from repro.ips import CASE_STUDIES, case_study
 from repro.lint import plan_pruning
-from repro.lint.mutants import frozen_signal_names
 from repro.mutation import (
+    AbortPolicy,
     CampaignScheduler,
     ResultCache,
     inject_mutants,
     prepare_campaign,
     run_benchmark_suite,
     run_campaign,
+    stream_shard_batches,
 )
+from repro.mutation.cache import decode_outcome, encode_outcome
 from repro.abstraction import generate_tlm
+from serial_oracle import assert_matches_oracle, serial_report
 
 IPS = sorted(CASE_STUDIES)
 SENSORS = ("razor", "counter")
@@ -50,13 +55,26 @@ def _campaign_inputs(flow):
     return flow.tlm_optimized, flow.injected, stimuli
 
 
+_oracles: dict = {}
+
+
+def _oracle(ip, sensor):
+    """The serial, unpruned report of one registry campaign at full
+    testbench length (memoised for the whole test run)."""
+    key = (ip, sensor)
+    if key not in _oracles:
+        flow = _flow(ip, sensor, run_mutation=False)
+        _oracles[key] = serial_report(
+            *_campaign_inputs(flow), ip_name=ip, sensor_type=sensor
+        )
+    return _oracles[key]
+
+
 class TestPlan:
     @pytest.mark.parametrize("ip", IPS)
     def test_counter_equivalents_are_one_third(self, ip):
         flow = _flow(ip, "counter", run_mutation=False)
-        plan = plan_pruning(
-            flow.injected, "counter", module=flow.augmented.module
-        )
+        plan = plan_pruning(flow.injected, "counter")
         total = len(flow.injected.mutants)
         assert plan.total == total
         assert plan.equivalent_count == total // 3
@@ -71,9 +89,7 @@ class TestPlan:
     @pytest.mark.parametrize("ip", IPS)
     def test_razor_tables_have_no_equivalents(self, ip):
         flow = _flow(ip, "razor", run_mutation=False)
-        plan = plan_pruning(
-            flow.injected, "razor", module=flow.augmented.module
-        )
+        plan = plan_pruning(flow.injected, "razor")
         assert plan.equivalent == {}
         assert plan.duplicate_of == {}
 
@@ -85,41 +101,28 @@ class TestPlan:
         assert d["prunable"] == plan.prunable == 9
         assert all(isinstance(k, str) for k in d["equivalent"])
 
-    def test_frozen_signal_analysis_on_live_design(self):
-        # Every mutated target of a live IP toggles, so the fold
-        # analysis must not claim any of them frozen.
-        flow = _flow("dsp", "counter", run_mutation=False)
-        targets = {s.target for s in flow.injected.mutants}
-        assert frozen_signal_names(flow.augmented.module, targets) == set()
-
 
 class TestReportEquality:
     @pytest.mark.parametrize("ip", IPS)
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_prune_on_off_field_identical(self, ip, sensor):
-        off = _flow(ip, sensor).mutation
-        on = _flow(ip, sensor, lint_prune=True).mutation
-        assert on == off
-        assert on.outcomes == off.outcomes
+        off = _oracle(ip, sensor)
+        on = _flow(ip, sensor).mutation
+        assert_matches_oracle(on, off)
         assert [o.index for o in on.outcomes] == list(range(off.total))
-        # Accounting: off-run carries no counters, on-run carries the
-        # plan-level ones.
-        assert off.pruned_equivalent is None
-        assert off.pruned_duplicate is None
+        # Accounting: the plan-level counters, and only the executed
+        # rest counted as simulated.
         expected = off.total // 3 if sensor == "counter" else 0
         assert on.pruned_equivalent == expected
         assert on.pruned_duplicate == 0
+        assert on.executed == off.total - expected
 
     def test_pruned_mutants_leave_the_executable_set(self):
         flow = _flow("filter", "counter", run_mutation=False)
         golden, injected, stimuli = _campaign_inputs(flow)
-        plan = plan_pruning(
-            injected, "counter", module=flow.augmented.module
-        )
         prepared = prepare_campaign(
             golden, injected, stimuli,
             ip_name="filter", sensor_type="counter",
-            lint_prune=True, prune_plan=plan,
         )
         total = len(injected.mutants)
         executed = sum(len(s.indices) for s in prepared.shards)
@@ -130,31 +133,100 @@ class TestReportEquality:
 
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_multi_worker_pruned_run_identical(self, sensor):
-        off = _flow("dsp", sensor).mutation
-        on = _flow("dsp", sensor, lint_prune=True, workers=2,
-                   shard_size=5).mutation
-        assert on == off
+        on = _flow("dsp", sensor, workers=2, shard_size=5).mutation
+        assert_matches_oracle(on, _oracle("dsp", sensor))
+
+
+def _cache_keys(flow, cache):
+    golden, injected, stimuli = _campaign_inputs(flow)
+    return prepare_campaign(
+        golden, injected, stimuli,
+        ip_name="dsp", sensor_type="counter", cache=cache,
+    ).cache_keys
+
+
+class TestThroughput:
+    """``mutants_per_second`` counts only mutants an executed shard
+    simulated -- never cache replays, pruned verdicts or clones."""
+
+    def test_cold_counter_campaign_counts_executed_mutants(self):
+        report = _flow("filter", "counter").mutation
+        assert report.total == 81
+        assert report.executed == report.obs["counters"]["mutants"] == 54
+        assert report.mutants_per_second == pytest.approx(
+            54 / report.seconds
+        )
+
+    def test_warm_counter_campaign_executes_nothing(self):
+        cache = ResultCache(None)
+        _flow("filter", "counter", cache=cache)
+        warm = _flow("filter", "counter", cache=cache).mutation
+        assert warm.cache_hits == warm.total
+        assert warm.executed == 0
+        assert warm.mutants_per_second == 0.0
+
+    def test_aborted_run_counts_no_unrun_shard(self):
+        # The abort triggers on the replayed (pruned) batch, before any
+        # shard is submitted: nothing executed, although the plan-level
+        # prune counters cover only a third of the table.
+        flow = _flow("dsp", "counter", run_mutation=False)
+        prepared = prepare_campaign(
+            *_campaign_inputs(flow), ip_name="dsp",
+            sensor_type="counter", shard_size=3,
+        )
+        with CampaignScheduler(workers=1) as scheduler:
+            outcomes = [
+                o for batch, _ in stream_shard_batches(
+                    scheduler, prepared,
+                    abort=AbortPolicy(score_threshold=0.0),
+                )
+                for o in batch
+            ]
+        report = prepared.build_report(outcomes, seconds=1.0)
+        assert report.total == len(prepared.pruned_outcomes) == 9
+        assert report.executed == 0
+        assert report.mutants_per_second == 0.0
+
+    def test_suite_throughput_counts_executed_mutants(self):
+        with CampaignScheduler(workers=1) as scheduler:
+            suite = run_benchmark_suite(["dsp"], ["counter"],
+                                        scheduler=scheduler)
+        report = suite.reports[("dsp", "counter")]
+        assert report.executed == report.total - report.total // 3
+        assert suite.mutants_per_second == pytest.approx(
+            report.executed / suite.campaign_seconds
+        )
 
 
 class TestCacheInterplay:
     def test_cold_pruned_seeds_warm_unpruned(self):
         cache = ResultCache(None)
-        cold = _flow("dsp", "counter", lint_prune=True,
-                     cache=cache).mutation
+        flow = _flow("dsp", "counter", cache=cache)
+        cold = flow.mutation
+        oracle = _oracle("dsp", "counter")
+        assert_matches_oracle(cold, oracle)
+        # Synthesised and cloned verdicts were written back: a reader
+        # that looks every mutant up by its entry key (an unpruned
+        # replay) finds the oracle's verdict for each one.
+        keys = _cache_keys(flow, cache)
+        assert [decode_outcome(cache.get(key), i)
+                for i, key in enumerate(keys)] == oracle.outcomes
         warm = _flow("dsp", "counter", cache=cache).mutation
-        assert warm == cold
-        # Synthesised and cloned verdicts were written back, so the
-        # unpruned replay never simulates anything.
         assert warm.cache_hits == warm.total
         assert warm.cache_misses == 0
 
     def test_cold_unpruned_seeds_warm_pruned(self):
+        # A cache filled by an unpruned run -- every mutant executed
+        # and stored under its unchanged entry key -- replays in full.
         cache = ResultCache(None)
-        cold = _flow("dsp", "counter", cache=cache).mutation
-        warm = _flow("dsp", "counter", lint_prune=True,
-                     cache=cache).mutation
-        assert warm == cold
+        flow = _flow("dsp", "counter", run_mutation=False)
+        cold = _oracle("dsp", "counter")
+        for key, outcome in zip(_cache_keys(flow, cache), cold.outcomes):
+            cache.put(key, encode_outcome(outcome))
+        warm = _flow("dsp", "counter", cache=cache).mutation
+        assert_matches_oracle(warm, cold)
         assert warm.cache_hits == warm.total
+        assert warm.executed == 0
         # Plan-level counters: a fully-warm run still reports the
         # whole-table prune statistics, identical to a cold one.
         assert warm.pruned_equivalent == cold.total // 3
@@ -189,8 +261,8 @@ def _build_counter_hf2(ip="dsp"):
 
 class TestDeferredDuplicates:
     def test_hf2_build_has_duplicates(self):
-        module, _golden, injected, _stimuli = _build_counter_hf2()
-        plan = plan_pruning(injected, "counter", module=module)
+        _module, _golden, injected, _stimuli = _build_counter_hf2()
+        plan = plan_pruning(injected, "counter")
         assert plan.equivalent_count == 9
         # Three mutants per target now span only hf_tick in {1, 2, 2}:
         # the max- and delta-tick entries collide pairwise.
@@ -201,31 +273,26 @@ class TestDeferredDuplicates:
 
     @pytest.mark.parametrize("workers,shard_size", [(1, None), (2, 3)])
     def test_duplicate_clones_match_execution(self, workers, shard_size):
-        module, golden, injected, stimuli = _build_counter_hf2()
-        plan = plan_pruning(injected, "counter", module=module)
-
-        def run(**kw):
-            return run_campaign(
-                golden, injected, stimuli,
-                ip_name="dsp-hf2", sensor_type="counter",
-                workers=workers, shard_size=shard_size, **kw
-            )
-
-        off = run()
-        on = run(lint_prune=True, prune_plan=plan)
-        assert on == off
-        assert on.outcomes == off.outcomes
+        _module, golden, injected, stimuli = _build_counter_hf2()
+        off = serial_report(golden, injected, stimuli,
+                            ip_name="dsp-hf2", sensor_type="counter")
+        on = run_campaign(
+            golden, injected, stimuli,
+            ip_name="dsp-hf2", sensor_type="counter",
+            workers=workers, shard_size=shard_size,
+        )
+        assert_matches_oracle(on, off)
         assert on.pruned_equivalent == 9
         assert on.pruned_duplicate == 9
+        # Only the nine representatives were simulated.
+        assert on.executed == 9
 
     def test_deferred_clones_earn_cache_entries(self):
-        module, golden, injected, stimuli = _build_counter_hf2()
-        plan = plan_pruning(injected, "counter", module=module)
+        _module, golden, injected, stimuli = _build_counter_hf2()
         cache = ResultCache(None)
         cold = run_campaign(
             golden, injected, stimuli,
-            ip_name="dsp-hf2", sensor_type="counter",
-            cache=cache, lint_prune=True, prune_plan=plan,
+            ip_name="dsp-hf2", sensor_type="counter", cache=cache,
         )
         # 27 mutants, 9 equivalents + 9 duplicate clones pruned: only
         # 9 representatives executed.
@@ -241,31 +308,24 @@ class TestDeferredDuplicates:
 class TestSuite:
     def test_benchmark_suite_prune_identical(self):
         with CampaignScheduler(workers=2) as scheduler:
-            off = run_benchmark_suite(
-                IPS, SENSORS, scheduler=scheduler
-            )
-            on = run_benchmark_suite(
-                IPS, SENSORS, scheduler=scheduler, lint_prune=True
-            )
-        assert set(on.reports) == set(off.reports)
-        for key, report in off.reports.items():
-            assert on.reports[key] == report
-            assert on.reports[key].outcomes == report.outcomes
+            on = run_benchmark_suite(IPS, SENSORS, scheduler=scheduler)
+        assert set(on.reports) == {(ip, s) for ip in IPS for s in SENSORS}
+        for key, report in on.reports.items():
+            oracle = _oracle(*key)
+            assert_matches_oracle(report, oracle)
             expected = (
-                report.total // 3 if key[1] == "counter" else 0
+                oracle.total // 3 if key[1] == "counter" else 0
             )
-            assert on.reports[key].pruned_equivalent == expected
+            assert report.pruned_equivalent == expected
 
     def test_suite_prune_with_warm_cache(self):
         cache = ResultCache(None)
         with CampaignScheduler(workers=2) as scheduler:
             cold = run_benchmark_suite(
                 ["dsp"], SENSORS, scheduler=scheduler, cache=cache,
-                lint_prune=True,
             )
             warm = run_benchmark_suite(
                 ["dsp"], SENSORS, scheduler=scheduler, cache=cache,
-                lint_prune=True,
             )
         for key, report in cold.reports.items():
             assert warm.reports[key] == report
@@ -281,14 +341,21 @@ class TestSummaryRow:
     def test_summary_pairs_show_prune_row_when_counted(self):
         from repro.reporting import mutation_summary_pairs
 
-        report = _flow("dsp", "counter", lint_prune=True).mutation
+        report = _flow("dsp", "counter").mutation
         pairs = dict(mutation_summary_pairs(report))
         assert pairs["static prune"] == (
             "9 equivalent / 0 duplicate (not simulated)"
         )
 
     def test_summary_pairs_silent_without_pruning(self):
+        # Every campaign run carries the prune counters now; a report
+        # without them -- one decoded from the service wire, which
+        # does not carry them -- stays silent.
         from repro.reporting import mutation_summary_pairs
+        from repro.service.api import decode_report, encode_report
 
-        report = _flow("dsp", "counter").mutation
+        report = decode_report(
+            encode_report(_flow("dsp", "counter").mutation)
+        )
+        assert report.pruned_equivalent is None
         assert "static prune" not in dict(mutation_summary_pairs(report))

@@ -14,7 +14,7 @@ from repro.abstraction import generate_tlm
 from repro.mutation import (
     delta_tick_plan,
     inject_mutants,
-    run_mutation_analysis,
+    run_campaign,
     validate_at_rtl,
 )
 from repro.rtl import Assign, If, Module, const
@@ -111,7 +111,7 @@ class TestRazorCampaign:
     def report(self):
         aug = augment("razor")
         injected = inject_mutants(aug)
-        return run_mutation_analysis(
+        return run_campaign(
             golden_factory_for("razor"),
             injected,
             stimulus(30),
@@ -139,7 +139,7 @@ class TestRazorCampaign:
     def test_detection_only_mode_kills_without_correcting(self):
         aug = augment("razor")
         injected = inject_mutants(aug)
-        report = run_mutation_analysis(
+        report = run_campaign(
             golden_factory_for("razor"),
             injected,
             stimulus(30),
@@ -156,7 +156,7 @@ class TestCounterCampaign:
     def results(self):
         aug = augment("counter")
         injected = inject_mutants(aug)
-        report = run_mutation_analysis(
+        report = run_campaign(
             golden_factory_for("counter"),
             injected,
             stimulus(30),

@@ -9,9 +9,9 @@ Acceptance contract:
 * a step that raises still closes its span, tagged with the exception
   type (``error="LintGateError"`` on a lint-gated ``flow.run``);
 * tracing changes **nothing** about campaign results: reports run
-  with the tracer on compare field-for-field equal to reports run
-  with it off (the full IP x sensor x workers x batch sweep is gated
-  in ``benchmarks/bench_obs.py``; a smoke slice runs here);
+  with the tracer on and off both equal the serial, unpruned oracle
+  field for field (the full IP x sensor x workers x shard-size sweep
+  is gated in ``benchmarks/bench_obs.py``; a smoke slice runs here);
 * :class:`repro.obs.CompletionStamps` rejects late
   ``add_done_callback`` stamps after ``close()`` -- the scheduler
   drain-loop fix;
@@ -20,9 +20,10 @@ Acceptance contract:
 * ``GET /healthz`` carries the compact metrics snapshot (per-worker
   shards/sec, in-flight, cache hit ratio) behind
   ``repro status --server`` / ``repro top``;
-* ``/events`` progress events stay monotonic under the batched
-  executor and every mutant -- early-killed included -- is counted
-  exactly once;
+* ``/events`` progress events stay monotonic under batched sweeps
+  and every mutant -- early-killed included -- is counted exactly
+  once (the stream is attached while the job is parked at its
+  ``job.hold`` fault site, so it carries the complete live history);
 * ``GET /jobs/<id>/trace`` 404s while tracing is off and exports a
   valid, job-filtered Chrome trace when the server runs with
   ``--trace``.
@@ -30,11 +31,11 @@ Acceptance contract:
 
 import http.client
 import json
-import threading
 from concurrent.futures import Future
 
 import pytest
 
+from repro.faults import FaultPlan, active_plan
 from repro.flow import run_flow
 from repro.ips import case_study
 from repro.mutation import run_campaign
@@ -58,6 +59,7 @@ from repro.service import (
     ServiceServer,
     decode_report,
 )
+from serial_oracle import assert_matches_oracle, serial_report
 
 REDUCED_CYCLES = 24
 
@@ -78,6 +80,17 @@ def _clean_obs():
 def flow():
     """One memoised flow build (filter/razor) for the whole module."""
     return run_flow(case_study("filter"), "razor", run_mutation=False)
+
+
+@pytest.fixture(scope="module")
+def oracle(flow):
+    """The serial, unpruned filter/razor report at the reduced
+    testbench length."""
+    return serial_report(
+        flow.tlm_optimized, flow.injected,
+        case_study("filter").stimulus(REDUCED_CYCLES),
+        ip_name="filter", sensor_type="razor",
+    )
 
 
 def _campaign(flow, **kwargs):
@@ -368,18 +381,20 @@ class TestMetricsRegistry:
 # ----------------------------------------------------------------------
 
 class TestTracingFieldIdentity:
-    @pytest.mark.parametrize("batch_size", [None, 3])
-    def test_report_identical_with_tracing_on(self, flow, batch_size):
-        baseline = _campaign(flow, workers=1, batch_size=batch_size)
+    @pytest.mark.parametrize("shard_size", [None, 3])
+    def test_report_identical_with_tracing_on(self, flow, oracle,
+                                              shard_size):
+        untraced = _campaign(flow, workers=1, shard_size=shard_size)
         TRACER.enable()
-        traced = _campaign(flow, workers=1, batch_size=batch_size)
+        traced = _campaign(flow, workers=1, shard_size=shard_size)
         TRACER.disable()
-        assert traced == baseline            # dataclass eq: scored fields
-        assert traced.outcomes == baseline.outcomes
-        # The traced run actually recorded campaign + shard spans.
+        assert_matches_oracle(untraced, oracle)
+        assert_matches_oracle(traced, oracle)
+        # The traced run actually recorded campaign, shard and sweep
+        # spans.
         names = {e["name"]
                  for e in TRACER.chrome_trace()["traceEvents"]}
-        assert {"campaign.run", "shard.execute"} <= names
+        assert {"campaign.run", "shard.execute", "batch.sweep"} <= names
 
     def test_campaign_report_carries_obs_counters(self, flow):
         report = _campaign(flow, workers=1)
@@ -459,28 +474,21 @@ class TestServiceMetricsEndpoints:
 
 
 class TestBatchedProgressEvents:
-    def test_progress_monotonic_and_each_mutant_counted_once(self, flow):
-        """Satellite: /events under the batched executor.  Submit with
-        batch_size=3 (forks + early-kills happen at this testbench
-        length), attach before the job runs, and check the stream's
-        accounting."""
-        cycles = case_study("filter").mutation_cycles
-        with _server(flow, max_jobs=1) as server:
+    def test_progress_monotonic_and_each_mutant_counted_once(self, flow,
+                                                             oracle):
+        """/events under batched sweeps (forks + early-kills happen at
+        this testbench length).  The job parks at its ``job.hold``
+        site on start; the stream attaches, reads the first event,
+        then releases it -- so the stream carries the full history."""
+        plan = FaultPlan.from_spec("job.hold=1")
+        with active_plan(plan), _server(flow) as server:
             client = _client(server)
-            blocker = client.submit({"ip": "filter", "sensor": "razor",
-                                     "cycles": cycles, "shard_size": 1})
-            record = client.submit({**SPEC, "shard_size": 4,
-                                    "batch_size": 3})
-            events = []
-            collector = threading.Thread(
-                target=lambda: events.extend(
-                    client.events(record["id"])
-                )
-            )
-            collector.start()
-            _client(server).cancel(blocker["id"])
-            collector.join(timeout=120)
-            assert not collector.is_alive()
+            record = client.submit({**SPEC, "shard_size": 4})
+            stream = client.events(record["id"])
+            first = next(stream)
+            plan.release("job.hold")
+            events = [first, *stream]
+            assert first["type"] == "status"
             end = events[-1]
             assert end["type"] == "end" and end["status"] == "done"
             report = decode_report(end["report"])
@@ -497,10 +505,8 @@ class TestBatchedProgressEvents:
                 for o in e["outcomes"]
             )
             assert indices == list(range(total))
-            # And batched equals serial through the service.
-            serial = client.submit(dict(SPEC))
-            serial_end = client.watch(serial["id"])
-            assert decode_report(serial_end["report"]) == report
+            # And the batched report equals the serial oracle.
+            assert_matches_oracle(report, oracle)
 
 
 class TestTraceEndpoint:
@@ -524,16 +530,16 @@ class TestTraceEndpoint:
             client = _client(server)
             first = client.submit(dict(SPEC))
             client.watch(first["id"])
-            second = client.submit({**SPEC, "batch_size": 3})
+            second = client.submit({**SPEC, "shard_size": 3})
             second_end = client.watch(second["id"])
             payload = client.trace(second["id"])
             assert validate_chrome_trace(payload) == []
             events = payload["traceEvents"]
             names = {e["name"] for e in events}
-            assert {"job.run", "campaign.prepare",
-                    "shard.execute"} <= names
+            assert {"job.run", "campaign.prepare", "shard.execute",
+                    "batch.sweep"} <= names
             # Job filtering: nothing from the first job leaks in.
             assert all(e["args"]["job"] == second["id"]
                        for e in events if e["ph"] != "M")
-            # Tracing did not perturb the batched report either.
+            # Tracing did not perturb the report either.
             assert decode_report(second_end["report"]).total > 0

@@ -490,8 +490,15 @@ class TestPlacementEquivalence:
             finally:
                 fleet_b.shutdown()
             assert second == first
+            # Pruned mutants never leave the coordinator, so worker B
+            # is sent -- and replays -- only the rest, executing none.
             b_core = worker_b.service.worker.describe()
-            assert b_core["cache_replays"] == first.total
+            assert b_core["cache_replays"] == (
+                first.total - first.pruned_equivalent
+                - first.pruned_duplicate
+            )
+            assert worker_b.service.scheduler.describe()[
+                "shards_done"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,12 @@ The service's acceptance contract (PR 5):
   resumed warm through the shared result cache (PR 7), failing loudly
   only once the restart budget is exhausted -- never silently
   vanishing.
+
+Tests that must observe a job's live stream, or cancel it at a given
+point, do not race its completion: they install a ``job.hold`` fault
+plan (:mod:`repro.faults`), which parks the job thread at its start or
+at a shard-batch boundary until the test releases the site or cancels
+the job.
 """
 
 import json
@@ -22,6 +28,7 @@ import threading
 
 import pytest
 
+from repro.faults import FaultPlan, active_plan
 from repro.flow import run_flow
 from repro.ips import CASE_STUDIES, case_study
 from repro.mutation import run_campaign
@@ -191,25 +198,19 @@ class TestServiceRoundTrip:
                 baselines[("plasma", "razor")]
 
     def test_event_stream_shape(self, flows, baselines):
-        # max_jobs=1 plus a blocker job in front guarantees the
-        # subscriber attaches *before* the observed job runs, so the
-        # stream deterministically carries the complete live history.
-        cycles = case_study("filter").mutation_cycles
-        with _server(flows, max_jobs=1) as server:
+        # The job parks at its start (job.hold) until the subscriber
+        # has read the first event, so the stream deterministically
+        # carries the complete live history.
+        plan = FaultPlan.from_spec("job.hold=1")
+        with active_plan(plan), _server(flows) as server:
             client = _client(server)
-            blocker = client.submit({"ip": "filter", "sensor": "razor",
-                                     "cycles": cycles, "shard_size": 1})
             record = client.submit({"ip": "dsp", "sensor": "razor",
                                     "cycles": REDUCED_CYCLES,
                                     "shard_size": 4})
-            events = []
-            collector = threading.Thread(
-                target=lambda: events.extend(client.events(record["id"]))
-            )
-            collector.start()
-            _client(server).cancel(blocker["id"])
-            collector.join(timeout=120)
-            assert not collector.is_alive()
+            stream = client.events(record["id"])
+            first = next(stream)
+            plan.release("job.hold")
+            events = [first, *stream]
             kinds = [e["type"] for e in events]
             assert kinds[0] == "status" and kinds[-1] == "end"
             assert all(e["job"] == record["id"] for e in events)
@@ -226,7 +227,12 @@ class TestServiceRoundTrip:
         """The acceptance bar: >= 4 simultaneous streaming clients
         (here 6: every IP x sensor type), each receiving a report
         field-for-field equal to the direct run."""
-        with _server(flows, seed_all=True, max_jobs=6) as server:
+        # Every job parks at its start; the hold opens only once every
+        # watcher has read its first event, so no stream can miss its
+        # job's live progress.
+        plan = FaultPlan.from_spec("job.hold=always")
+        with active_plan(plan), \
+                _server(flows, seed_all=True, max_jobs=6) as server:
             barrier = threading.Barrier(len(ALL_CAMPAIGNS))
             results = {}
             errors = []
@@ -239,11 +245,15 @@ class TestServiceRoundTrip:
                         "ip": ip, "sensor": sensor,
                         "cycles": REDUCED_CYCLES,
                     })
-                    events = []
-                    end = client.watch(record["id"], events.append)
-                    results[(ip, sensor)] = (end, events)
+                    stream = client.events(record["id"])
+                    events = [next(stream)]
+                    barrier.wait(timeout=60)
+                    plan.release("job.hold")
+                    events.extend(stream)
+                    results[(ip, sensor)] = (events[-1], events)
                 except BaseException as exc:   # surfaced below
                     errors.append((ip, sensor, exc))
+                    barrier.abort()
 
             threads = [
                 threading.Thread(target=one_client, args=key)
@@ -256,14 +266,14 @@ class TestServiceRoundTrip:
             assert not errors, errors
             assert set(results) == set(ALL_CAMPAIGNS)
             for key, (end, events) in results.items():
+                assert end["type"] == "end"
                 assert end["status"] == "done"
                 assert decode_report(end["report"]) == baselines[key]
-            # A watcher attaching after its (fast) job already ended
-            # sees just the collapsed terminal event, so live progress
-            # is asserted across the whole fleet, not per stream.
-            assert any(
-                e["type"] == "progress"
-                for _, events in results.values() for e in events
+            # Every watcher attached while its job was parked, so every
+            # stream carries live progress.
+            assert all(
+                any(e["type"] == "progress" for e in events)
+                for _, events in results.values()
             )
             health = _client(server).health()
             assert health["jobs"]["done"] == len(ALL_CAMPAIGNS)
@@ -348,9 +358,11 @@ class TestServiceRoundTrip:
 class TestCancellation:
     def test_mid_stream_delete_aborts_shard_granularly(self, flows):
         # Full-length filter campaign, one mutant per shard: plenty of
-        # shard boundaries for the cancellation to land on.
+        # shard boundaries.  The job parks after its first shard batch
+        # (the second job.hold hit) and is cancelled while parked.
         cycles = case_study("filter").mutation_cycles
-        with _server(flows) as server:
+        plan = FaultPlan.from_spec("job.hold=2")
+        with active_plan(plan), _server(flows) as server:
             client = _client(server)
             record = client.submit({"ip": "filter", "sensor": "razor",
                                     "cycles": cycles, "shard_size": 1})
@@ -386,20 +398,21 @@ class TestCancellation:
         assert code == 1
 
     def test_cancel_before_start_aborts_without_running(self, flows):
-        # max_jobs=1 and a long job in front keeps the victim queued
-        # long enough to cancel it before its thread picks it up.
-        cycles = case_study("filter").mutation_cycles
-        with _server(flows, max_jobs=1) as server:
+        # max_jobs=1 and a job parked at its start (job.hold) in front
+        # keep the victim queued until it is cancelled.
+        plan = FaultPlan.from_spec("job.hold=1")
+        with active_plan(plan), _server(flows, max_jobs=1) as server:
             client = _client(server)
-            blocker = client.submit({"ip": "filter", "sensor": "razor",
-                                     "cycles": cycles, "shard_size": 1})
+            holder = client.submit({"ip": "dsp", "sensor": "razor",
+                                    "cycles": REDUCED_CYCLES})
             victim = client.submit({"ip": "dsp", "sensor": "razor",
                                     "cycles": REDUCED_CYCLES})
             client.cancel(victim["id"])
-            client.cancel(blocker["id"])
+            client.cancel(holder["id"])
             end = client.watch(victim["id"])
             assert end["status"] == "aborted"
-            assert client.watch(blocker["id"])["status"] == "aborted"
+            assert end["report"] is None
+            assert client.watch(holder["id"])["status"] == "aborted"
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +441,34 @@ class TestRestartRecovery:
             assert [e["type"] for e in events] == ["end"]
             assert decode_report(events[-1]["report"]) == \
                 baselines[("plasma", "counter")]
+
+    def test_record_with_retired_batch_size_loads_after_restart(
+            self, flows, baselines, tmp_path):
+        """Records written before every shard became one batched sweep
+        carry a ``batch_size`` spec field.  They must still load after
+        a restart (the store skips records that fail to parse), while
+        a new job naming the retired field is still rejected."""
+        state = tmp_path / "state"
+        with _server(flows, state_dir=state) as server:
+            client = _client(server)
+            record = client.submit({"ip": "plasma", "sensor": "counter",
+                                    "cycles": REDUCED_CYCLES})
+            client.watch(record["id"])
+        path = state / "jobs" / f"{record['id']}.json"
+        stored = json.loads(path.read_text())
+        stored["spec"]["batch_size"] = None
+        path.write_text(json.dumps(stored))
+        with _server(flows, state_dir=state) as server:
+            client = _client(server)
+            recovered = client.job(record["id"])
+            assert recovered["status"] == "done"
+            assert "batch_size" not in recovered["spec"]
+            assert decode_report(recovered["report"]) == \
+                baselines[("plasma", "counter")]
+            with pytest.raises(ServiceError) as err:
+                client.submit({"ip": "dsp", "sensor": "razor",
+                               "batch_size": None})
+            assert err.value.status == 400
 
     def test_job_caught_running_requeues_and_resumes_warm(
             self, flows, baselines, tmp_path):
