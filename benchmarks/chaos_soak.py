@@ -1,23 +1,29 @@
-"""Chaos soak: the fault-injection property against a real fleet.
+"""Chaos soak: the fault-injection property against one real daemon.
 
-For every seed in a fixed sweep, boots a coordinator-side fleet over
-**two real worker daemons** (subprocesses) plus the local pool, under
-a seed-derived fault plan split across the layers:
+For every seed in a fixed sweep, boots one ``repro serve --workers 2``
+subprocess under a seed-derived ``--fault-plan`` covering every
+injection site a daemon has:
 
-* coordinator side (ambient :func:`repro.faults.active_plan`):
-  ``net.drop.post_shards`` (dropped shard POSTs -> re-dispatch),
-  ``pool.break_worker`` (a local pool worker dies -> rebuild),
-  ``cache.corrupt_entry`` (poisoned result-cache writes ->
-  quarantine);
-* worker side (daemon booted with ``--fault-plan``): ``worker.hang``
-  (the daemon sits on a shard -> the coordinator's stall detector
-  evicts it and re-dispatches early).
+* ``pool.break_worker`` -- a pool worker process dies mid-shard (the
+  scheduler rebuilds the pool and re-runs the lost shard);
+* ``cache.corrupt_entry`` -- poisoned result-cache writes (quarantined
+  to a miss on the next read, then re-executed);
+* ``server.crash.mid_job`` -- the daemon ``os._exit(70)``\\ s between
+  shard batches, leaving the job record ``running`` on disk.
 
-The **soak property** checked per seed (see ``docs/chaos.md``): the
-campaign either completes with a report field-identical to the
-fault-free baseline, or fails loudly with a structured diagnostic
-naming an injected fault.  A silently wrong or truncated report fails
-the run.  Per-seed plan stats, fleet stats and failure diagnostics
+A dsp/razor job is submitted through :class:`repro.service.ServiceClient`
+and watched.  When the daemon exits with status 70, it is restarted on
+the same ``--state-dir`` and ``--cache-dir`` with the crash rule
+removed, and the same job id is watched until it ends: the new daemon
+re-queues the job and resumes it warm from the result cache.
+
+The **soak property** checked per seed (see ``docs/chaos.md``): the job
+either completes with a report field-identical to a direct fault-free
+:func:`~repro.mutation.run_campaign`, or fails loudly with a
+structured diagnostic naming the fault.  A silently wrong or truncated
+report fails the run, and so does a seed whose crash never fired (the
+soak exists to drive the crash-and-resume path).  Per-seed rows --
+plan, restarts, outcome, diagnostics, and the daemon log on failure --
 are written as JSON (``BENCH_chaos.json`` in CI) so a red chaos job
 names the exact seed and fault to replay.
 
@@ -33,6 +39,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -42,50 +49,55 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.faults import FaultPlan, active_plan              # noqa: E402
 from repro.flow import run_flow                              # noqa: E402
 from repro.ips import case_study                             # noqa: E402
-from repro.mutation import (                                 # noqa: E402
-    CampaignScheduler,
-    prepare_campaign,
-    run_campaign,
-    stream_shard_batches,
-)
-from repro.mutation.cache import ResultCache                 # noqa: E402
+from repro.mutation import run_campaign                      # noqa: E402
 from repro.service import (                                  # noqa: E402
-    FleetPlacement,
-    RemoteWorkerPlacement,
+    ServiceClient,
+    ServiceError,
+    decode_report,
 )
 
 SRC_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "src"
 )
 
+#: Exit status of a daemon killed by the ``server.crash.mid_job`` site.
+CRASH_STATUS = 70
 
-class WorkerDaemon:
-    """One ``repro serve --role worker`` subprocess on an ephemeral
-    port, optionally booted with a ``--fault-plan``."""
+#: Job errors that name their cause: an injected fault, a shard
+#: quarantined after breaking its pool, or an exhausted restart budget.
+LOUD_MARKERS = ("injected fault", "quarantined", "restart budget")
 
-    def __init__(self, workdir: str, index: int,
-                 fault_plan: "str | None" = None) -> None:
-        self.ready_file = os.path.join(workdir, f"worker{index}.addr")
+
+class Daemon:
+    """One ``repro serve`` subprocess on an ephemeral port, its output
+    appended to a log file next to its state.  It leads its own
+    process group, so :meth:`stop` also reaps the pool workers a
+    crashed daemon leaves behind."""
+
+    def __init__(self, workdir: str, fault_plan: str) -> None:
+        self.ready_file = os.path.join(workdir, "serve.addr")
+        self.log_path = os.path.join(workdir, "serve.log")
+        if os.path.exists(self.ready_file):
+            os.remove(self.ready_file)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [SRC_DIR] + [p for p in [env.get("PYTHONPATH")] if p]
         )
         command = [
             sys.executable, "-m", "repro", "serve",
-            "--role", "worker", "--port", "0", "--workers", "1",
-            "--no-cache",
-            "--state-dir", os.path.join(workdir, f"worker{index}"),
+            "--port", "0", "--workers", "2",
+            "--state-dir", os.path.join(workdir, "state"),
+            "--cache-dir", os.path.join(workdir, "cache"),
             "--ready-file", self.ready_file,
+            "--fault-plan", fault_plan,
         ]
-        if fault_plan:
-            command += ["--fault-plan", fault_plan]
-        self.process = subprocess.Popen(
-            command, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT,
-        )
+        with open(self.log_path, "a") as log:
+            self.process = subprocess.Popen(
+                command, env=env, stdout=log, stderr=subprocess.STDOUT,
+                start_new_session=True,
+            )
         self.host, self.port = self._await_ready()
 
     def _await_ready(self, timeout_s: float = 60.0):
@@ -93,116 +105,126 @@ class WorkerDaemon:
         while time.monotonic() < deadline:
             if self.process.poll() is not None:
                 raise RuntimeError(
-                    f"worker daemon exited early "
-                    f"(rc={self.process.returncode})"
+                    f"daemon exited early (rc={self.process.returncode})"
                 )
             if os.path.exists(self.ready_file):
                 text = open(self.ready_file).read().split()
                 if len(text) == 2:
                     return text[0], int(text[1])
             time.sleep(0.1)
-        raise RuntimeError("worker daemon never wrote its ready file")
+        raise RuntimeError("daemon never wrote its ready file")
+
+    def client(self) -> ServiceClient:
+        return ServiceClient(self.host, self.port, timeout=60.0)
+
+    def exit_status(self, timeout_s: float = 30.0) -> "int | None":
+        """The daemon's exit status, or ``None`` if it is still up."""
+        try:
+            return self.process.wait(timeout=timeout_s)
+        except subprocess.TimeoutExpired:
+            return None
 
     def stop(self) -> None:
+        """SIGINT (a graceful drain), then SIGKILL whatever is left of
+        the process group."""
         if self.process.poll() is None:
-            self.process.terminate()
+            self.process.send_signal(signal.SIGINT)
             try:
-                self.process.wait(timeout=10)
+                self.process.wait(timeout=30)
             except subprocess.TimeoutExpired:
-                self.process.kill()
-                self.process.wait()
+                pass
+        try:
+            os.killpg(self.process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.process.wait()
+
+    def log_tail(self, lines: int = 40) -> "list[str]":
+        with open(self.log_path) as log:
+            return log.read().splitlines()[-lines:]
 
 
-def _is_loud(exc: BaseException) -> bool:
-    """A *loud* failure names an injected fault (structured
-    diagnostic) or is an explicit exhaustion of the recovery budget --
-    the acceptable OR-branch of the soak property."""
-    if getattr(exc, "diagnostic", None):
-        return True
-    return "injected fault" in str(exc) or "no live placement" in str(exc)
+def fault_plan(seed: int, crash: bool = True) -> str:
+    """The seed-derived plan; the crash fires after batch 2, 3 or 4."""
+    rules = [f"seed={seed}", "pool.break_worker=1x1",
+             "cache.corrupt_entry=p0.3x5"]
+    if crash:
+        rules.append(f"server.crash.mid_job={2 + seed % 3}")
+    return ";".join(rules)
 
 
-def soak_one_seed(seed: int, flow, cycles: int, workdir: str) -> dict:
-    """Run one dsp/razor campaign under seed-derived fault plans;
-    returns the per-seed result row (never raises for property-level
-    failures -- those land in the row)."""
-    coordinator_spec = (
-        f"seed={seed};net.drop.post_shards=p0.15x2;"
-        f"pool.break_worker=1x1;cache.corrupt_entry=p0.3x5"
-    )
-    worker_spec = f"seed={seed};worker.hang=1x1;hang=1.5"
-    baseline = run_campaign(
-        flow.tlm_optimized, flow.injected,
-        case_study("dsp").stimulus(cycles),
-        ip_name="dsp", sensor_type="razor", workers=1,
-    )
+def soak_one_seed(seed: int, baseline, cycles: int, workdir: str) -> dict:
+    """Run one dsp/razor job under the seed's plan, restarting the
+    daemon after each crash; returns the per-seed result row (never
+    raises for property-level failures -- those land in the row)."""
     row: dict = {
         "seed": seed,
-        "coordinator_plan": coordinator_spec,
-        "worker_plan": worker_spec,
+        "plan": fault_plan(seed),
+        "restarts": 0,
         "ok": False,
         "outcome": None,
         "diagnostics": [],
     }
     seed_dir = os.path.join(workdir, f"seed{seed}")
     os.makedirs(seed_dir, exist_ok=True)
-    daemons = []
-    plan = FaultPlan.from_spec(coordinator_spec)
-    cache = ResultCache(os.path.join(seed_dir, "cache"))
+    daemon = None
     try:
-        daemons = [
-            WorkerDaemon(seed_dir, 0, fault_plan=worker_spec),
-            WorkerDaemon(seed_dir, 1),
-        ]
-        with CampaignScheduler(workers=2) as local:
-            fleet = FleetPlacement(
-                [RemoteWorkerPlacement(d.host, d.port) for d in daemons],
-                local=local, cache=cache,
-                heartbeat_interval=0.25, stall_timeout=0.75,
-            )
+        daemon = Daemon(seed_dir, row["plan"])
+        job_id = daemon.client().submit({
+            "ip": "dsp", "sensor": "razor", "cycles": cycles,
+            "shard_size": 1,
+        })["id"]
+        while True:
             try:
-                with active_plan(plan):
-                    prepared = prepare_campaign(
-                        flow.tlm_optimized, flow.injected,
-                        case_study("dsp").stimulus(cycles),
-                        ip_name="dsp", sensor_type="razor",
-                        workers=fleet.workers, shard_size=1,
-                        cache=cache,
-                    )
-                    outcomes = []
-                    for batch, _snapshot in stream_shard_batches(
-                            fleet, prepared, cache=cache):
-                        outcomes.extend(batch)
-                    report = prepared.build_report(outcomes)
-                row["fleet_stats"] = fleet.stats()
-                if report == baseline:
-                    row["ok"] = True
-                    row["outcome"] = "healed: report identical to baseline"
-                else:
-                    row["outcome"] = "VIOLATION: silently divergent report"
-                    row["diagnostics"].append({
-                        "fault": "soak.divergent_report",
-                        "expected_total": baseline.total,
-                        "got_total": report.total,
-                        "expected_score": baseline.mutation_score,
-                        "got_score": report.mutation_score,
-                    })
-            except BaseException as exc:
-                row["fleet_stats"] = fleet.stats()
-                if _is_loud(exc):
-                    row["ok"] = True
-                    row["outcome"] = f"loud failure: {exc}"
-                else:
-                    row["outcome"] = f"VIOLATION: silent failure: {exc!r}"
-                diagnostic = getattr(exc, "diagnostic", None)
-                if diagnostic:
-                    row["diagnostics"].append(diagnostic)
-            finally:
-                fleet.shutdown()
-    finally:
-        for daemon in daemons:
+                end = daemon.client().watch(job_id)
+                break
+            except (ServiceError, OSError) as exc:
+                status = daemon.exit_status()
+                if status != CRASH_STATUS or row["restarts"]:
+                    raise RuntimeError(
+                        f"stream lost ({exc}); daemon exit status "
+                        f"{status}"
+                    ) from exc
+            row["restarts"] += 1
             daemon.stop()
-        row["plan_stats"] = plan.stats()
+            daemon = Daemon(seed_dir, fault_plan(seed, crash=False))
+        row["end_status"] = end["status"]
+        if end["status"] == "failed":
+            error = end.get("error") or ""
+            row["diagnostics"].append({"fault": "job.failed",
+                                       "error": error})
+            row["ok"] = any(marker in error for marker in LOUD_MARKERS)
+            row["outcome"] = (f"loud failure: {error}" if row["ok"] else
+                              f"VIOLATION: silent failure: {error}")
+        elif end["status"] != "done" or end.get("report") is None:
+            row["outcome"] = f"VIOLATION: job ended {end['status']}"
+        else:
+            report = decode_report(end["report"])
+            if report != baseline:
+                row["outcome"] = "VIOLATION: silently divergent report"
+                row["diagnostics"].append({
+                    "fault": "soak.divergent_report",
+                    "expected_total": baseline.total,
+                    "got_total": report.total,
+                    "expected_score": baseline.mutation_score,
+                    "got_score": report.mutation_score,
+                })
+            elif not row["restarts"]:
+                row["outcome"] = ("VIOLATION: the crash never fired, so "
+                                  "the resume path went unexercised")
+            else:
+                row["ok"] = True
+                row["outcome"] = (
+                    f"healed after {row['restarts']} restart(s): report "
+                    "identical to baseline"
+                )
+    except Exception as exc:
+        row["outcome"] = f"VIOLATION: harness error: {exc!r}"
+    finally:
+        if daemon is not None:
+            daemon.stop()
+            if not row["ok"]:
+                row["daemon_log"] = daemon.log_tail()
     return row
 
 
@@ -218,16 +240,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
 
-    print("building dsp/razor flow ...", flush=True)
+    print("building the dsp/razor baseline ...", flush=True)
     flow = run_flow(case_study("dsp"), "razor", run_mutation=False)
+    baseline = run_campaign(
+        flow.tlm_optimized, flow.injected,
+        case_study("dsp").stimulus(args.cycles),
+        ip_name="dsp", sensor_type="razor", workers=1,
+    )
 
     workdir = tempfile.mkdtemp(prefix="chaos-soak-")
     rows = []
     try:
         for seed in seeds:
-            print(f"seed {seed}: booting fleet under fault plan ...",
-                  flush=True)
-            row = soak_one_seed(seed, flow, args.cycles, workdir)
+            print(f"seed {seed}: booting the daemon under "
+                  f"{fault_plan(seed)!r} ...", flush=True)
+            row = soak_one_seed(seed, baseline, args.cycles, workdir)
             print(f"seed {seed}: {row['outcome']}", flush=True)
             rows.append(row)
     finally:

@@ -59,25 +59,19 @@ Campaign service (see :mod:`repro.service` and ``docs/service.md``)
 -------------------------------------------------------------------
 ``serve [--host H] [--port P] [--workers N] [--max-jobs M]
 [--state-dir DIR] [--ready-file FILE] [--cache-dir DIR] [--no-cache]
-[--role standalone|coordinator|worker] [--worker HOST:PORT]
-[--coordinator HOST:PORT] [--cache-url HOST:PORT]
 [--fault-plan SPEC] [--trace]``
     Run the long-lived campaign service: jobs submitted over HTTP
     queue onto one shared scheduler pool, every client streams
     per-shard progress (NDJSON).  ``--state-dir`` persists job records
-    so finished reports survive restarts; ``--ready-file`` writes
-    ``host port`` once listening (CI boots on ``--port 0``).  The
-    fleet flags (``docs/distributed.md``): ``--role`` names the
-    daemon's purpose, ``--worker`` (repeatable) registers worker
-    daemons with a booting coordinator, ``--coordinator`` makes a
-    booting worker register *itself* with a coordinator, and
-    ``--cache-url`` replaces the local result cache with a remote one
-    served by another daemon's ``/cache`` routes.  ``--fault-plan``
-    activates deterministic fault injection for chaos runs
-    (``docs/chaos.md``; equivalently the ``REPRO_FAULT_PLAN`` env
-    var).  ``--trace`` enables the span tracer server-side, so every
-    job records spans exportable via ``repro trace`` (reports stay
-    field-identical; see ``docs/observability.md``).
+    so finished reports survive restarts (a job caught running by a
+    crash is re-queued and resumes warm from the result cache);
+    ``--ready-file`` writes ``host port`` once listening (CI boots on
+    ``--port 0``).  ``--fault-plan`` activates deterministic fault
+    injection for chaos runs (``docs/chaos.md``; equivalently the
+    ``REPRO_FAULT_PLAN`` env var).  ``--trace`` enables the span
+    tracer server-side, so every job records spans exportable via
+    ``repro trace`` (reports stay field-identical; see
+    ``docs/observability.md``).
 ``submit <ip> <sensor> [--cycles C] [--shard-size M] [--no-recovery]
 [--stop-on-survivor] [--score-threshold X] [--watch] [--host] [--port]``
     Submit one campaign job; prints the job id (``--watch`` then
@@ -85,21 +79,19 @@ Campaign service (see :mod:`repro.service` and ``docs/service.md``)
 ``status [job_id] [--server] [--host] [--port]``
     One job's record and report summary, or -- without an id -- a
     table of every job the service knows.  ``--server`` renders the
-    daemon's ``/healthz`` instead: role, pool, job counts, the
-    per-placement fleet detail (identity, liveness, in-flight shards,
-    queue depth) and the compact metrics snapshot (per-worker
-    shards/sec, in-flight, cache hit ratio).
+    daemon's ``/healthz`` instead: the shared pool (width, in-flight
+    and finished shards, pool rebuilds, shard isolations), job counts,
+    cache size and the compact metrics snapshot.
 ``trace [job_id] [--last] [--out FILE] [--host] [--port]``
     Export one job's span trace (``GET /jobs/<id>/trace``) as
     Chrome/Perfetto trace-event JSON -- ``--last`` picks the newest
     job, ``--out`` writes to a file instead of stdout.  Needs a
     server booted with ``repro serve --trace``.
 ``top [--interval S] [--once] [--host] [--port]``
-    Live metrics view of a running service: refreshes the
-    coordinator-side counters and the per-worker throughput table
-    every ``--interval`` seconds (``--once`` prints one snapshot and
-    exits; the same numbers Prometheus scrapes from ``GET
-    /metrics``).
+    Live view of a running service: refreshes the ``status --server``
+    view every ``--interval`` seconds (``--once`` prints one snapshot
+    and exits; the counters are the ones Prometheus scrapes from
+    ``GET /metrics``).
 ``watch <job_id> [--host] [--port]``
     Stream a job's events live: per-shard progress lines, then the
     final campaign summary.  Exit code mirrors ``repro mutate``.
@@ -469,62 +461,11 @@ def _cmd_emit(args) -> int:
 # Campaign service commands
 # ---------------------------------------------------------------------------
 
-def _parse_hostport(value: str) -> "tuple[str, int]":
-    """``HOST:PORT`` -> ``(host, port)`` (used by the fleet flags)."""
-    host, sep, port = value.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise ValueError(
-            f"expected HOST:PORT, got {value!r}"
-        )
-    return host, int(port)
-
-
-def _retrying(action, what: str, *, attempts: int = 40,
-              delay: float = 0.25):
-    """Run a fleet-registration ``action`` with retries -- daemons
-    boot concurrently, so the peer may simply not be listening yet.
-    Returns the action's result, or ``None`` after logging a warning
-    (a coordinator without this worker still serves; the fleet just
-    stays smaller)."""
-    import time as _time
-
-    last = None
-    for attempt in range(attempts):
-        try:
-            return action()
-        except Exception as exc:
-            last = exc
-            if attempt < attempts - 1:
-                _time.sleep(delay)
-    print(f"warning: {what} failed after {attempts} attempts: {last}",
-          file=sys.stderr, flush=True)
-    return None
-
-
 def _cmd_serve(args) -> int:
     import time as _time
 
-    from repro.service import (
-        CampaignService,
-        RemoteResultCache,
-        ServiceClient,
-        ServiceServer,
-    )
+    from repro.service import CampaignService, ServiceServer
 
-    try:
-        cache_address = (
-            _parse_hostport(args.cache_url) if args.cache_url else None
-        )
-        worker_addresses = [
-            _parse_hostport(a) for a in (args.worker or [])
-        ]
-        coordinator_address = (
-            _parse_hostport(args.coordinator)
-            if args.coordinator else None
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.fault_plan:
         from repro.faults import FaultPlan, set_fault_plan
 
@@ -535,56 +476,28 @@ def _cmd_serve(args) -> int:
             return 2
         set_fault_plan(plan)
         print(f"fault injection ACTIVE: {plan.describe()}", flush=True)
-    cache = _resolve_cache(args)
-    if cache_address is not None:
-        cache = RemoteResultCache(*cache_address)
     service = CampaignService(
         workers=args.workers,
         max_jobs=args.max_jobs,
         state_dir=args.state_dir,
-        cache=cache,
-        role=args.role,
+        cache=_resolve_cache(args),
         trace=args.trace,
     )
     server = ServiceServer(service, host=args.host, port=args.port)
     host, port = server.start()
     print(f"repro service listening on http://{host}:{port} "
-          f"(role={args.role}, workers={args.workers}, "
-          f"max jobs={args.max_jobs})",
+          f"(workers={args.workers}, max jobs={args.max_jobs})",
           flush=True)
     if args.state_dir:
         print(f"  job records : {args.state_dir}", flush=True)
     if args.trace:
         print("  tracing     : on (export with `repro trace`)",
               flush=True)
-    if args.cache_url:
-        print(f"  result cache: remote {args.cache_url}", flush=True)
-    elif getattr(args, "cache_dir", None) and not args.no_cache:
+    if getattr(args, "cache_dir", None) and not args.no_cache:
         print(f"  result cache: {args.cache_dir}", flush=True)
     if args.ready_file:
         with open(args.ready_file, "w") as handle:
             handle.write(f"{host} {port}\n")
-    # Fleet wiring, after the socket is up: pull workers into this
-    # daemon's fleet, and/or push this daemon into a coordinator's.
-    for worker_host, worker_port in worker_addresses:
-        detail = _retrying(
-            lambda h=worker_host, p=worker_port:
-                service.register_worker(h, p),
-            f"registering worker {worker_host}:{worker_port}",
-        )
-        if detail is not None:
-            print(f"  worker      : {detail['identity']} "
-                  f"({detail['workers']} slots)", flush=True)
-    if coordinator_address is not None:
-        # A wildcard bind is not a reachable address; advertise
-        # loopback instead (same-host fleets -- the tested topology).
-        advertise = "127.0.0.1" if host in ("0.0.0.0", "::") else host
-        coordinator = ServiceClient(*coordinator_address)
-        if _retrying(
-            lambda: coordinator.register_worker(advertise, port),
-            f"registering with coordinator {args.coordinator}",
-        ) is not None:
-            print(f"  coordinator : {args.coordinator}", flush=True)
     try:
         while True:
             _time.sleep(1)
@@ -694,13 +607,9 @@ def _ratio_cell(value) -> str:
     return "n.a." if value is None else f"{value * 100:.1f}%"
 
 
-def _rate_cell(value) -> str:
-    return "n.a." if value is None else f"{value:.2f}"
-
-
 def _metrics_pairs(metrics: dict) -> list:
-    """Compact coordinator-side counter highlights for ``repro status
-    --server`` / ``repro top`` (from ``health['metrics']['local']``)."""
+    """Compact counter highlights (from
+    ``health['metrics']['local']``)."""
     local = metrics.get("local") or {}
     counters = local.get("counters") or {}
     hist = (local.get("histograms") or {}).get("repro_shard_seconds")
@@ -716,8 +625,6 @@ def _metrics_pairs(metrics: dict) -> list:
         ("mutants executed", count("repro_mutants_executed_total")),
         ("cache hit ratio",
          _ratio_cell(hits / probed if probed else None)),
-        ("pool rebuilds", count("repro_pool_rebuilds_total")),
-        ("fleet re-dispatches", count("repro_fleet_redispatches_total")),
     ]
     if hist and hist.get("count"):
         pairs.append((
@@ -727,51 +634,23 @@ def _metrics_pairs(metrics: dict) -> list:
     return pairs
 
 
-def _worker_metrics_table(metrics: dict) -> "str | None":
-    """The per-worker throughput table (from
-    ``health['metrics']['workers']``), or ``None`` when the snapshot
-    is absent (an older server)."""
-    workers = metrics.get("workers")
-    if not workers:
-        return None
-    rows = [
-        [
-            w.get("kind"),
-            w.get("identity"),
-            "yes" if w.get("alive") else "no",
-            w.get("in_flight"),
-            w.get("shards_done"),
-            _rate_cell(w.get("shards_per_s")),
-            _ratio_cell(w.get("cache_hit_ratio")),
-        ]
-        for w in workers
-    ]
-    return format_table(
-        ["kind", "identity", "alive", "in-flight", "shards done",
-         "shards/s", "cache hits"],
-        rows,
-        title="Worker metrics",
-    )
-
-
-def _print_server_status(health: dict) -> int:
-    """Render ``GET /healthz`` -- the daemon-level view behind
-    ``repro status --server``: role, pool and job counts, the compact
-    metrics snapshot, then one row per placement (the local pool and
-    every registered worker)."""
+def _health_pairs(health: dict) -> list:
+    """``GET /healthz`` as key/value rows -- the daemon view ``repro
+    status --server`` prints once and ``repro top`` refreshes: the
+    shared pool (the scheduler's ``describe()`` block), job counts,
+    cache size and the compact metrics snapshot."""
     pool = health.get("pool") or {}
     jobs = health.get("jobs") or {}
-    fleet = health.get("fleet") or {}
     pairs = [
         ("status", health.get("status")),
-        ("role", health.get("role", "standalone")),
         ("uptime", f"{health.get('uptime_s', 0.0):.1f} s"),
-        ("local pool workers", pool.get("workers")),
+        ("pool workers", pool.get("workers")),
         ("pool live", pool.get("live")),
         ("max concurrent jobs", pool.get("max_jobs")),
-        ("fleet workers", fleet.get("workers")),
-        ("re-dispatched shards", fleet.get("redispatches")),
-        ("dispatch cache strips", fleet.get("cache_strip_hits")),
+        ("in-flight shards", pool.get("in_flight")),
+        ("shards done", pool.get("shards_done")),
+        ("pool rebuilds", pool.get("pool_rebuilds")),
+        ("shard isolations", pool.get("shard_isolations")),
         ("jobs", ", ".join(
             f"{status}={count}" for status, count in sorted(jobs.items())
         ) or "none"),
@@ -779,43 +658,15 @@ def _print_server_status(health: dict) -> int:
     cache = health.get("cache")
     if cache is not None:
         pairs.append(("cache entries", cache.get("entries")))
-    metrics = health.get("metrics") or {}
-    if metrics:
-        pairs += _metrics_pairs(metrics)
-    print(format_kv(pairs))
-    table = _worker_metrics_table(metrics)
-    if table is not None:
-        print()
-        print(table)
-    placements = health.get("placements") or []
-    if placements:
-        rows = [
-            [
-                p.get("kind"),
-                p.get("identity"),
-                p.get("workers"),
-                "yes" if p.get("alive") else "no",
-                p.get("in_flight"),
-                p.get("queued"),
-                p.get("shards_done"),
-                p.get("failures", 0),
-            ]
-            for p in placements
-        ]
-        print()
-        print(format_table(
-            ["kind", "identity", "workers", "alive", "in-flight",
-             "queued", "shards done", "failures"],
-            rows,
-            title="Shard placements",
-        ))
-    return 0 if health.get("status") == "ok" else 1
+    return pairs + _metrics_pairs(health.get("metrics") or {})
 
 
 def _cmd_status(args) -> int:
     client = _service_client(args)
     if args.server:
-        return _print_server_status(client.health())
+        health = client.health()
+        print(format_kv(_health_pairs(health)))
+        return 0 if health.get("status") == "ok" else 1
     if not args.job_id:
         rows = [_job_row(record) for record in client.jobs()]
         print(format_table(
@@ -890,29 +741,7 @@ def _cmd_top(args) -> int:
     client = _service_client(args)
     try:
         while True:
-            health = client.health()
-            metrics = health.get("metrics") or {}
-            pairs = [
-                ("status", health.get("status")),
-                ("uptime", f"{health.get('uptime_s', 0.0):.1f} s"),
-                ("jobs", ", ".join(
-                    f"{status}={count}"
-                    for status, count in sorted(
-                        (health.get("jobs") or {}).items()
-                    )
-                ) or "none"),
-            ] + _metrics_pairs(metrics)
-            gauges = (metrics.get("local") or {}).get("gauges") or {}
-            if "repro_inflight_shards" in gauges:
-                pairs.append((
-                    "in-flight shards",
-                    int(gauges["repro_inflight_shards"]),
-                ))
-            print(format_kv(pairs))
-            table = _worker_metrics_table(metrics)
-            if table is not None:
-                print()
-                print(table)
+            print(format_kv(_health_pairs(client.health())))
             if args.once:
                 return 0
             print(flush=True)
@@ -1121,25 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--ready-file", default=None, metavar="FILE",
                          help="write 'host port' here once listening "
                               "(for scripts booting on --port 0)")
-    p_serve.add_argument("--role",
-                         choices=["standalone", "coordinator", "worker"],
-                         default="standalone",
-                         help="fleet role of this daemon (default: "
-                              "standalone; see docs/distributed.md)")
-    p_serve.add_argument("--worker", action="append", default=None,
-                         metavar="HOST:PORT",
-                         help="register this worker daemon with the "
-                              "booting coordinator (repeatable; retried "
-                              "while the worker boots)")
-    p_serve.add_argument("--coordinator", default=None,
-                         metavar="HOST:PORT",
-                         help="register this booting daemon as a worker "
-                              "with that coordinator (retried while the "
-                              "coordinator boots)")
-    p_serve.add_argument("--cache-url", default=None, metavar="HOST:PORT",
-                         help="use the result cache served by another "
-                              "daemon's /cache routes instead of a "
-                              "local --cache-dir (shared fleet cache)")
     p_serve.add_argument("--fault-plan", default=None, metavar="SPEC",
                          help="activate deterministic fault injection "
                               "for chaos runs, e.g. 'seed=7;"
@@ -1180,9 +990,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_status.add_argument("job_id", nargs="?", default=None)
     p_status.add_argument("--server", action="store_true",
-                          help="show the daemon's /healthz (role, pool, "
-                               "per-placement fleet detail) instead of "
-                               "job records")
+                          help="show the daemon's /healthz (pool, "
+                               "jobs, cache, metrics) instead of job "
+                               "records")
     _add_service_options(p_status)
 
     p_watch = sub.add_parser(
@@ -1221,10 +1031,9 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live metrics view of a running service",
         description=(
-            "Refresh the coordinator-side metrics snapshot (the same "
-            "numbers Prometheus scrapes from GET /metrics) and the "
-            "per-worker throughput table until interrupted.  See "
-            "docs/observability.md."
+            "Refresh the daemon's /healthz view (pool, jobs, cache and "
+            "the counters Prometheus scrapes from GET /metrics) until "
+            "interrupted.  See docs/observability.md."
         ),
     )
     p_top.add_argument("--interval", type=float, default=2.0,

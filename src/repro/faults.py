@@ -3,8 +3,8 @@
 The paper's premise is hardware that *detects and recovers from* its
 own timing faults via embedded monitors.  This module gives the
 campaign runner the software analogue: named **injection sites**
-threaded through the execution stack (local pool, fleet dispatch,
-worker execution, result cache, job server), driven by a seeded
+threaded through the execution stack (local pool, result cache, job
+server), driven by a seeded
 :class:`FaultPlan` whose every decision derives from
 ``(seed, site, hit_count)`` -- never from wall-clock time or a shared
 RNG -- so a chaos run is exactly reproducible from its spec string.
@@ -17,12 +17,6 @@ site                      effect when the plan fires
 ``pool.break_worker``     the local pool executes ``os._exit`` instead of the
                           shard -> a real ``BrokenProcessPool`` for the
                           supervisor to heal (pool rebuild + shard retry)
-``net.drop.post_shards``  a coordinator->worker shard POST raises
-                          ``ConnectionResetError`` before touching the socket
-                          -> placement loss + re-dispatch
-``worker.hang``           a worker daemon sits on the shard (bounded by
-                          :attr:`FaultPlan.hang_seconds` or service close)
-                          instead of executing it -> heartbeat eviction
 ``cache.corrupt_entry``   a cache write stores truncated JSON (disk) or drops
                           the entry (memory) -> quarantined to ``.corrupt``
                           on next read, degraded to a miss
@@ -70,8 +64,6 @@ __all__ = [
 #: never fire.
 KNOWN_SITES = (
     "pool.break_worker",
-    "net.drop.post_shards",
-    "worker.hang",
     "cache.corrupt_entry",
     "server.crash.mid_job",
     "job.hold",
@@ -171,7 +163,7 @@ class FaultPlan:
 
     Every decision is a pure function of ``(seed, site, hit_count)``:
     the plan keeps one monotonically increasing hit counter per site
-    (thread-safe -- sites are reached from pool callbacks, dispatch
+    (thread-safe -- sites are reached from pool callbacks, job
     threads and the asyncio loop alike) and hashes
     ``"{seed}:{site}:{hit}"`` for rate-based rules.  Two runs with the
     same plan and the same site traversal order make identical
@@ -188,9 +180,8 @@ class FaultPlan:
     ) -> None:
         self.seed = int(seed)
         self.rules = dict(rules or {})
-        #: Upper bound of a ``worker.hang`` stall or a ``job.hold``
-        #: park, so an in-process test harness is never wedged forever
-        #: by its own injected hang.
+        #: Upper bound of a ``job.hold`` park, so an in-process test
+        #: harness is never wedged forever by its own injected hold.
         self.hang_seconds = float(hang_seconds)
         #: Whether ``server.crash.mid_job`` may ``os._exit`` the
         #: process.  Only the ``repro serve`` entry point (a dedicated
@@ -292,11 +283,11 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, spec: str, *, allow_exit: bool = False) -> "FaultPlan":
-        """Parse ``"seed=7;pool.break_worker=1;net.drop.post_shards=p0.25"``.
+        """Parse ``"seed=7;pool.break_worker=1;cache.corrupt_entry=p0.25"``.
 
         Assignments are ``;``-separated.  ``seed=N`` seeds the decision
-        hash (default 0); ``hang=SECONDS`` bounds ``worker.hang``
-        stalls and ``job.hold`` parks; every other assignment is
+        hash (default 0); ``hang=SECONDS`` bounds ``job.hold`` parks;
+        every other assignment is
         ``site=RULE`` with ``RULE`` as accepted by
         :meth:`FaultRule.parse`.
         """

@@ -45,7 +45,7 @@ from .analysis import (
     MutationReport,
     compute_golden_trace,
 )
-from .cache import ResultCache, shard_entry_keys
+from .cache import ResultCache
 from .campaign import (
     CampaignShard,
     PreparedCampaign,
@@ -55,13 +55,7 @@ from .campaign import (
     run_campaign,
     shard_indices,
 )
-from .placement import (
-    LocalPoolPlacement,
-    PlacementLostError,
-    PoisonShardError,
-    ShardPlacement,
-    SupervisedFuture,
-)
+from .placement import PoisonShardError, SupervisedFuture
 from .rtl_validation import (
     PreparedRtlValidation,
     RtlMutantOutcome,
@@ -107,10 +101,6 @@ __all__ = [
     "run_benchmark_suite",
     "stream_shard_batches",
     "ResultCache",
-    "shard_entry_keys",
-    "ShardPlacement",
-    "LocalPoolPlacement",
-    "PlacementLostError",
     "PoisonShardError",
     "SupervisedFuture",
     "PreparedRtlValidation",

@@ -91,7 +91,6 @@ __all__ = [
     "mutant_entry_key",
     "rtl_entry_key",
     "rtl_fingerprint",
-    "shard_entry_keys",
     "stimuli_hash",
 ]
 
@@ -261,36 +260,6 @@ def rtl_entry_key(
         int(recovery_value),
         _spec_key(spec),
     ))
-
-
-def shard_entry_keys(shard) -> "dict[int, str]":
-    """Per-mutant entry keys recomputed from a shard's own contents:
-    ``{mutant index -> key}`` for every index the shard covers.
-
-    A :class:`~repro.mutation.campaign.CampaignShard` carries every
-    key component (injected model, stimuli, golden trace, sensor type,
-    judgement parameters), so any holder of the shard -- the
-    coordinator about to dispatch it, a remote worker about to execute
-    it -- derives exactly the keys
-    :func:`~repro.mutation.campaign.prepare_campaign` derived, and a
-    shared cache deduplicates across the whole fleet.
-    """
-    model_fp = model_fingerprint(shard.injected)
-    stim_hash = stimuli_hash(shard.stimuli)
-    golden_hash = golden_trace_hash(shard.golden)
-    specs = shard.injected.mutants
-    return {
-        index: mutant_entry_key(
-            model_fp,
-            stim_hash,
-            golden_hash,
-            shard.sensor_type,
-            specs[index],
-            recovery=shard.recovery,
-            tap_order=shard.tap_order,
-        )
-        for index in shard.indices
-    }
 
 
 # ---------------------------------------------------------------------------

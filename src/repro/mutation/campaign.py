@@ -111,11 +111,6 @@ class CampaignShard:
 
     #: A TLM shard is always safe to pickle to a worker process.
     inline_only = False
-    #: ... and safe to serialise to a *remote* worker daemon too: every
-    #: field is plain data with a lossless JSON codec
-    #: (:func:`repro.service.api.encode_shard`).  RTL-validation shards
-    #: stay ``remote_ok = False`` until their rebuild recipes travel.
-    remote_ok = True
 
     def run(self) -> "list":
         """Evaluate the shard's mutants as one batched sweep (in a

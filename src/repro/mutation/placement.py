@@ -1,38 +1,17 @@
-"""Shard placement: *where* a shard runs, as a policy object.
+"""Where shards run: the self-healing local process pool.
 
-Historically :class:`~repro.mutation.scheduler.CampaignScheduler`
-welded two concerns together: the streaming submit/drain protocol the
-campaign engine speaks, and the ownership of one local
-:class:`~concurrent.futures.ProcessPoolExecutor`.  This module splits
-them: a :class:`ShardPlacement` is anything that accepts shards and
-resolves futures of their outcome lists, and the campaign engine
-(:func:`~repro.mutation.scheduler._stream_shard_results`,
-:func:`~repro.mutation.scheduler.stream_shard_batches`,
-:func:`~repro.mutation.scheduler.run_benchmark_suite`) is written
-against that interface alone.
+:class:`CampaignScheduler` accepts shard objects (anything with a
+``run()`` method: :class:`~repro.mutation.campaign.CampaignShard`,
+:class:`~repro.mutation.rtl_validation.RtlValidationShard`) and
+returns futures of their outcome lists.  The streaming entry points
+of :mod:`repro.mutation.scheduler`, which re-exports the class, drain
+those futures; the campaign service runs every job on one instance.
 
-Implementations:
-
-* :class:`LocalPoolPlacement` (here) -- today's behaviour,
-  bit-identical: a lazily-created local process pool, with
-  ``workers=1`` degrading to inline execution and ``inline_only``
-  shards always executing in the parent.
-  :class:`~repro.mutation.scheduler.CampaignScheduler` is now a thin
-  alias of this class, so every existing call site keeps working.
-* :class:`repro.service.fleet.RemoteWorkerPlacement` -- shards
-  serialised over the service wire format to a
-  ``repro serve --role worker`` daemon.
-* :class:`repro.service.fleet.FleetPlacement` -- a coordinator-side
-  composite distributing shards across many placements (least-loaded
-  dispatch = work-stealing for ragged campaigns), re-dispatching on
-  placement loss and short-circuiting shards whose verdicts a shared
-  cache already holds.
-
-The determinism contract is placement-independent by construction:
-outcomes are merged by mutant index
+The determinism contract holds by construction: outcomes are merged
+by mutant index
 (:meth:`~repro.mutation.campaign.PreparedCampaign.build_report`), so
-reports are byte-identical regardless of placement kind, worker count
-or steal order.
+reports are byte-identical for any worker count and completion order,
+inline or pooled.
 """
 
 from __future__ import annotations
@@ -47,18 +26,16 @@ from ..obs import REGISTRY, TRACER
 from .campaign import _run_shard
 
 __all__ = [
-    "LocalPoolPlacement",
-    "PlacementLostError",
+    "CampaignScheduler",
     "PoisonShardError",
-    "ShardPlacement",
     "SupervisedFuture",
 ]
 
 
 class SupervisedFuture(Future):
     """A :class:`~concurrent.futures.Future` settled by a supervisor
-    (callback chain, heartbeat thread) rather than an executor, whose
-    cancellation is therefore **self-acknowledging**.
+    (a callback chain, an isolation thread) rather than an executor,
+    whose cancellation is therefore **self-acknowledging**.
 
     ``concurrent.futures.wait``/``as_completed`` only treat a
     cancelled future as done once an executor acknowledges the
@@ -84,25 +61,17 @@ class SupervisedFuture(Future):
         return cancelled
 
 
-class PlacementLostError(RuntimeError):
-    """A placement became unreachable while (or before) executing a
-    shard -- a worker daemon crashed, its socket reset, its process
-    pool broke.  The shard itself is *not* at fault: a fleet reacts by
-    re-dispatching it to a surviving placement, whereas any other
-    exception (a genuine shard failure) propagates unchanged."""
-
-
 class PoisonShardError(RuntimeError):
     """A shard broke the local process pool repeatedly and has been
     quarantined.
 
-    Pool supervision (:meth:`LocalPoolPlacement.submit`) absorbs a
+    Pool supervision (:meth:`CampaignScheduler.submit`) absorbs a
     :class:`~concurrent.futures.process.BrokenProcessPool` by
     rebuilding the pool and re-running the lost shard -- but a shard
     whose *own execution* kills worker processes would do so forever.
     A break fails **every** queued future of the pool, so break counts
     alone cannot tell the culprit from innocent bystanders: after
-    :attr:`LocalPoolPlacement.pool_break_limit` breaks a shard is
+    :attr:`CampaignScheduler.pool_break_limit` breaks a shard is
     instead re-run in an *isolated* throwaway single-process pool.
     Innocents prove themselves there; a shard that breaks its private
     pool too is definitively poisonous and fails loudly, carrying a
@@ -131,61 +100,7 @@ def _exit_worker() -> None:  # pragma: no cover - runs in a pool child
     os._exit(1)
 
 
-class ShardPlacement:
-    """Where shards run: the interface the campaign engine streams
-    against.
-
-    A placement accepts shard objects (anything with a ``run()``
-    method; see :class:`~repro.mutation.campaign.CampaignShard`) and
-    returns :class:`~concurrent.futures.Future`\\ s of their outcome
-    lists.  The contract the streaming drain loop relies on:
-
-    * ``workers`` -- the current submission window: how many shards
-      may usefully be in flight at once.  Re-read every iteration, so
-      a fleet that grows or shrinks mid-campaign widens or narrows the
-      window live.
-    * ``submit(shard)`` -- returns a future of ``shard.run()``'s
-      outcome list.  May resolve eagerly (inline execution).  Raises
-      :class:`PlacementLostError` (or resolves the future with it)
-      when the placement cannot run shards any more.
-    * ``shutdown(wait=True)`` -- release resources; further
-      submissions raise.
-    * ``describe()`` -- a JSON-able health snapshot (identity,
-      liveness, queue depth, in-flight shards) surfaced by the
-      service's ``/healthz``.
-    """
-
-    #: Discriminator in :meth:`describe` payloads.
-    kind = "placement"
-
-    workers: int = 1
-
-    @property
-    def alive(self) -> bool:
-        """Whether the placement can currently accept shards."""
-        return True
-
-    def submit(self, shard) -> Future:
-        raise NotImplementedError
-
-    def shutdown(self, wait: bool = True) -> None:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "workers": self.workers,
-            "alive": self.alive,
-        }
-
-    def __enter__(self) -> "ShardPlacement":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-class LocalPoolPlacement(ShardPlacement):
+class CampaignScheduler:
     """One persistent local worker pool serving shards from many
     campaigns.
 
@@ -196,25 +111,35 @@ class LocalPoolPlacement(ShardPlacement):
     streams -- reuses warm worker processes instead of forking a fresh
     pool per campaign.  ``workers=1`` never creates processes: shards
     run inline at submission time, which keeps the single-worker path
-    deterministic and dependency-free.
-
-    The placement is shard-kind agnostic: anything with a ``run()``
-    method and (for pool execution) a picklable payload is accepted --
-    :class:`~repro.mutation.campaign.CampaignShard` and
-    :class:`~repro.mutation.rtl_validation.RtlValidationShard` today.
-    Shards flagged ``inline_only`` (an RTL shard carrying a live
+    deterministic and dependency-free.  Shards flagged ``inline_only``
+    (an RTL shard carrying a live
     :class:`~repro.sensors.insertion.AugmentedIP` or an opaque drive
     callable, neither of which pickles) execute in the parent process
     even when a pool exists.
 
-    The placement is **thread-safe**: many threads (the campaign
-    service runs one per in-flight job) may submit shards to one
-    placement concurrently.  Pool creation and shutdown are
-    lock-guarded; ``ProcessPoolExecutor.submit`` is thread-safe by
-    contract; inline execution happens on the submitting thread.
-    """
+    Every campaign entry point takes ``scheduler=`` by duck type and
+    uses three members only:
 
-    kind = "local"
+    * ``workers`` -- the submission window: how many shards may
+      usefully be in flight at once;
+    * ``submit(shard)`` -- a future of ``shard.run()``'s outcome list,
+      possibly already resolved (inline execution);
+    * ``shutdown(wait=True)`` -- release the pool; further
+      submissions raise.
+
+    The pool is **self-healing**: a worker process dying mid-shard
+    (``kill -9``, OOM, ``os._exit``) is absorbed by rebuilding the pool
+    and re-running the lost shards, and a shard that keeps breaking
+    pools must prove itself in an isolated probe pool or is
+    quarantined with a loud, structured :class:`PoisonShardError` -- a
+    campaign is never silently truncated by infrastructure failure.
+
+    The scheduler is **thread-safe**: many threads (the campaign
+    service runs one per in-flight job) may submit shards
+    concurrently.  Pool creation and shutdown are lock-guarded;
+    ``ProcessPoolExecutor.submit`` is thread-safe by contract; inline
+    execution happens on the submitting thread.
+    """
 
     #: Pool breaks one shard may live through before it is escalated
     #: to an isolated single-process probe run (see :meth:`_isolate`).
@@ -238,7 +163,6 @@ class LocalPoolPlacement(ShardPlacement):
         #: or ``spawn``): forking a multi-threaded process can
         #: deadlock the children on locks snapshotted mid-hold.
         self.mp_context = mp_context
-        self.identity = f"local/{os.getpid()}"
         self._pool: "ProcessPoolExecutor | None" = None
         self._closed = False
         self._lock = threading.Lock()
@@ -246,10 +170,6 @@ class LocalPoolPlacement(ShardPlacement):
         self._shards_done = 0
         self._pool_rebuilds = 0
         self._isolations = 0
-
-    @property
-    def alive(self) -> bool:
-        return not self._closed
 
     def pool(self) -> ProcessPoolExecutor:
         """The lazily-created shared executor (``workers > 1`` only)."""
@@ -421,11 +341,11 @@ class LocalPoolPlacement(ShardPlacement):
             self._pool = None
             self._pool_rebuilds += 1
         REGISTRY.inc("repro_pool_rebuilds_total")
-        TRACER.instant("pool.rebuild", identity=self.identity)
+        TRACER.instant("pool.rebuild")
         broken_pool.shutdown(wait=False)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Close the placement and tear down the pool (if one was ever
+        """Close the scheduler and tear down the pool (if one was ever
         created).  Further submissions raise; ``wait=False`` returns
         without joining the worker processes."""
         with self._lock:
@@ -435,24 +355,20 @@ class LocalPoolPlacement(ShardPlacement):
             pool.shutdown(wait=wait)
 
     def describe(self) -> dict:
+        """A JSON-able health snapshot: the pool block of the service's
+        ``/healthz``."""
         with self._lock:
-            in_flight = self._in_flight
-            shards_done = self._shards_done
-            live = self._pool is not None
-            rebuilds = self._pool_rebuilds
-            isolations = self._isolations
-        return {
-            "kind": self.kind,
-            "identity": self.identity,
-            "workers": self.workers,
-            "alive": self.alive,
-            "pool_live": live,
-            "in_flight": in_flight,
-            "queued": max(0, in_flight - self.workers),
-            "shards_done": shards_done,
-            "pool_rebuilds": rebuilds,
-            "shard_isolations": isolations,
-        }
+            return {
+                "workers": self.workers,
+                "live": self._pool is not None,
+                "in_flight": self._in_flight,
+                "shards_done": self._shards_done,
+                "pool_rebuilds": self._pool_rebuilds,
+                "shard_isolations": self._isolations,
+            }
 
-    def __enter__(self) -> "LocalPoolPlacement":
+    def __enter__(self) -> "CampaignScheduler":
         return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()

@@ -364,12 +364,6 @@ class RtlValidationShard:
     augmented: "AugmentedIP | None" = None
     drive: "object | None" = None
 
-    #: RTL shards never travel to remote worker daemons: the rebuild
-    #: recipe references the local IP registry and the live-object
-    #: variants do not serialise at all.  A fleet routes them to its
-    #: local placement instead.
-    remote_ok = False
-
     @property
     def inline_only(self) -> bool:
         # An opaque drive callable never leaves the parent, even when a

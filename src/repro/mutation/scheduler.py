@@ -5,12 +5,14 @@ shards; this module turns *many* campaigns -- all IPs x both sensor
 types x any variant -- into one service-shaped workload fed to a
 single persistent worker pool:
 
-* :class:`CampaignScheduler` owns one
-  :class:`concurrent.futures.ProcessPoolExecutor` for its whole
-  lifetime.  Campaigns share it instead of paying a pool spin-up and
-  tear-down per :func:`~repro.mutation.campaign.run_campaign` call;
-  ``workers=1`` degrades to inline execution (no processes, fully
-  deterministic ordering).
+* :class:`CampaignScheduler` (defined in
+  :mod:`repro.mutation.placement`, re-exported here) owns one
+  self-healing :class:`concurrent.futures.ProcessPoolExecutor` for its
+  whole lifetime.  Campaigns share it instead of paying a pool
+  spin-up and tear-down per
+  :func:`~repro.mutation.campaign.run_campaign` call; ``workers=1``
+  degrades to inline execution (no processes, fully deterministic
+  ordering).
 * :func:`iter_campaign` is the streaming face of one campaign: a
   generator yielding :class:`~repro.mutation.analysis.MutantOutcome`
   objects as their shards complete, with per-shard
@@ -61,7 +63,7 @@ from repro.obs import (
 )
 
 from .campaign import PreparedCampaign, ShardResult, prepare_campaign
-from .placement import LocalPoolPlacement, ShardPlacement
+from .placement import CampaignScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
     from .analysis import MutationReport
@@ -198,36 +200,6 @@ class _CampaignTracker:
         )
 
 
-class CampaignScheduler(LocalPoolPlacement):
-    """One persistent local worker pool serving shards from many
-    campaigns -- the historical name of
-    :class:`~repro.mutation.placement.LocalPoolPlacement`, kept as the
-    batch-flow entry point.
-
-    "Where a shard runs" is now a policy
-    (:class:`~repro.mutation.placement.ShardPlacement`): every
-    streaming entry point in this module accepts any placement -- this
-    local pool, a :class:`~repro.service.fleet.RemoteWorkerPlacement`
-    speaking to a ``repro serve --role worker`` daemon, or a whole
-    :class:`~repro.service.fleet.FleetPlacement` -- and produces
-    byte-identical reports on all of them (outcomes merge by mutant
-    index, never by completion or steal order).
-
-    The pool is **self-healing** (PR 7, inherited from
-    :class:`~repro.mutation.placement.LocalPoolPlacement`): a worker
-    process dying mid-shard (``kill -9``, OOM, ``os._exit``) is
-    absorbed by rebuilding the pool and re-running the lost shards;
-    a shard that keeps breaking pools must prove itself in an
-    isolated probe pool and is otherwise quarantined with a loud,
-    structured
-    :class:`~repro.mutation.placement.PoisonShardError` -- a campaign
-    is never silently truncated by infrastructure failure.
-    """
-
-    def __enter__(self) -> "CampaignScheduler":
-        return self
-
-
 def _ephemeral_width(workers: int, prepared: PreparedCampaign) -> int:
     """Pool width for a one-campaign ephemeral scheduler: never more
     workers than shards (a one-shard campaign executes inline), never
@@ -237,7 +209,7 @@ def _ephemeral_width(workers: int, prepared: PreparedCampaign) -> int:
 
 
 @contextmanager
-def _leased_scheduler(scheduler: "ShardPlacement | None", width: int):
+def _leased_scheduler(scheduler: "CampaignScheduler | None", width: int):
     """Yield ``scheduler`` untouched when one was passed (the caller
     owns its lifetime), or an ephemeral :class:`CampaignScheduler` of
     ``width`` workers that is shut down on exit.  The single
@@ -252,7 +224,7 @@ def _leased_scheduler(scheduler: "ShardPlacement | None", width: int):
         ephemeral.shutdown()
 
 
-def _stream_shard_results(scheduler: "ShardPlacement", shards, *,
+def _stream_shard_results(scheduler: "CampaignScheduler", shards, *,
                           stop=None):
     """Windowed shard submission: yield each completed shard's outcome
     list in completion order, keeping at most one submitted shard per
@@ -308,7 +280,7 @@ def _write_back(cache, cache_keys, outcomes, encode, ip=None) -> None:
 
 
 def stream_shard_batches(
-    scheduler: "ShardPlacement",
+    scheduler: "CampaignScheduler",
     prepared: PreparedCampaign,
     *,
     progress=None,
@@ -375,7 +347,7 @@ def stream_shard_batches(
 
 
 def stream_prepared(
-    scheduler: "ShardPlacement",
+    scheduler: "CampaignScheduler",
     prepared: PreparedCampaign,
     *,
     progress=None,
@@ -410,7 +382,7 @@ def iter_campaign(
     recovery: bool = True,
     workers: int = 1,
     shard_size: "int | None" = None,
-    scheduler: "ShardPlacement | None" = None,
+    scheduler: "CampaignScheduler | None" = None,
     progress=None,
     abort: "AbortPolicy | None" = None,
     cache=None,
@@ -634,7 +606,7 @@ def run_benchmark_suite(
     workers: int = 4,
     shard_size: "int | None" = None,
     mutation_cycles: "int | None" = None,
-    scheduler: "ShardPlacement | None" = None,
+    scheduler: "CampaignScheduler | None" = None,
     progress=None,
     flows: "dict | None" = None,
     cache=None,

@@ -6,7 +6,7 @@ the harness itself (see ``docs/observability.md``):
 
 * :mod:`repro.obs.tracer` -- a span-based tracer instrumenting every
   layer (flow, campaign preparation, golden simulation, scheduler
-  streaming, shard execution, cache, fleet dispatch, batched-sweep
+  streaming, shard execution, cache, pool self-healing, batched-sweep
   fork/early-kill/re-join), exportable as Chrome/Perfetto
   ``trace.json`` via ``repro trace``;
 * :mod:`repro.obs.metrics` -- a process-local counters / gauges /

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` (:data:`REGISTRY`) per process collects
 counters, gauges and histograms from every layer -- cache hits, pool
-rebuilds, fleet re-dispatches, batched-sweep forks -- and renders
+rebuilds, batched-sweep forks -- and renders
 them:
 
 * :meth:`MetricsRegistry.render` -- the Prometheus text format served
@@ -12,14 +12,11 @@ them:
   ``GET /healthz`` and rendered by ``repro status --server`` and
   ``repro top``.
 
-Worker *processes* do not push to this registry directly: pool
-children die with their memory and worker daemons live across the
-network.  Instead, shard executions bump plain-integer counters on
-their :class:`~repro.obs.tracer.ShardCapture`, the counts ride back
-inside the shard result, and the coordinator folds them in
-(:func:`absorb_shard_counters`); worker-*daemon* registries are
-scraped through the coordinator's heartbeat and re-exported as
-``repro_worker_*`` series.
+Pool worker *processes* do not push to this registry directly: they
+die with their memory.  Instead, shard executions bump plain-integer
+counters on their :class:`~repro.obs.tracer.ShardCapture`, the counts
+ride back inside the shard result, and the parent process folds them
+in (:func:`absorb_shard_counters`).
 
 Everything is runtime metadata -- nothing here feeds a verdict, so
 determinism is untouched (enforced by ``tools/lint_determinism.py``
@@ -57,13 +54,6 @@ _HELP = {
         "Local worker-pool rebuilds after a broken process",
     "repro_shard_isolations_total":
         "Shards isolated as poisonous after repeated pool breaks",
-    "repro_fleet_dispatches_total": "Shards dispatched to a placement",
-    "repro_fleet_redispatches_total":
-        "Shards re-dispatched after a placement was lost",
-    "repro_fleet_evictions_total":
-        "Fleet members evicted by the heartbeat monitor",
-    "repro_fleet_cache_strip_hits_total":
-        "Mutants stripped from a dispatch by a cache probe",
     "repro_batch_forks_total":
         "Mutant simulations forked off a batched base sweep",
     "repro_batch_early_kills_total":

@@ -335,8 +335,11 @@ class ShardCapture:
         })
 
     def payload(self) -> dict:
-        """The JSON-safe dict carried home inside the shard result."""
+        """The JSON-safe dict carried home inside the shard result.
+        ``worker`` names the executing process, so each pool worker
+        gets its own trace track."""
         return {
+            "worker": f"pool/{os.getpid()}",
             "elapsed_s": time.perf_counter() - self._t0,
             "spans": self.spans,
             "counters": dict(self.counters),

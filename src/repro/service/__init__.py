@@ -7,7 +7,7 @@ users submit campaign jobs over HTTP, one server process executes
 them on a single shared :class:`~repro.mutation.CampaignScheduler`
 worker pool, and every client streams per-shard progress live.
 
-Six modules:
+Four modules:
 
 * :mod:`repro.service.jobs` -- the job model: :class:`JobSpec` (an
   IP x sensor x mutation/judgement-parameter work order),
@@ -27,17 +27,7 @@ Six modules:
 * :mod:`repro.service.client` -- :class:`ServiceClient`, a stdlib
   ``http.client`` consumer of the same wire format, behind the
   ``repro submit|status|watch|cancel`` CLI (idempotent GETs retry,
-  event streams reconnect and deduplicate the history replay);
-* :mod:`repro.service.fleet` -- the distributed tier
-  (``docs/distributed.md``): :class:`WorkerCore` (any daemon's
-  ``POST /shards`` executor), :class:`RemoteWorkerPlacement` (the
-  coordinator's HTTP proxy to one worker daemon) and
-  :class:`FleetPlacement` (least-loaded dispatch across the local pool
-  and every registered worker, with failure re-dispatch);
-* :mod:`repro.service.remote_cache` -- :class:`RemoteResultCache`, a
-  drop-in :class:`~repro.mutation.ResultCache` speaking the server's
-  ``/cache/<key>`` routes, so one content-addressed store deduplicates
-  mutant executions across a whole fleet.
+  event streams reconnect and deduplicate the history replay).
 
 No dependency beyond the standard library, matching the rest of the
 repository.
@@ -45,9 +35,7 @@ repository.
 
 from .api import decode_report, encode_report
 from .client import ServiceClient, ServiceError
-from .fleet import FleetPlacement, RemoteWorkerPlacement, WorkerCore
 from .jobs import JOB_STATUSES, JobRecord, JobSpec, JobStore
-from .remote_cache import RemoteResultCache
 from .server import CampaignService, ServiceServer
 
 #: Default TCP port of ``repro serve`` (pass ``--port 0`` for an
@@ -61,13 +49,9 @@ __all__ = [
     "JobSpec",
     "JobStore",
     "CampaignService",
-    "FleetPlacement",
-    "RemoteResultCache",
-    "RemoteWorkerPlacement",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "WorkerCore",
     "decode_report",
     "encode_report",
 ]

@@ -24,20 +24,6 @@ the server's encoder and the client's decoder cannot drift apart:
 
   The server injects the ``job`` id into every event it publishes.
 
-* **shards** -- :func:`encode_shard` / :func:`decode_shard` carry one
-  :class:`~repro.mutation.CampaignShard` to a ``repro serve --role
-  worker`` daemon (``POST /shards``).  Every shard field is plain
-  data: the injected :class:`~repro.abstraction.GeneratedTlm` travels
-  as its generated source + mutant table (the worker's
-  ``compiled_class`` cache keys on the source text, so repeated shards
-  of one campaign compile once per worker), the golden trace reuses
-  the result cache's lossless
-  :func:`~repro.mutation.cache.encode_golden_trace` codec, and the
-  decoded shard derives byte-identical cache entry keys
-  (:func:`~repro.mutation.cache.shard_entry_keys`) to the
-  coordinator's -- which is what lets a fleet share one
-  content-addressed cache.
-
 Outcome payloads reuse the result cache's
 :func:`~repro.mutation.cache.encode_outcome` /
 :func:`~repro.mutation.cache.decode_outcome` -- one serialisation of a
@@ -46,21 +32,12 @@ mutant verdict for disk and wire.
 
 from __future__ import annotations
 
-from repro.mutation.cache import (
-    decode_golden_trace,
-    decode_outcome,
-    encode_golden_trace,
-    encode_outcome,
-)
+from repro.mutation.cache import decode_outcome, encode_outcome
 
 __all__ = [
     "NDJSON_CONTENT_TYPE",
-    "decode_generated_tlm",
     "decode_report",
-    "decode_shard",
-    "encode_generated_tlm",
     "encode_report",
-    "encode_shard",
     "end_event",
     "progress_event",
     "shard_event",
@@ -118,97 +95,6 @@ def decode_report(payload: dict):
     report.seconds = payload.get("seconds", 0.0)
     report.obs = payload.get("obs")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Shards (coordinator -> worker daemon)
-# ---------------------------------------------------------------------------
-
-def encode_generated_tlm(gen) -> dict:
-    """JSON payload for a :class:`~repro.abstraction.GeneratedTlm`:
-    the generated source itself plus the metadata the campaign engine
-    reads off it (class name, variant, scheduler kind, mutant table).
-    The round trip is exact, so the decoded model fingerprints
-    (:func:`~repro.mutation.cache.model_fingerprint`) identically to
-    the original."""
-    return {
-        "source": gen.source,
-        "class_name": gen.class_name,
-        "variant": gen.variant,
-        "scheduler_kind": gen.scheduler_kind,
-        "loc": gen.loc,
-        "mutants": [
-            {
-                "kind": spec.kind,
-                "target": spec.target,
-                "hf_tick": spec.hf_tick,
-                "register": spec.register,
-            }
-            for spec in gen.mutants
-        ],
-    }
-
-
-def decode_generated_tlm(payload: dict):
-    """Rebuild a :class:`~repro.abstraction.GeneratedTlm` from a wire
-    payload."""
-    from repro.abstraction import GeneratedTlm
-    from repro.abstraction.codegen import MutantSpec
-
-    return GeneratedTlm(
-        source=payload["source"],
-        class_name=payload["class_name"],
-        variant=payload["variant"],
-        scheduler_kind=payload["scheduler_kind"],
-        mutants=[
-            MutantSpec(
-                kind=spec["kind"],
-                target=spec["target"],
-                hf_tick=spec["hf_tick"],
-                register=spec["register"],
-            )
-            for spec in payload["mutants"]
-        ],
-        loc=payload["loc"],
-    )
-
-
-def encode_shard(shard) -> dict:
-    """JSON payload for one :class:`~repro.mutation.CampaignShard`
-    (the ``POST /shards`` request body).  Only TLM shards travel --
-    callers gate on ``shard.remote_ok``."""
-    return {
-        "kind": "tlm",
-        "indices": list(shard.indices),
-        "injected": encode_generated_tlm(shard.injected),
-        "stimuli": [dict(vec) for vec in shard.stimuli],
-        "golden": encode_golden_trace(shard.golden),
-        "sensor_type": shard.sensor_type,
-        "recovery": shard.recovery,
-        "tap_order": list(shard.tap_order),
-        "trace": shard.trace,
-    }
-
-
-def decode_shard(payload: dict):
-    """Rebuild a :class:`~repro.mutation.CampaignShard` from a wire
-    payload (worker side of ``POST /shards``)."""
-    from repro.mutation import CampaignShard
-
-    if payload.get("kind") != "tlm":
-        raise ValueError(
-            f"unsupported shard kind {payload.get('kind')!r}"
-        )
-    return CampaignShard(
-        indices=tuple(payload["indices"]),
-        injected=decode_generated_tlm(payload["injected"]),
-        stimuli=tuple(dict(vec) for vec in payload["stimuli"]),
-        golden=decode_golden_trace(payload["golden"]),
-        sensor_type=payload["sensor_type"],
-        recovery=payload["recovery"],
-        tap_order=tuple(payload["tap_order"]),
-        trace=payload.get("trace", False),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ CLI subcommands are thin wrappers over it, and the service tests use
 it to assert the streamed reports against direct
 :func:`~repro.mutation.run_campaign` runs.
 
-Transient-failure policy (the distributed fleet makes resets an
-expected event, not an anomaly): **idempotent GETs** -- ``job``,
-``jobs``, ``health``, and the ``/events`` stream -- retry on
-connection errors with capped exponential backoff, and a broken event
-stream *reconnects*: the server replays the job's event history on
+Transient-failure policy (a daemon restarting after a crash, or a
+connection reset on a busy host, must not fail a caller that can
+simply ask again): **idempotent GETs** -- ``job``, ``jobs``,
+``health``, and the ``/events`` stream -- retry on connection errors
+with capped exponential backoff, and a broken event stream
+*reconnects*: the server replays the job's event history on
 every ``GET /jobs/<id>/events``, so the client skips the events it
 already yielded (counting non-terminal events; the terminal ``end`` is
 always yielded).  When the job finished between connections and the
@@ -173,21 +174,6 @@ class ServiceClient:
         ``repro serve --trace``; otherwise this raises the 404 it
         answers with."""
         return self._get(f"/jobs/{job_id}/trace")
-
-    def register_worker(self, host: str, port: int,
-                        workers: "int | None" = None) -> dict:
-        """``POST /workers``: register a worker daemon with this
-        (coordinator) service; returns the placement detail.  Not
-        retried here -- boot-time registration loops live in the CLI,
-        where the retry window is a policy choice."""
-        payload: dict = {"host": host, "port": port}
-        if workers is not None:
-            payload["workers"] = workers
-        return self._request("POST", "/workers", payload)
-
-    def workers(self) -> "list[dict]":
-        """``GET /workers``: the registered fleet (retried)."""
-        return self._get("/workers")["workers"]
 
     def _stream_once(self, job_id: str, skip: int, state=None):
         """One ``GET /jobs/<id>/events`` connection, skipping the

@@ -30,25 +30,12 @@ Endpoints::
     GET    /jobs/<id>/trace  Chrome trace JSON export -> 200 | 404
     DELETE /jobs/<id>        cancel (shard-granular)  -> 200 + record
     GET    /healthz          pool/queue/cache stats,
-                             per-placement detail,
                              metrics snapshot         -> 200
     GET    /metrics          Prometheus text metrics  -> 200
-    POST   /shards           execute one wire shard   -> 200 + outcomes
-    POST   /workers          register a worker daemon -> 201 + detail
-    GET    /workers          registered worker fleet  -> 200
-    GET    /cache/<key>      one cache entry          -> 200 | 404
-    PUT    /cache/<key>      store one cache entry    -> 200
-    GET    /cache/stats      server-side cache stats  -> 200
 
-Every daemon serves every route; the ``--role`` flag only changes the
-wiring around them (see :mod:`repro.service.fleet` and
-``docs/distributed.md``): a **worker** daemon is fed ``POST /shards``
-by a coordinator, a **coordinator** partitions each job's shards
-across its registered workers through a
-:class:`~repro.service.fleet.FleetPlacement`, and a **standalone**
-daemon is simply a coordinator nobody registered workers with -- its
-fleet degrades to the local pool, bit-identically to the historical
-single-host behaviour.
+Every job prepares and streams on the one shared scheduler, so a
+report served here is byte-identical to a direct
+:func:`~repro.mutation.run_campaign` of the same campaign.
 
 Cancellation maps onto the scheduler's abort machinery: the job's
 abort predicate (:class:`_JobAbort`) reports triggered once the cancel
@@ -75,12 +62,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.faults import fault_point, get_fault_plan
 from repro.mutation import CampaignScheduler, prepare_campaign
-from repro.mutation.placement import PlacementLostError
 from repro.mutation.scheduler import stream_shard_batches
 from repro.obs import REGISTRY, TRACER, trace_span
 
 from . import api
-from .fleet import FleetPlacement, RemoteWorkerPlacement, WorkerCore
 from .jobs import JobRecord, JobSpec, JobStore, new_job_id
 
 __all__ = ["CampaignService", "ServiceServer"]
@@ -146,10 +131,6 @@ class CampaignService:
         state_dir=None,
         cache=None,
         flows: "dict | None" = None,
-        role: str = "standalone",
-        identity: "str | None" = None,
-        heartbeat_interval: "float | None" = 5.0,
-        stall_timeout: "float | None" = None,
         trace: bool = False,
     ) -> None:
         if max_jobs < 1:
@@ -159,8 +140,6 @@ class CampaignService:
             # under its own trace context, exported per job via
             # ``GET /jobs/<id>/trace`` (``repro trace``).
             TRACER.enable()
-        if role not in ("standalone", "coordinator", "worker"):
-            raise ValueError(f"unknown service role {role!r}")
         # Job threads trigger the lazy pool creation, and forking a
         # multi-threaded process can deadlock the children on locks
         # snapshotted mid-hold -- use a fork+exec start method
@@ -172,29 +151,7 @@ class CampaignService:
         self.scheduler = CampaignScheduler(
             workers=workers, mp_context=mp_context
         )
-        self.role = role
         self.cache = cache
-        #: Worker face: any daemon can execute wire shards
-        #: (``POST /shards``) on its local scheduler, replaying /
-        #: writing back through its cache.
-        self.worker = WorkerCore(
-            self.scheduler, cache=cache, identity=identity
-        )
-        #: Coordinator face: the placement every job streams on.  With
-        #: no registered workers it degrades to the local scheduler
-        #: alone -- the historical single-host behaviour, bit-for-bit.
-        self.fleet = FleetPlacement(
-            local=self.scheduler, cache=cache,
-            heartbeat_interval=heartbeat_interval,
-            stall_timeout=stall_timeout,
-        )
-        #: Wire shards block a thread each while their shard runs on
-        #: the local scheduler; size the pool past the scheduler width
-        #: so a coordinator can keep every local slot fed.
-        self._shard_executor = ThreadPoolExecutor(
-            max_workers=max(4, 2 * workers),
-            thread_name_prefix="repro-shard",
-        )
         self.store = JobStore(state_dir)
         self.max_jobs = max_jobs
         self._jobs: "dict[str, JobRecord]" = {}
@@ -353,32 +310,19 @@ class CampaignService:
         if queue in queues:
             queues.remove(queue)
 
-    def register_worker(self, host: str, port: int,
-                        workers: "int | None" = None) -> dict:
-        """Register one worker daemon with the fleet (``POST
-        /workers`` / ``repro serve --worker``).  Probes the daemon's
-        ``/healthz`` for capacity and identity -- **blocking**, so the
-        HTTP handler calls this on an executor thread.  Registering an
-        address twice replaces the old proxy (a restarted worker
-        re-registers cleanly)."""
-        if self._closed:
-            raise RuntimeError("service is shutting down")
-        placement = RemoteWorkerPlacement(host, port, workers=workers)
-        self.fleet.add(placement)
-        return placement.describe()
-
-    def refresh_gauges(self) -> None:
+    def refresh_gauges(self) -> dict:
         """Bring the registry's gauge series up to date (called at
         every ``/healthz`` and ``/metrics`` scrape -- gauges describe
-        *now*, unlike the monotonic counters)."""
+        *now*, unlike the monotonic counters).  Returns the
+        scheduler's :meth:`~repro.mutation.CampaignScheduler.describe`
+        snapshot the gauges were read from."""
         REGISTRY.set_gauge(
             "repro_uptime_seconds",
             round(time.time() - self._started_at, 3),
         )
-        described = self.scheduler.describe()
-        REGISTRY.set_gauge(
-            "repro_inflight_shards", described.get("in_flight", 0)
-        )
+        pool = self.scheduler.describe()
+        REGISTRY.set_gauge("repro_inflight_shards", pool["in_flight"])
+        return pool
 
     def health(self, cache_stats: "dict | None" = None) -> dict:
         """``GET /healthz``: pool, queue and cache statistics.
@@ -389,38 +333,27 @@ class CampaignService:
         executor thread rather than on the event loop (a big shared
         cache must not stall every stream for the duration of the
         walk)."""
-        self.refresh_gauges()
+        pool = self.refresh_gauges()
         counts = {status: 0 for status in
                   ("queued", "running", "done", "aborted", "failed")}
         for record in self._jobs.values():
             counts[record.status] = counts.get(record.status, 0) + 1
         return {
             "status": "ok",
-            "role": self.role,
             "uptime_s": time.time() - self._started_at,
-            "pool": {
-                "workers": self.scheduler.workers,
-                "live": self.scheduler._pool is not None,
-                "max_jobs": self.max_jobs,
-            },
-            # Per-placement detail: the local pool first, then every
-            # registered worker (identity, liveness, in-flight shards,
-            # queue depth) -- the top-level fields above stay for
-            # compatibility with pre-fleet clients.
-            "placements": self.fleet.describe(),
-            "fleet": self.fleet.stats(),
-            "worker": self.worker.describe(),
+            # The shared scheduler: width, whether the process pool
+            # exists yet, in-flight and finished shards, and its
+            # self-healing counters (pool rebuilds, shard isolations).
+            "pool": {**pool, "max_jobs": self.max_jobs},
             "jobs": {"total": len(self._jobs), **counts},
             "flows_cached": len(self._flows),
             "state_dir": self.store.root,
             "cache": cache_stats,
             # Compact observability snapshot: the process-local
-            # registry plus per-worker throughput rows (shards/sec,
-            # in-flight, cache hit ratio) -- the data behind
-            # ``repro top`` and ``repro status --server``.
+            # registry -- the data behind ``repro top`` and
+            # ``repro status --server``.
             "metrics": {
                 "local": REGISTRY.snapshot(),
-                "workers": self.fleet.worker_metrics(),
                 "tracing": TRACER.enabled,
             },
         }
@@ -506,7 +439,7 @@ class CampaignService:
         try:
             spec = record.spec
             # Every span (and the shard spans absorbed back from the
-            # fleet) carries ``job=<id>``, so ``GET /jobs/<id>/trace``
+            # pool) carries ``job=<id>``, so ``GET /jobs/<id>/trace``
             # can export exactly this job's slice of the trace.
             with TRACER.context(job=job_id), trace_span(
                 "job.run", ip=spec.ip, sensor=spec.sensor,
@@ -517,12 +450,6 @@ class CampaignService:
                     spec.cycles or ip_spec.mutation_cycles
                 )
                 started = time.perf_counter()
-                # Jobs stream on the fleet placement: with no
-                # registered workers it is exactly the local
-                # scheduler; with workers it partitions the shard
-                # stream across the whole fleet (least-loaded
-                # dispatch, failure re-dispatch) -- and the report is
-                # byte-identical either way.
                 prepared = prepare_campaign(
                     flow.tlm_optimized,
                     flow.injected,
@@ -530,7 +457,7 @@ class CampaignService:
                     ip_name=spec.ip,
                     sensor_type=spec.sensor,
                     recovery=spec.recovery,
-                    workers=self.fleet.workers,
+                    workers=self.scheduler.workers,
                     shard_size=spec.shard_size,
                     cache=self.cache,
                 )
@@ -538,7 +465,8 @@ class CampaignService:
                 outcomes: "list" = []
                 obs_counters: "dict[str, int]" = {}
                 for batch, snapshot in stream_shard_batches(
-                    self.fleet, prepared, abort=abort, cache=self.cache,
+                    self.scheduler, prepared, abort=abort,
+                    cache=self.cache,
                 ):
                     outcomes.extend(batch)
                     payload = getattr(batch, "obs", None) or {}
@@ -608,13 +536,10 @@ class CampaignService:
         be called while the event loop still runs (job threads flush
         their final events through it)."""
         self._closed = True
-        self.worker.hang_release.set()
         for cancel in self._cancels.values():
             cancel.set()
         _wake_holds()
         self._executor.shutdown(wait=True, cancel_futures=True)
-        self._shard_executor.shutdown(wait=True, cancel_futures=True)
-        self.fleet.shutdown(wait=False)
         self.scheduler.shutdown()
 
 
@@ -630,13 +555,6 @@ def _wake_holds() -> None:
 # ---------------------------------------------------------------------------
 
 _MAX_BODY = 1 << 20  # 1 MiB: job specs are tiny; refuse anything wild.
-
-#: Shard payloads carry a generated model source plus a full golden
-#: trace, and cache entries can too (golden-trace entries) -- those
-#: routes get a larger, still-bounded budget.
-_MAX_LARGE_BODY = 64 << 20
-
-_LARGE_BODY_PREFIXES = ("/shards", "/cache/")
 
 
 def _json_bytes(payload) -> bytes:
@@ -665,10 +583,6 @@ class ServiceServer:
         self._server = None
         self._ready = threading.Event()
         self._startup_error: "BaseException | None" = None
-        #: Open connections, tracked so :meth:`kill` can abort them
-        #: (loop-thread only -- no lock).
-        self._writers: "set[asyncio.StreamWriter]" = set()
-        self._killed = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -721,45 +635,12 @@ class ServiceServer:
         runs, so final events and job records flush), then stop the
         loop and join the thread."""
         if self._thread is None:
-            if self._killed:
-                # The HTTP layer died by kill(); reap the execution
-                # core so pools and executors do not leak.
-                self._killed = False
-                self.service.close()
             return
         self.service.close()
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=30)
         self._thread = None
-
-    def kill(self) -> None:
-        """Simulate a crash (the in-process stand-in for ``kill -9``
-        of a worker daemon): abort every open connection -- peers see
-        an immediate connection reset, not a request that hangs until
-        timeout -- close the listening socket and stop the loop.
-        Nothing drains and no goodbye events flush.  The execution
-        core is deliberately left running, like a SIGKILL would leave
-        a half-finished shard's child processes; call :meth:`stop` (or
-        ``service.close()``) afterwards to reap it."""
-        if self._thread is None:
-            return
-        loop = self._loop
-
-        def _slam() -> None:
-            for writer in list(self._writers):
-                transport = writer.transport
-                if transport is not None:
-                    transport.abort()
-            if self._server is not None:
-                self._server.close()
-            loop.stop()
-
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(_slam)
-        self._thread.join(timeout=30)
-        self._thread = None
-        self._killed = True
 
     def __enter__(self) -> "ServiceServer":
         self.start()
@@ -772,7 +653,6 @@ class ServiceServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
         try:
             request = await self._read_request(reader)
             if request is None:
@@ -791,7 +671,6 @@ class ServiceServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
         finally:
-            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -815,12 +694,8 @@ class ServiceServer:
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         path = target.split("?", 1)[0]
-        limit = (
-            _MAX_LARGE_BODY
-            if path.startswith(_LARGE_BODY_PREFIXES) else _MAX_BODY
-        )
         length = int(headers.get("content-length") or 0)
-        if length > limit:
+        if length > _MAX_BODY:
             raise ValueError("request body too large")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, body
@@ -830,8 +705,7 @@ class ServiceServer:
         body = _json_bytes(payload) + b"\n"
         reason = {200: "OK", 201: "Created", 400: "Bad Request",
                   404: "Not Found", 405: "Method Not Allowed",
-                  500: "Internal Server Error",
-                  502: "Bad Gateway"}.get(code, "OK")
+                  500: "Internal Server Error"}.get(code, "OK")
         writer.write(
             f"HTTP/1.1 {code} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -873,112 +747,6 @@ class ServiceServer:
                     .run_in_executor(None, service.cache.stats)
             await self._respond(writer, 200,
                                 service.health(cache_stats))
-            return
-        if path == "/shards" and method == "POST":
-            # Worker face: execute one wire shard on the local
-            # scheduler.  The executor thread blocks for the shard's
-            # whole runtime; the loop stays free for streams.
-            try:
-                payload = json.loads(body or b"{}")
-                if not isinstance(payload, dict):
-                    raise ValueError("shard payload must be a JSON object")
-                result = await asyncio.get_running_loop().run_in_executor(
-                    service._shard_executor,
-                    service.worker.run_shard_payload,
-                    payload,
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                await self._respond(writer, 400, {
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
-                return
-            await self._respond(writer, 200, result)
-            return
-        if path == "/workers":
-            if method == "POST":
-                try:
-                    payload = json.loads(body or b"{}")
-                    host = payload["host"]
-                    port = int(payload["port"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    await self._respond(writer, 400, {
-                        "error": "worker registration needs "
-                                 f"'host' and 'port' ({exc})",
-                    })
-                    return
-                try:
-                    # The registration probe is a blocking HTTP call
-                    # to the candidate worker -- off the loop.
-                    detail = await asyncio.get_running_loop() \
-                        .run_in_executor(None, functools.partial(
-                            service.register_worker, host, port,
-                            payload.get("workers"),
-                        ))
-                except PlacementLostError as exc:
-                    await self._respond(writer, 502,
-                                        {"error": str(exc)})
-                    return
-                await self._respond(writer, 201, detail)
-            elif method == "GET":
-                await self._respond(writer, 200, {
-                    "workers": [
-                        m.describe() for m in service.fleet.members
-                    ],
-                })
-            else:
-                await self._respond(writer, 405,
-                                    {"error": f"{method} not allowed"})
-            return
-        if path == "/cache/stats" and method == "GET":
-            if service.cache is None:
-                await self._respond(writer, 404,
-                                    {"error": "no cache configured"})
-                return
-            stats = await asyncio.get_running_loop().run_in_executor(
-                None, service.cache.stats
-            )
-            await self._respond(writer, 200, stats)
-            return
-        if path.startswith("/cache/"):
-            # Shared-cache face: serve the coordinator's store to the
-            # whole fleet (see repro.service.remote_cache).
-            key = path[len("/cache/"):]
-            if service.cache is None:
-                await self._respond(writer, 404,
-                                    {"error": "no cache configured"})
-                return
-            if not key or "/" in key:
-                await self._respond(writer, 400,
-                                    {"error": f"bad cache key {key!r}"})
-                return
-            loop = asyncio.get_running_loop()
-            if method == "GET":
-                payload = await loop.run_in_executor(
-                    None, service.cache.get, key
-                )
-                if payload is None:
-                    await self._respond(writer, 404,
-                                        {"error": f"no entry {key}"})
-                else:
-                    await self._respond(writer, 200, payload)
-            elif method == "PUT":
-                try:
-                    payload = json.loads(body or b"null")
-                    if not isinstance(payload, dict):
-                        raise ValueError(
-                            "cache entry must be a JSON object"
-                        )
-                except ValueError as exc:
-                    await self._respond(writer, 400,
-                                        {"error": str(exc)})
-                    return
-                await loop.run_in_executor(
-                    None, service.cache.put, key, payload
-                )
-                await self._respond(writer, 200, {"stored": key})
-            else:
-                await self._respond(writer, 405,
-                                    {"error": f"{method} not allowed"})
             return
         if path == "/jobs":
             if method == "POST":

@@ -458,7 +458,7 @@ class TestForkIsolation:
 
 
 # ----------------------------------------------------------------------
-# Interplay: pruning, fault plans, the shard wire codec
+# Interplay: pruning and fault plans
 # ----------------------------------------------------------------------
 
 class TestInterplay:
@@ -522,41 +522,6 @@ class TestInterplay:
                     shard_size=3, scheduler=scheduler,
                 )
         assert_matches_oracle(report, oracle)
-
-    def test_shard_codec_round_trips_batching_fields(self):
-        """The wire carries no batching knob any more: every shard is
-        one batched sweep, so the decoded shard equals the original
-        field for field and runs to the same outcomes."""
-        from repro.service.api import decode_shard, encode_shard
-
-        golden, injected, stim = synthetic_campaign("razor")
-        prepared = prepare_campaign(
-            golden, injected, stim, sensor_type="razor", shard_size=2
-        )
-        (shard, *_) = prepared.shards
-        payload = encode_shard(shard)
-        assert "exec_strategy" not in payload
-        assert "batch_size" not in payload
-        decoded = decode_shard(payload)
-        assert decoded == shard
-        assert decoded.run() == shard.run()
-
-    def test_decode_shard_ignores_retired_batching_fields(self):
-        """Payloads from coordinators that still send the retired
-        ``exec_strategy`` / ``batch_size`` fields decode to the one
-        batched shard."""
-        from repro.service.api import decode_shard, encode_shard
-
-        golden, injected, stim = synthetic_campaign("razor")
-        prepared = prepare_campaign(
-            golden, injected, stim, sensor_type="razor"
-        )
-        (shard,) = prepared.shards
-        payload = encode_shard(shard)
-        payload.update(exec_strategy="serial", batch_size=None)
-        decoded = decode_shard(payload)
-        assert decoded == shard
-        assert decoded.run() == shard.run()
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ Two halves:
 
 The soak tests here run in-process (``allow_exit=False`` plans);
 ``benchmarks/chaos_soak.py`` drives the same property against a real
-coordinator + worker-daemon fleet for the CI ``chaos`` job.
+``repro serve`` daemon -- crash, restart and warm resume included --
+for the CI ``chaos`` job.
 """
 
 import os
@@ -31,20 +32,8 @@ from repro.faults import (
 )
 from repro.flow import run_flow
 from repro.ips import case_study
-from repro.mutation import (
-    CampaignScheduler,
-    ResultCache,
-    run_campaign,
-)
-from repro.mutation.campaign import prepare_campaign
-from repro.mutation.scheduler import stream_shard_batches
-from repro.service import (
-    CampaignService,
-    FleetPlacement,
-    RemoteWorkerPlacement,
-    ServiceClient,
-    ServiceServer,
-)
+from repro.mutation import ResultCache, run_campaign
+from repro.service import CampaignService, ServiceClient, ServiceServer
 
 REDUCED_CYCLES = 24
 
@@ -158,8 +147,7 @@ class TestFaultPlanDecisions:
 
     def test_known_sites_is_the_documented_set(self):
         assert set(KNOWN_SITES) == {
-            "pool.break_worker", "net.drop.post_shards",
-            "worker.hang", "cache.corrupt_entry",
+            "pool.break_worker", "cache.corrupt_entry",
             "server.crash.mid_job", "job.hold",
         }
 
@@ -213,7 +201,7 @@ class TestAmbientActivation:
 
     def test_env_var_installs_a_plan_lazily(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN",
-                           "seed=5;worker.hang=1;hang=0.1")
+                           "seed=5;job.hold=1;hang=0.1")
         previous = faults.set_fault_plan(None)
         faults._env_checked = False  # simulate a fresh process
         try:
@@ -255,42 +243,6 @@ class TestChaosSoak:
         assert warm.outcomes == dsp_baseline.outcomes
         assert cache.stats()["corrupt_quarantined"] > 0
 
-    def test_fleet_drops_heal_to_identical_report(
-            self, dsp_flow, dsp_baseline):
-        """net.drop.post_shards against a coordinator fleet (one
-        worker daemon + the local pool): the dropped POST marks the
-        member lost and the shard re-dispatches to a survivor."""
-        plan = FaultPlan.from_spec("seed=4;net.drop.post_shards=1")
-        service = CampaignService(workers=1, role="worker")
-        with ServiceServer(service) as worker:
-            host, port = worker.address
-            with CampaignScheduler(workers=1) as local:
-                fleet = FleetPlacement(
-                    [RemoteWorkerPlacement(host, port)], local=local,
-                )
-                try:
-                    stim = case_study("dsp").stimulus(REDUCED_CYCLES)
-                    with active_plan(plan):
-                        prepared = prepare_campaign(
-                            dsp_flow.tlm_optimized, dsp_flow.injected,
-                            stim, ip_name="dsp", sensor_type="razor",
-                            workers=fleet.workers, shard_size=1,
-                        )
-                        outcomes = []
-                        for batch, _snap in stream_shard_batches(
-                                fleet, prepared):
-                            outcomes.extend(batch)
-                    report = prepared.build_report(outcomes)
-                    assert report == dsp_baseline
-                    assert report.outcomes == dsp_baseline.outcomes
-                    # The drop really happened and was healed by
-                    # re-dispatch, not silently skipped.
-                    stats = plan.stats()["sites"]
-                    assert stats["net.drop.post_shards"]["fires"] == 1
-                    assert fleet.stats()["redispatches"] >= 1
-                finally:
-                    fleet.shutdown()
-
     def test_server_crash_in_process_fails_loudly(self, dsp_flow):
         """The OR branch of the property: an unhealable injected fault
         (the job runner itself dies) must fail the job loudly, naming
@@ -311,39 +263,3 @@ class TestChaosSoak:
             assert end["status"] == "failed"
             error = client.job(record["id"])["error"]
             assert "injected fault 'server.crash.mid_job'" in error
-
-    def test_worker_hang_detected_by_stall_supervision(self, dsp_flow,
-                                                       dsp_baseline):
-        """A hung worker answers /healthz but sits on its shard: the
-        opt-in stall detector evicts it and the local pool finishes
-        the campaign with the identical report."""
-        plan = FaultPlan.from_spec("seed=2;worker.hang=1;hang=30")
-        service = CampaignService(workers=1, role="worker")
-        with ServiceServer(service) as worker:
-            host, port = worker.address
-            with CampaignScheduler(workers=1) as local:
-                fleet = FleetPlacement(
-                    [RemoteWorkerPlacement(host, port)], local=local,
-                    heartbeat_interval=0.05, stall_timeout=0.3,
-                )
-                try:
-                    stim = case_study("dsp").stimulus(REDUCED_CYCLES)
-                    with active_plan(plan):
-                        prepared = prepare_campaign(
-                            dsp_flow.tlm_optimized, dsp_flow.injected,
-                            stim, ip_name="dsp", sensor_type="razor",
-                            workers=fleet.workers, shard_size=1,
-                        )
-                        outcomes = []
-                        for batch, _snap in stream_shard_batches(
-                                fleet, prepared):
-                            outcomes.extend(batch)
-                        # Release the hung worker thread before the
-                        # daemon shuts down (close() does this too;
-                        # doing it here keeps teardown instant).
-                        service.worker.hang_release.set()
-                    report = prepared.build_report(outcomes)
-                    assert report == dsp_baseline
-                    assert fleet.stats()["evictions"] >= 1
-                finally:
-                    fleet.shutdown()

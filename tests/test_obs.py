@@ -17,9 +17,11 @@ Acceptance contract:
   drain-loop fix;
 * the metrics registry renders valid Prometheus text with at least
   10 well-known series, and ``GET /metrics`` serves it raw;
-* ``GET /healthz`` carries the compact metrics snapshot (per-worker
-  shards/sec, in-flight, cache hit ratio) behind
-  ``repro status --server`` / ``repro top``;
+* each pool worker process gets its own trace track, and no two
+  ``shard.execute`` spans on one track overlap;
+* ``GET /healthz`` carries the scheduler's pool snapshot and the
+  compact metrics snapshot behind ``repro status --server`` /
+  ``repro top``;
 * ``/events`` progress events stay monotonic under batched sweeps
   and every mutant -- early-killed included -- is counted exactly
   once (the stream is attached while the job is parked at its
@@ -31,6 +33,7 @@ Acceptance contract:
 
 import http.client
 import json
+import multiprocessing
 from concurrent.futures import Future
 
 import pytest
@@ -38,7 +41,7 @@ import pytest
 from repro.faults import FaultPlan, active_plan
 from repro.flow import run_flow
 from repro.ips import case_study
-from repro.mutation import run_campaign
+from repro.mutation import CampaignScheduler, run_campaign
 from repro.obs import (
     REGISTRY,
     TRACER,
@@ -404,6 +407,61 @@ class TestTracingFieldIdentity:
         assert counters["shards"] >= 1
 
 
+class _Rendezvous:
+    """Runs the wrapped shard once its partner has started too: both
+    wait on one barrier, so they execute on two pool processes."""
+
+    def __init__(self, shard, barrier) -> None:
+        self.shard = shard
+        self.barrier = barrier
+
+    def run(self):
+        self.barrier.wait(timeout=60)
+        return self.shard.run()
+
+
+class _PairedScheduler(CampaignScheduler):
+    """A 2-worker scheduler whose first two shards rendezvous, so both
+    pool workers deterministically run at least one shard."""
+
+    def __init__(self, barrier) -> None:
+        super().__init__(2)
+        self._barrier = barrier
+        self._paired = 0
+
+    def submit(self, shard):
+        if self._paired < 2:
+            self._paired += 1
+            shard = _Rendezvous(shard, self._barrier)
+        return super().submit(shard)
+
+
+class TestWorkerTracks:
+    def test_each_pool_worker_gets_its_own_track(self, flow, oracle):
+        TRACER.enable()
+        with multiprocessing.Manager() as manager, \
+                _PairedScheduler(manager.Barrier(2)) as scheduler:
+            report = _campaign(flow, scheduler=scheduler, shard_size=9)
+        assert_matches_oracle(report, oracle)
+        events = TRACER.chrome_trace()["traceEvents"]
+        names = {e["pid"]: e["args"]["name"]
+                 for e in events if e["ph"] == "M"}
+        tracks: "dict[int, list]" = {}
+        for e in events:
+            if e["name"] == "shard.execute":
+                tracks.setdefault(e["pid"], []).append(
+                    (e["ts"], e["ts"] + e["dur"])
+                )
+        assert sum(map(len, tracks.values())) == 6
+        assert len(tracks) >= 2
+        assert all(names[pid].startswith("repro worker pool/")
+                   for pid in tracks)
+        for spans in tracks.values():
+            spans.sort()
+            for (_, end), (start, _) in zip(spans, spans[1:]):
+                assert start >= end
+
+
 # ----------------------------------------------------------------------
 # Service endpoints
 # ----------------------------------------------------------------------
@@ -464,13 +522,16 @@ class TestServiceMetricsEndpoints:
             assert metrics["tracing"] is False
             counters = metrics["local"]["counters"]
             assert counters["repro_shards_executed_total"] >= 1
-            # Per-worker rows: the local pool row is always present.
-            workers = metrics["workers"]
-            assert workers and workers[0]["kind"] == "local"
-            row = workers[0]
-            assert set(row) >= {"identity", "alive", "in_flight",
-                                "shards_done", "shards_per_s",
-                                "cache_hit_ratio"}
+            assert set(metrics) == {"local", "tracing"}
+            # The pool block is the shared scheduler's own snapshot.
+            pool = health["pool"]
+            assert pool == {**server.service.scheduler.describe(),
+                            "max_jobs": 4}
+            assert pool["shards_done"] == \
+                counters["repro_shards_executed_total"]
+            assert pool["in_flight"] == 0
+            assert pool["pool_rebuilds"] == 0
+            assert pool["shard_isolations"] == 0
 
 
 class TestBatchedProgressEvents:

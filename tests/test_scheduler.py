@@ -5,13 +5,15 @@ exactly once; the merged report field-identical to the blocking
 ``run_campaign`` for several ``workers`` / ``shard_size`` combinations
 on all three case-study IPs and both sensor types), persistent-pool
 reuse across campaigns, cross-IP suite batching, early-abort policies
-(submission stops), and regressions for the three accounting/monitor
+(submission stops), pool self-healing and the drain of cancelled
+supervised futures, and regressions for the three accounting/monitor
 bugfixes: timed-out runs excluded from the mutation score, the lazy
 Counter tap-order probe, and per-lane ``meas_val`` histograms.
 """
 
 import os
 import signal
+from concurrent.futures import wait
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.mutation import (
     CampaignScheduler,
     MutantOutcome,
     MutationReport,
+    SupervisedFuture,
     iter_campaign,
     prepare_campaign,
     run_benchmark_suite,
@@ -175,6 +178,30 @@ class TestPersistentScheduler:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             CampaignScheduler(workers=0)
+
+    def test_describe_reports_counters(self, flows):
+        # The /healthz pool block: in-flight and finished shards plus
+        # the self-healing counters.
+        flow = flows("dsp", "razor")
+        stim = case_study("dsp").stimulus(REDUCED_CYCLES)
+        prepared = prepare_campaign(
+            flow.tlm_optimized, flow.injected, stim,
+            ip_name="dsp", sensor_type="razor", shard_size=4,
+        )
+        with CampaignScheduler(workers=1) as scheduler:
+            before = scheduler.describe()
+            assert before == {
+                "workers": 1, "live": False, "in_flight": 0,
+                "shards_done": 0, "pool_rebuilds": 0,
+                "shard_isolations": 0,
+            }
+            for shard in prepared.shards:
+                scheduler.submit(shard).result()
+            after = scheduler.describe()
+            assert after["shards_done"] == len(prepared.shards)
+            assert after["in_flight"] == 0
+            # workers=1 runs inline: no process pool is ever built.
+            assert after["live"] is False
 
     def test_run_campaign_workers_zero_still_runs_inline(self, flows):
         # Historical behaviour: workers <= 1 meant "inline", it never
@@ -712,3 +739,54 @@ class TestPoolSelfHealing:
             assert scheduler.submit(_HonestShard()).result(
                 timeout=120) == ["ok"]
             assert scheduler.describe()["pool_rebuilds"] >= 2
+
+
+# ----------------------------------------------------------------------
+# Self-acknowledging cancellation of supervised futures (PR 7)
+# ----------------------------------------------------------------------
+
+class TestSupervisedFuture:
+    def test_cancelled_future_is_done_for_wait(self):
+        # A plain Future cancelled without an executor stays CANCELLED
+        # (never CANCELLED_AND_NOTIFIED), so wait() would block
+        # forever on it: exactly the cancel-then-drain wedge that hung
+        # run_benchmark_suite's abandon path.  SupervisedFuture
+        # acknowledges its own cancellation.
+        future = SupervisedFuture()
+        assert future.cancel()
+        done, not_done = wait({future}, timeout=1)
+        assert done == {future}
+        assert not not_done
+        assert future.cancelled()
+
+    def test_double_cancel_is_idempotent(self):
+        future = SupervisedFuture()
+        assert future.cancel()
+        assert future.cancel()
+        done, _ = wait({future}, timeout=1)
+        assert done == {future}
+
+    def test_settled_future_refuses_cancel(self):
+        future = SupervisedFuture()
+        future.set_result(["ok"])
+        assert not future.cancel()
+        assert future.result() == ["ok"]
+
+    def test_scheduler_outer_futures_drain_after_cancel(self, flows):
+        # End-to-end shape of the wedge: cancel every in-flight outer
+        # future, then wait() on them -- must return promptly whether
+        # each cancel won or lost the race with shard completion.
+        flow = flows("dsp", "razor")
+        stim = case_study("dsp").stimulus(REDUCED_CYCLES)
+        prepared = prepare_campaign(
+            flow.tlm_optimized, flow.injected, stim,
+            ip_name="dsp", sensor_type="razor",
+            workers=2, shard_size=1,
+        )
+        with CampaignScheduler(workers=2) as scheduler:
+            futures = [scheduler.submit(s) for s in prepared.shards[:4]]
+            for future in futures:
+                future.cancel()
+            done, not_done = wait(set(futures), timeout=60)
+            assert not not_done
+            assert done == set(futures)

@@ -1,5 +1,5 @@
 """Campaign service tests: wire format, concurrency, cancellation,
-restart recovery.
+restart recovery, client retries and the daemon's status view.
 
 The service's acceptance contract (PR 5):
 
@@ -14,7 +14,12 @@ The service's acceptance contract (PR 5):
   finished job's report; jobs interrupted *running* are re-queued and
   resumed warm through the shared result cache (PR 7), failing loudly
   only once the restart budget is exhausted -- never silently
-  vanishing.
+  vanishing;
+* ``ServiceClient`` retries idempotent GETs and a submit carrying its
+  idempotency key with capped backoff, and reassembles a dropped event
+  stream so every shard outcome arrives exactly once;
+* ``repro status --server`` and ``repro top`` render the one shared
+  pool from ``/healthz``.
 
 Tests that must observe a job's live stream, or cancel it at a given
 point, do not race its completion: they install a ``job.hold`` fault
@@ -584,3 +589,188 @@ class TestSubmitIdempotency:
             assert len(client.jobs()) == 2
             for record in (first, second):
                 assert client.watch(record["id"])["status"] == "done"
+
+
+# ----------------------------------------------------------------------
+# Client retry / reconnect policy
+# ----------------------------------------------------------------------
+
+class _FlakyClient(ServiceClient):
+    """A client whose first N requests die with a connection reset;
+    sleeps are recorded instead of slept."""
+
+    def __init__(self, *args, fail_first=0, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fail_first = fail_first
+        self.attempts = 0
+        self.slept = []
+
+    def _sleep(self, seconds):
+        self.slept.append(seconds)
+
+    def _request(self, method, path, payload=None):
+        self.attempts += 1
+        if self.attempts <= self.fail_first:
+            raise ConnectionResetError("scripted reset")
+        return super()._request(method, path, payload)
+
+
+class TestClientRetries:
+    def test_idempotent_get_retries_with_capped_backoff(self, flows):
+        with _server(flows) as server:
+            host, port = server.address
+            client = _FlakyClient(host, port, fail_first=3,
+                                  retries=4, backoff=0.05,
+                                  backoff_cap=0.08)
+            health = client.health()
+            assert health["status"] == "ok"
+            assert client.attempts == 4
+            # Exponential, then capped: 0.05, 0.08, 0.08.
+            assert client.slept == [0.05, 0.08, 0.08]
+
+    def test_get_gives_up_after_the_retry_budget(self):
+        client = _FlakyClient("127.0.0.1", 9, fail_first=99, retries=2)
+        with pytest.raises(ConnectionResetError):
+            client.health()
+        assert client.attempts == 3
+        assert len(client.slept) == 2
+
+    def test_submit_retries_behind_idempotency_key(self, flows):
+        # PR 7: submit joined the retry policy -- safe because the
+        # payload carries a client-generated idempotency key the
+        # server dedups on (TestSubmitIdempotency pins the dedup).
+        with _server(flows) as server:
+            host, port = server.address
+            client = _FlakyClient(host, port, fail_first=1, retries=4,
+                                  timeout=60.0)
+            record = client.submit({"ip": "dsp", "sensor": "razor",
+                                    "cycles": REDUCED_CYCLES})
+            assert client.attempts == 2
+            assert len(client.slept) == 1
+            assert client.watch(record["id"])["status"] == "done"
+
+    def test_service_error_is_never_retried(self, flows):
+        with _server(flows) as server:
+            host, port = server.address
+            client = _FlakyClient(host, port, retries=4)
+            with pytest.raises(ServiceError):
+                client.job("doesnotexist")
+            assert client.attempts == 1
+
+    def test_event_stream_reconnects_without_duplicates(self, flows,
+                                                        baselines):
+        """The stream drops after every event; the client reconnects,
+        the server replays history, and the dedup yields each event
+        exactly once, terminal included."""
+        with _server(flows) as server:
+            client = _client(server, retries=8)
+            client.slept = []
+            client._sleep = client.slept.append
+            record = client.submit({"ip": "dsp", "sensor": "razor",
+                                    "cycles": REDUCED_CYCLES,
+                                    "shard_size": 4})
+            # Run the job to completion first so the reference stream
+            # is stable (a terminal job replays deterministically).
+            reference = [
+                e for e in _client(server).events(record["id"])
+            ]
+            assert reference[-1]["type"] == "end"
+
+            real_stream_once = client._stream_once
+
+            def dropping_stream(job_id, skip, state=None):
+                # Yield exactly one event per connection, then die.
+                for event in real_stream_once(job_id, skip, state):
+                    yield event
+                    if event.get("type") != "end":
+                        raise ConnectionResetError("scripted drop")
+
+            client._stream_once = dropping_stream
+            events = list(client.events(record["id"]))
+            assert events[-1]["type"] == "end"
+            assert decode_report(events[-1]["report"]) == \
+                baselines[("dsp", "razor")]
+
+    def test_live_stream_survives_mid_job_drops(self, flows, baselines):
+        """Reconnect against a *running* job: each connection dies
+        after two events; the reassembled stream still carries every
+        shard outcome exactly once.  The job parks at its start
+        (job.hold) until the dropping stream has read its first event,
+        so the drops land while the job runs."""
+        baseline = baselines[("dsp", "razor")]
+        plan = FaultPlan.from_spec("job.hold=1")
+        with active_plan(plan), _server(flows) as server:
+            client = _client(server, retries=10)
+            client._sleep = lambda seconds: None
+            record = client.submit({"ip": "dsp", "sensor": "razor",
+                                    "cycles": REDUCED_CYCLES,
+                                    "shard_size": 2})
+
+            real_stream_once = client._stream_once
+
+            def dropping_stream(job_id, skip, state=None):
+                for position, event in enumerate(
+                    real_stream_once(job_id, skip, state)
+                ):
+                    yield event
+                    if event.get("type") != "end" and position >= 1:
+                        raise ConnectionResetError("scripted drop")
+
+            client._stream_once = dropping_stream
+            stream = client.events(record["id"])
+            first = next(stream)
+            plan.release("job.hold")
+            events = [first, *stream]
+            assert first["type"] == "status"
+            assert events[-1]["type"] == "end"
+            indices = sorted(
+                o["index"]
+                for e in events if e["type"] == "shard"
+                for o in e["outcomes"]
+            )
+            assert indices == list(range(baseline.total))
+            assert decode_report(events[-1]["report"]) == baseline
+
+    def test_stream_gives_up_after_consecutive_dead_connections(self):
+        client = ServiceClient("127.0.0.1", 9, retries=2)
+        client._sleep = lambda seconds: None
+        with pytest.raises(ServiceError, match="without 'end'"):
+            list(client.events("whatever"))
+
+
+# ----------------------------------------------------------------------
+# CLI surface
+# ----------------------------------------------------------------------
+
+class TestServerStatusCli:
+    def test_status_server_and_top_render_the_pool(self, flows, capsys):
+        from repro.cli import main
+
+        with _server(flows) as server:
+            client = _client(server)
+            record = client.submit({"ip": "dsp", "sensor": "razor",
+                                    "cycles": REDUCED_CYCLES,
+                                    "shard_size": 4})
+            assert client.watch(record["id"])["status"] == "done"
+            pool = client.health()["pool"]
+            host, port = server.address
+            address = ["--host", host, "--port", str(port)]
+            assert main(["status", "--server", *address]) == 0
+            status = capsys.readouterr().out
+            assert main(["top", "--once", *address]) == 0
+            top = capsys.readouterr().out
+        assert pool["shards_done"] >= 1
+        for out in (status, top):
+            rows = dict(
+                (key.strip(), value.strip())
+                for key, value in (
+                    line.split(" : ", 1)
+                    for line in out.splitlines() if " : " in line
+                )
+            )
+            assert rows["pool workers"] == "1"
+            assert rows["shards done"] == str(pool["shards_done"])
+            assert rows["in-flight shards"] == "0"
+            assert rows["pool rebuilds"] == "0"
+            assert rows["shard isolations"] == "0"
+            assert "done=1" in rows["jobs"]
