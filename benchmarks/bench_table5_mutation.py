@@ -102,20 +102,10 @@ def test_rtl_validation_agrees(campaigns, once):
 
         flow = campaigns[("dsp", "razor")]
         spec = case_study("dsp")
-        stimuli = spec.stimulus(spec.mutation_cycles)
-        input_ports = {p.name: p for p in flow.augmented.module.inputs()}
-        recovery = flow.augmented.bank.recovery
-
-        def drive(sim, i):
-            vec = stimuli[i % len(stimuli)]
-            pokes = {input_ports[k]: v for k, v in vec.items()}
-            pokes[recovery] = 0
-            sim.cycle(pokes)
-
         report = validate_at_rtl(
             flow.augmented,
             flow.injected.mutants,
-            drive,
+            stimuli=spec.stimulus(spec.mutation_cycles),
             cycles=spec.mutation_cycles,
             ip_name="dsp",
         )

@@ -101,13 +101,9 @@ def build_augmented(spec: IpSpec, sensor_type: str) -> AugmentationArtifacts:
     """Steps 0-1 of the flow: characterise a fresh IP instance and
     insert sensors at the critical endpoints.
 
-    Deterministic by construction (synthesis, STA, binning and the
-    Counter CPS-bit calibration all derive from the spec alone), so
-    worker processes use it to *reconstruct* an augmented design from
-    just the registry name instead of pickling one -- see
-    :mod:`repro.mutation.rtl_validation`.  :func:`run_flow` builds on
-    exactly this, so the parent's design and a worker's rebuild cannot
-    drift apart.
+    Deterministic by construction: synthesis, STA, binning and the
+    Counter CPS-bit calibration all derive from the spec alone.
+    :func:`run_flow` and ``repro lint --sensor`` build on it.
     """
     module, clk, synth, sta, critical = characterize(spec)
     original_rtl_loc = count_loc(emit_vhdl(module))
@@ -264,8 +260,6 @@ def run_flow(
                 )
 
         if run_rtl_validation:
-            from repro.ips import rebuild_recipe
-
             stimuli = spec.stimulus(rtl_validation_cycles)
             with trace_span("flow.rtl_validation", ip=spec.name):
                 result.rtl_validation = validate_at_rtl(
@@ -274,10 +268,6 @@ def run_flow(
                     stimuli=stimuli,
                     cycles=rtl_validation_cycles,
                     ip_name=spec.name,
-                    # Worker processes rebuild the augmentation from
-                    # the registry; an unregistered ad-hoc spec keeps
-                    # the shards in the parent process.
-                    rebuild=rebuild_recipe(spec),
                     workers=workers,
                     shard_size=shard_size,
                     scheduler=scheduler,

@@ -28,7 +28,7 @@ from .plasma import (
     plasma_stimulus,
 )
 
-__all__ = ["IpSpec", "CASE_STUDIES", "case_study", "rebuild_recipe"]
+__all__ = ["IpSpec", "CASE_STUDIES", "case_study"]
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,3 @@ def case_study(name: str) -> IpSpec:
             f"unknown case study {name!r}; have {sorted(CASE_STUDIES)}"
         ) from None
 
-
-def rebuild_recipe(spec: IpSpec) -> "str | None":
-    """The registry name of ``spec`` iff it *is* the registered case
-    study (identity, not name equality): the eligibility rule for
-    worker processes reconstructing the spec's augmentation from its
-    name alone (see :mod:`repro.mutation.rtl_validation`).  An ad-hoc
-    or modified spec returns ``None``, keeping its shards inline."""
-    return spec.name if CASE_STUDIES.get(spec.name) is spec else None

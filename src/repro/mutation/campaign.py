@@ -109,9 +109,6 @@ class CampaignShard:
     #: enabled.  Pure metadata -- never changes an outcome.
     trace: bool = False
 
-    #: A TLM shard is always safe to pickle to a worker process.
-    inline_only = False
-
     def run(self) -> "list":
         """Evaluate the shard's mutants as one batched sweep (in a
         worker process, or inline for ``workers=1``).  The generated

@@ -111,11 +111,9 @@ class CampaignScheduler:
     streams -- reuses warm worker processes instead of forking a fresh
     pool per campaign.  ``workers=1`` never creates processes: shards
     run inline at submission time, which keeps the single-worker path
-    deterministic and dependency-free.  Shards flagged ``inline_only``
-    (an RTL shard carrying a live
-    :class:`~repro.sensors.insertion.AugmentedIP` or an opaque drive
-    callable, neither of which pickles) execute in the parent process
-    even when a pool exists.
+    deterministic and dependency-free.  With ``workers > 1`` every
+    shard -- TLM or RTL, registered case study or ad-hoc design --
+    is pickled to a worker process.
 
     Every campaign entry point takes ``scheduler=`` by duck type and
     uses three members only:
@@ -196,9 +194,8 @@ class CampaignScheduler:
 
     def submit(self, shard) -> Future:
         """Submit one shard; returns a future of its outcome list.
-        Inline mode (``workers=1``), and any shard flagged
-        ``inline_only``, executes eagerly in the parent and returns an
-        already-resolved future.
+        Inline mode (``workers=1``) executes eagerly in the parent and
+        returns an already-resolved future.
 
         Pool execution is **supervised**: a
         :class:`~concurrent.futures.process.BrokenProcessPool` (a
@@ -211,7 +208,7 @@ class CampaignScheduler:
         with a :class:`PoisonShardError`."""
         if self._closed:
             raise RuntimeError("scheduler has been shut down")
-        if self.workers <= 1 or getattr(shard, "inline_only", False):
+        if self.workers <= 1:
             future: Future = SupervisedFuture()
             try:
                 future.set_result(_run_shard(shard))

@@ -47,10 +47,10 @@ single simulator:
   so its verdict comes from the golden observations without simulating.
 
 Verdicts are field-identical to simulating each mutant on a fresh
-simulator for the full testbench.  The sweep calls the testbench driver
-``drive(sim, i)`` out of order -- cycle ``i`` of the golden runs, then
-of each fork -- so ``drive`` must depend only on ``sim`` and ``i``
-(the canonical stimulus driver and every legacy caller do).
+simulator for the full testbench.  The sweep drives the testbench out
+of order -- cycle ``i`` of the golden runs, then of each fork -- which
+is exact because the canonical driver (:func:`_stimulus_driver`)
+depends only on the simulator and the cycle index.
 
 Execution model
 ---------------
@@ -59,29 +59,18 @@ by the same :class:`~repro.mutation.scheduler.CampaignScheduler` pool
 as the TLM campaign shards: mixed TLM-campaign + RTL-validation suites
 interleave on one executor
 (:func:`repro.mutation.scheduler.run_benchmark_suite` with
-``rtl_validation=True``).
-
-An :class:`~repro.sensors.insertion.AugmentedIP` holds native sensor
-processes (local closures) and therefore does not pickle, so a shard
-ships one of two payloads:
-
-* a **rebuild recipe** -- the registry name of the IP plus the sensor
-  type; each worker process reconstructs the augmented design once
-  via :func:`repro.flow.pipeline.build_augmented` (memoised per
-  process, deterministic by construction) and serves every subsequent
-  shard of that campaign from the memo;
-* the **live object** -- when the caller validates an ad-hoc augmented
-  design (no registry entry) or passes an opaque ``drive`` callable,
-  the shard is flagged ``inline_only`` and executes in the parent
-  process even on a multi-worker pool.
+``rtl_validation=True``).  Each shard carries the
+:class:`~repro.sensors.insertion.AugmentedIP` under validation itself
+-- its sensor banks' native processes are module-level callables
+holding their taps as data, so the design pickles -- and a worker
+process simulates exactly the design the caller passed, registered
+case study or not.
 
 Results are cached in the same
 :class:`~repro.mutation.cache.ResultCache` as the TLM campaign
 verdicts, keyed by :func:`repro.mutation.cache.rtl_entry_key`
 (structural RTL fingerprint, stimuli hash, cycle count, recovery
-value, mutant spec); caching needs the declarative ``stimuli`` form --
-an opaque ``drive`` callable cannot be fingerprinted and bypasses the
-cache.
+value, mutant spec).
 """
 
 from __future__ import annotations
@@ -183,10 +172,10 @@ def _rtl_delay_for(spec: MutantSpec, augmented: AugmentedIP) -> int:
 
 def _stimulus_driver(augmented: AugmentedIP, stimuli,
                      recovery_value: int = 0):
-    """The canonical testbench driver: poke the cycle's input vector
-    (plus the Razor recovery enable) and advance one clock.  Built
-    identically in the parent and in worker processes, so declarative
-    ``stimuli`` validation is location-independent."""
+    """The testbench driver ``drive(sim, i)``: poke input vector
+    ``stimuli[i % len(stimuli)]`` (plus the Razor recovery enable) and
+    advance one clock.  It depends only on ``sim`` and ``i``, as the
+    forked sweep's out-of-order cycles require."""
     input_ports = {p.name: p for p in augmented.module.inputs()}
     extra = {}
     if augmented.sensor_type == "razor" and \
@@ -325,62 +314,25 @@ def _forked_sweep(augmented: AugmentedIP, indices, specs, drive,
     ]
 
 
-#: Per-process memo of rebuilt augmented designs, keyed by the
-#: ``(ip_name, sensor_type)`` recipe: every shard of the same
-#: validation campaign served by one worker reuses one rebuild.
-_REBUILT_AUGMENTED: "dict[tuple, AugmentedIP]" = {}
-
-
-def _rebuilt_augmented(recipe: "tuple[str, str]") -> AugmentedIP:
-    augmented = _REBUILT_AUGMENTED.get(recipe)
-    if augmented is None:
-        # Function-level import: repro.flow imports repro.mutation, so
-        # the reverse edge must stay out of module import time.
-        from repro.flow.pipeline import build_augmented
-        from repro.ips import case_study
-
-        ip_name, sensor_type = recipe
-        augmented = build_augmented(case_study(ip_name), sensor_type).augmented
-        _REBUILT_AUGMENTED[recipe] = augmented
-    return augmented
-
-
 @dataclass(frozen=True)
 class RtlValidationShard:
-    """One schedulable batch of RTL-validation mutants.
-
-    Picklable when it carries a ``rebuild`` recipe (registry IP name +
-    sensor type); otherwise it holds the live ``augmented`` object /
-    ``drive`` callable and is flagged ``inline_only`` so the scheduler
-    executes it in the parent process.
-    """
+    """One schedulable batch of RTL-validation mutants, with everything
+    a worker process needs to reproduce them: the augmented design
+    itself and the declarative testbench."""
 
     indices: "tuple[int, ...]"
     specs: "tuple[MutantSpec, ...]"           # aligned with ``indices``
     cycles: int
     recovery_value: int
-    stimuli: "tuple[dict, ...] | None"        # None -> ``drive`` carried
-    rebuild: "tuple[str, str] | None"         # (ip registry name, sensor)
-    augmented: "AugmentedIP | None" = None
-    drive: "object | None" = None
-
-    @property
-    def inline_only(self) -> bool:
-        # An opaque drive callable never leaves the parent, even when a
-        # rebuild recipe would make the rest of the payload picklable.
-        return self.rebuild is None or self.drive is not None
+    stimuli: "tuple[dict, ...]"
+    augmented: AugmentedIP
 
     def run(self) -> "list[RtlMutantOutcome]":
-        augmented = self.augmented
-        if augmented is None:
-            augmented = _rebuilt_augmented(self.rebuild)
-        drive = self.drive
-        if drive is None:
-            drive = _stimulus_driver(
-                augmented, list(self.stimuli), self.recovery_value
-            )
+        drive = _stimulus_driver(
+            self.augmented, self.stimuli, self.recovery_value
+        )
         return _forked_sweep(
-            augmented, self.indices, self.specs, drive, self.cycles
+            self.augmented, self.indices, self.specs, drive, self.cycles
         )
 
 
@@ -425,43 +377,29 @@ def prepare_rtl_validation(
     augmented: AugmentedIP,
     mutants: "list[MutantSpec]",
     *,
-    stimuli=None,
-    drive=None,
+    stimuli,
     cycles: int = 24,
     ip_name: str = "ip",
     recovery_value: int = 0,
-    rebuild: "str | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
     cache=None,
 ) -> PreparedRtlValidation:
     """Lower an RTL validation to schedulable shards.
 
-    Exactly one of ``stimuli`` (declarative per-cycle input vectors --
-    shardable across processes and cacheable) or ``drive`` (an opaque
-    ``drive(sim, cycle_index)`` callable -- inline-only, cache
-    bypassed) must be given.  ``rebuild`` names a registered case
-    study whose augmentation the workers reconstruct instead of
-    pickling ``augmented``; without it, shards carry the live object
-    and execute in the parent.
-
-    Contract: when ``rebuild`` is set, ``augmented`` must be *exactly*
-    the registry build of that IP (derive the name via
-    :func:`repro.ips.rebuild_recipe`, which identity-checks the spec,
-    as :func:`repro.flow.run_flow` and the suite do).  Passing a
-    modified design with ``rebuild`` set makes pool workers simulate
-    the registry design while inline shards simulate yours -- a report
-    mixing two designs, cached under the wrong fingerprint.
+    Each shard carries ``augmented`` and the declarative per-cycle
+    ``stimuli``, so it runs the same in the parent and in a worker
+    process; cache misses become shards, hits replay from ``cache``
+    (see :func:`validate_at_rtl` for the arguments).
     """
-    if (stimuli is None) == (drive is None):
-        raise ValueError("pass exactly one of stimuli= or drive=")
     specs = tuple(mutants)
+    stimuli = tuple(stimuli)
 
     cached_outcomes: "list[RtlMutantOutcome]" = []
     cache_keys = None
     hits = misses = None
     miss_indices = list(range(len(specs)))
-    if cache is not None and stimuli is not None:
+    if cache is not None:
         from .cache import (
             decode_rtl_outcome,
             rtl_entry_key,
@@ -481,26 +419,14 @@ def prepare_rtl_validation(
         hits = len(cached_outcomes)
         misses = len(miss_indices)
 
-    recipe = (rebuild, augmented.sensor_type) if rebuild else None
-    if recipe is not None:
-        # Seed the per-process rebuild memo with the design we already
-        # hold: inline execution (workers=1, or backfill in the
-        # parent) reuses it instead of paying a second flow front-end;
-        # worker processes still rebuild into their own memo.  Assign
-        # (not setdefault) so inline shards always simulate exactly
-        # the object being validated -- ``rebuild=`` asserts it equals
-        # the registry build, which is what pool workers reconstruct.
-        _REBUILT_AUGMENTED[recipe] = augmented
     shards = tuple(
         RtlValidationShard(
             indices=indices,
             specs=tuple(specs[i] for i in indices),
             cycles=cycles,
             recovery_value=recovery_value,
-            stimuli=tuple(stimuli) if stimuli is not None else None,
-            rebuild=recipe,
-            augmented=None if recipe else augmented,
-            drive=drive,
+            stimuli=stimuli,
+            augmented=augmented,
         )
         for indices in _shard_sequence(miss_indices, workers, shard_size)
     )
@@ -520,13 +446,11 @@ def prepare_rtl_validation(
 def validate_at_rtl(
     augmented: AugmentedIP,
     mutants: "list[MutantSpec]",
-    drive=None,
     *,
-    stimuli=None,
+    stimuli,
     cycles: int = 24,
     ip_name: str = "ip",
     recovery_value: int = 0,
-    rebuild: "str | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
     scheduler=None,
@@ -535,31 +459,23 @@ def validate_at_rtl(
     """Re-run each mutant at RTL via delayed assignments.
 
     Args:
-        augmented: the sensor-augmented design under validation.
+        augmented: the sensor-augmented design under validation --
+            a registry build or any ad-hoc or modified design; pool
+            workers receive it pickled inside each shard.
         mutants: the TLM campaign's :class:`MutantSpec` table.
-        drive: legacy ``drive(sim, cycle_index)`` testbench callable
-            (one full cycle: poke inputs, advance the clock).  Opaque,
-            so it forces inline execution and bypasses the cache;
-            prefer ``stimuli``.
         stimuli: declarative per-cycle ``name -> int`` input vectors
             (the same form the TLM campaign consumes); the canonical
             driver re-presents ``stimuli[i % len(stimuli)]`` each
             cycle, with the Razor recovery enable poked to
             ``recovery_value``.
         cycles: testbench cycles per mutant.
-        rebuild: registry name of the IP, enabling worker processes to
-            reconstruct the augmentation instead of pickling it --
-            required for the shards to leave the parent process.
-            ``augmented`` must then be exactly the registry build; use
-            :func:`repro.ips.rebuild_recipe` to derive the name safely
-            (see :func:`prepare_rtl_validation` for the contract).
         workers / shard_size / scheduler: shard sizing and pool
             placement, exactly as in
             :func:`~repro.mutation.campaign.run_campaign`; pass the
             campaign's :class:`CampaignScheduler` to interleave RTL
             shards with TLM shards on one executor.
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
-            verdicts replay instantly (``stimuli`` form only).
+            verdicts replay instantly.
 
     Returns:
         An :class:`RtlValidationReport` with outcomes in mutant-table
@@ -578,11 +494,9 @@ def validate_at_rtl(
         augmented,
         mutants,
         stimuli=stimuli,
-        drive=drive,
         cycles=cycles,
         ip_name=ip_name,
         recovery_value=recovery_value,
-        rebuild=rebuild,
         workers=workers if scheduler is None else scheduler.workers,
         shard_size=shard_size,
         cache=cache,

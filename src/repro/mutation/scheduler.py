@@ -667,7 +667,7 @@ def run_benchmark_suite(
         cache state.
     """
     from repro.flow import run_flow
-    from repro.ips import IpSpec, case_study, rebuild_recipe
+    from repro.ips import IpSpec, case_study
 
     from .rtl_validation import prepare_rtl_validation
 
@@ -800,7 +800,6 @@ def run_benchmark_suite(
                         stimuli=rtl_stimuli,
                         cycles=len(rtl_stimuli),
                         ip_name=spec.name,
-                        rebuild=rebuild_recipe(spec),
                         workers=sched.workers,
                         shard_size=shard_size,
                         cache=cache,

@@ -549,7 +549,9 @@ class NativeProcess(Process):
     ``kind`` is ``"sync"`` (clock + edge required) or ``"comb"``
     (``sensitivity`` required).  ``reads``/``writes`` declare the
     signal footprint so the schedulers and the code generator can
-    reason about the process without executing it.
+    reason about the process without executing it.  A module-level
+    callable object, rather than a closure, keeps the design
+    picklable, as RTL-validation shards need.
     """
 
     __slots__ = ("kind", "fn", "clock", "edge", "sensitivity", "reads", "writes", "meta")

@@ -68,6 +68,9 @@ LUT_THRESHOLD_DEFAULT = 8
 #: Output latency in main-clock cycles (paper Section 4.1.2).
 MEASUREMENT_LATENCY_CYCLES = 3
 
+_MEAS_CAP = (1 << MEAS_WIDTH) - 1
+_LATENCY_SLOTS = MEASUREMENT_LATENCY_CYCLES - 1
+
 
 @dataclass(frozen=True)
 class CounterTap:
@@ -116,6 +119,101 @@ def _write_changed(ctx, values, sig: Signal, value: int) -> None:
         ctx.write(sig, value)
 
 
+class _CounterMeasure:
+    """The bank's native process, run at every HF rising edge.
+
+    The CPS bit is sampled straight off the endpoint signal (the
+    kernel applies delayed commits before edge processes run, so an
+    arrival ``d`` ps after the launching edge is visible at the first
+    HF tick >= d and recorded with count ``ceil(d/T_HF)``).  HF ticks
+    coinciding with main-clock rising edges close the observability
+    window: the last-transition count is selected by the latched CPS
+    value (R1 for rising, R2 for falling), pushed through the
+    three-cycle latency pipeline, compared against the LUT threshold,
+    and the window state cleared.
+
+    Sampling is change-driven: per-tap state lives in flat lists
+    indexed by tap position, and a tap whose endpoint still holds the
+    very ``LV`` object it held at the previous tick is skipped.  That
+    is exact -- values are immutable and the kernel replaces a stored
+    value only when it changes, so the same object means the same CPS
+    bit and therefore no transition.
+
+    A module-level callable holding its taps as immutable data, so an
+    augmented design pickles; all mutable state lives in
+    ``ctx.state``, which simulator snapshots copy.  ``lanes`` binds
+    what each HF tick reads per tap -- its position, endpoint and CPS
+    bit index (``None`` for the parity detector) -- into one tuple.
+    """
+
+    __slots__ = ("taps", "lanes", "main_period_ps")
+
+    def __init__(self, taps: "tuple[CounterTap, ...]",
+                 main_period_ps: int) -> None:
+        self.taps = taps
+        self.lanes = tuple(
+            (k, tap.endpoint,
+             None if tap.cps_index == "parity" else tap.cps_index)
+            for k, tap in enumerate(taps)
+        )
+        self.main_period_ps = main_period_ps
+
+    def __call__(self, ctx) -> None:
+        state = ctx.state
+        if not state:
+            n = len(self.taps)
+            state["count"] = 0
+            state["seen_lv"] = [None] * n  # endpoint at last tick
+            state["cps"] = [None] * n      # CPS bit at last tick
+            state["r1"] = [0] * n
+            state["r2"] = [0] * n
+            state["seen"] = [False] * n
+            state["pipe"] = [[0] * _LATENCY_SLOTS for _ in range(n)]
+
+        count = state["count"] + 1
+        state["count"] = count
+        values = ctx.values
+        seen_lv, cps = state["seen_lv"], state["cps"]
+        for k, endpoint, bit in self.lanes:
+            lv = values[endpoint]
+            if lv is seen_lv[k]:
+                continue
+            seen_lv[k] = lv
+            word = lv.to_int_or(0)
+            if bit is None:
+                cur = bin(word).count("1") & 1
+            else:
+                cur = (word >> bit) & 1
+            prev = cps[k]
+            if prev is not None and cur != prev:
+                if cur == 1:
+                    state["r1"][k] = count
+                else:
+                    state["r2"][k] = count
+                state["seen"][k] = True
+            cps[k] = cur
+
+        if ctx.now % self.main_period_ps == 0:
+            # Window boundary: emit this window's measurement and reopen.
+            r1, r2, seen = state["r1"], state["r2"], state["seen"]
+            for k, tap in enumerate(self.taps):
+                if seen[k]:
+                    meas = r1[k] if cps[k] == 1 else r2[k]
+                else:
+                    meas = 0
+                queue = state["pipe"][k]
+                queue.append(min(meas, _MEAS_CAP))
+                out = queue.pop(0)
+                _write_changed(ctx, values, tap.meas_val, out)
+                _write_changed(
+                    ctx, values, tap.out_ok,
+                    1 if (out == 0 or out <= tap.lut_threshold) else 0,
+                )
+                r1[k] = r2[k] = 0
+                seen[k] = False
+            state["count"] = 0
+
+
 def attach_counter_bank(
     module: Module,
     clock: Signal,
@@ -140,22 +238,15 @@ def attach_counter_bank(
         module=module, clock=clock, hf_clock=hf_clock, hf_ratio=hf_ratio
     )
 
-    cps_extractors: list = []
     cps_bits = cps_bits or {}
     for register, endpoint, nominal in monitored:
         cps = module.signal(f"{register.name}__cps")
         chosen = cps_bits.get(register.name, cps_bit)
         if chosen == "parity":
             extraction = red_xor(endpoint)
-
-            def extract(lv, _w=endpoint.width):
-                return bin(lv.to_int_or(0)).count("1") & 1
         else:
             chosen = min(int(chosen), endpoint.width - 1)
             extraction = endpoint[chosen]
-
-            def extract(lv, _i=chosen):
-                return (lv.to_int_or(0) >> _i) & 1
         module.comb(
             f"{register.name}__cps_p", [Assign(cps, extraction)]
         )
@@ -172,97 +263,20 @@ def attach_counter_bank(
             cps_index=chosen,
         )
         bank.taps.append(tap)
-        cps_extractors.append(extract)
 
-    taps = list(bank.taps)
-    lanes = range(len(taps))
-    endpoints = [t.endpoint for t in taps]
-    ratio = hf_ratio
-    meas_cap = (1 << MEAS_WIDTH) - 1
-    latency_slots = MEASUREMENT_LATENCY_CYCLES - 1
-
-    def measure_fn(ctx) -> None:
-        """Runs at every HF rising edge.
-
-        The CPS bit is sampled straight off the endpoint signal (the
-        kernel applies delayed commits before edge processes run, so
-        an arrival ``d`` ps after the launching edge is visible at the
-        first HF tick >= d and recorded with count ``ceil(d/T_HF)``).
-        HF ticks coinciding with main-clock rising edges close the
-        observability window: the last-transition count is selected by
-        the latched CPS value (R1 for rising, R2 for falling), pushed
-        through the three-cycle latency pipeline, compared against the
-        LUT threshold, and the window state cleared.
-
-        Sampling is change-driven: per-tap state lives in flat lists
-        indexed by tap position, and a tap whose endpoint still holds
-        the very ``LV`` object it held at the previous tick is skipped.
-        That is exact -- values are immutable and the kernel replaces a
-        stored value only when it changes, so the same object means the
-        same CPS bit and therefore no transition.
-        """
-        state = ctx.state
-        if not state:
-            state["count"] = 0
-            state["seen_lv"] = [None] * len(taps)  # endpoint at last tick
-            state["cps"] = [None] * len(taps)      # CPS bit at last tick
-            state["r1"] = [0] * len(taps)
-            state["r2"] = [0] * len(taps)
-            state["seen"] = [False] * len(taps)
-            state["pipe"] = [[0] * latency_slots for _ in taps]
-
-        count = state["count"] + 1
-        state["count"] = count
-        values = ctx.values
-        seen_lv, cps = state["seen_lv"], state["cps"]
-        for k in lanes:
-            lv = values[endpoints[k]]
-            if lv is seen_lv[k]:
-                continue
-            seen_lv[k] = lv
-            cur = cps_extractors[k](lv)
-            prev = cps[k]
-            if prev is not None and cur != prev:
-                if cur == 1:
-                    state["r1"][k] = count
-                else:
-                    state["r2"][k] = count
-                state["seen"][k] = True
-            cps[k] = cur
-
-        if ctx.now % main_period_ps == 0:
-            # Window boundary: emit this window's measurement and reopen.
-            r1, r2, seen = state["r1"], state["r2"], state["seen"]
-            for k in lanes:
-                if seen[k]:
-                    meas = r1[k] if cps[k] == 1 else r2[k]
-                else:
-                    meas = 0
-                queue = state["pipe"][k]
-                queue.append(min(meas, meas_cap))
-                out = queue.pop(0)
-                tap = taps[k]
-                _write_changed(ctx, values, tap.meas_val, out)
-                _write_changed(
-                    ctx, values, tap.out_ok,
-                    1 if (out == 0 or out <= tap.lut_threshold) else 0,
-                )
-                r1[k] = r2[k] = 0
-                seen[k] = False
-            state["count"] = 0
-
+    taps = tuple(bank.taps)
     module.native(
         NativeProcess(
             "counter_bank",
             "sync",
-            measure_fn,
+            _CounterMeasure(taps, main_period_ps),
             clock=hf_clock,
             edge="rise",
             reads=[t.endpoint for t in taps] + [t.cps for t in taps],
             writes=[t.meas_val for t in taps] + [t.out_ok for t in taps],
             meta={
                 "sensor": "counter",
-                "hf_ratio": ratio,
+                "hf_ratio": hf_ratio,
                 "area_nand2": COUNTER_AREA_NAND2_PER_PATH * len(taps),
                 "ff_bits": COUNTER_FF_BITS_PER_PATH * len(taps),
                 "vhdl_template": "counter",

@@ -79,6 +79,61 @@ class RazorBank:
             sim.set_transport_delay(tap.endpoint, tap.nominal_delay_ps)
 
 
+class _RazorShadowCompare:
+    """The bank's native falling-edge process: shadow-latch sampling
+    and compare for every tap.
+
+    A module-level callable holding its taps and control signals as
+    immutable data, so an augmented design pickles; the one piece of
+    mutable state (``cooldown``) lives in ``ctx.state``, which
+    simulator snapshots copy.
+
+    After a recovery event the comparison is masked for one cycle
+    (``cooldown``): the recovery write re-launches the monitored
+    combinational cone mid-cycle, so the very next shadow sample
+    would compare against freshly relaunched data.  Real Razor
+    deployments re-arm error detection after the restore cycle for
+    the same reason.
+    """
+
+    __slots__ = ("taps", "recovery", "stall")
+
+    def __init__(self, taps: "tuple[RazorTap, ...]", recovery: Signal,
+                 stall: Signal) -> None:
+        self.taps = taps
+        self.recovery = recovery
+        self.stall = stall
+
+    def __call__(self, ctx) -> None:
+        taps, stall = self.taps, self.stall
+        state = ctx.state
+        if state.get("cooldown", 0):
+            state["cooldown"] -= 1
+            for tap in taps:
+                ctx.write(tap.error, 0)
+            ctx.write(stall, 0)
+            return
+        any_mismatch = False
+        recover = ctx.read(self.recovery)
+        recovery_on = not recover.unk and recover.value == 1
+        for tap in taps:
+            shadow = ctx.read(tap.endpoint)
+            main = ctx.read(tap.register)
+            diff = main ^ shadow
+            mismatch = diff.reduce_or()
+            ctx.write(tap.error, mismatch)
+            is_error = not mismatch.unk and mismatch.value == 1
+            if is_error:
+                any_mismatch = True
+                if recovery_on:
+                    ctx.write(tap.register, shadow)
+        if any_mismatch and recovery_on:
+            ctx.write(stall, 1)
+            state["cooldown"] = 1
+        else:
+            ctx.write(stall, 0)
+
+
 def _gate_sync_processes_with_stall(module: Module, stall: Signal) -> None:
     """Wrap every synchronous IR process body in ``if stall = '0'``.
 
@@ -131,46 +186,9 @@ def attach_razor_bank(
             )
         )
 
-    taps = list(bank.taps)
+    taps = tuple(bank.taps)
     recovery = bank.recovery
     stall = bank.stall
-
-    def razor_fall_fn(ctx) -> None:
-        """Shadow-latch sampling and compare, on the falling edge.
-
-        After a recovery event the comparison is masked for one cycle
-        (``cooldown``): the recovery write re-launches the monitored
-        combinational cone mid-cycle, so the very next shadow sample
-        would compare against freshly relaunched data.  Real Razor
-        deployments re-arm error detection after the restore cycle for
-        the same reason.
-        """
-        state = ctx.state
-        if state.get("cooldown", 0):
-            state["cooldown"] -= 1
-            for tap in taps:
-                ctx.write(tap.error, 0)
-            ctx.write(stall, 0)
-            return
-        any_mismatch = False
-        recover = ctx.read(recovery)
-        recovery_on = not recover.unk and recover.value == 1
-        for tap in taps:
-            shadow = ctx.read(tap.endpoint)
-            main = ctx.read(tap.register)
-            diff = main ^ shadow
-            mismatch = diff.reduce_or()
-            ctx.write(tap.error, mismatch)
-            is_error = not mismatch.unk and mismatch.value == 1
-            if is_error:
-                any_mismatch = True
-                if recovery_on:
-                    ctx.write(tap.register, shadow)
-        if any_mismatch and recovery_on:
-            ctx.write(stall, 1)
-            state["cooldown"] = 1
-        else:
-            ctx.write(stall, 0)
 
     reads = (
         [t.endpoint for t in taps]
@@ -182,7 +200,7 @@ def attach_razor_bank(
         NativeProcess(
             "razor_bank",
             "sync",
-            razor_fall_fn,
+            _RazorShadowCompare(taps, recovery, stall),
             clock=clock,
             edge="fall",
             reads=reads,

@@ -196,16 +196,8 @@ class TestRtlValidation:
         """Every razor mutant reproduced at RTL raises its error."""
         aug = augment("razor")
         injected = inject_mutants(aug)
-        stim = stimulus(30)
-        din = next(p for p in aug.module.inputs() if p.name == "din")
-        en = next(p for p in aug.module.inputs() if p.name == "en")
-        rec = aug.bank.recovery
-
-        def drive(sim, i):
-            vec = stim[i % len(stim)]
-            sim.cycle({din: vec["din"], en: vec["en"], rec: 0})
-
-        report = validate_at_rtl(aug, injected.mutants, drive, cycles=15)
+        report = validate_at_rtl(aug, injected.mutants,
+                                 stimuli=stimulus(30), cycles=15)
         assert report.risen_pct == 100.0
 
     def test_counter_rtl_measures_same_ticks(self):
@@ -213,15 +205,8 @@ class TestRtlValidation:
         TLM delta mutants: identical MEAS_VAL, identical risen."""
         aug = augment("counter")
         injected = inject_mutants(aug)
-        stim = stimulus(30)
-        din = next(p for p in aug.module.inputs() if p.name == "din")
-        en = next(p for p in aug.module.inputs() if p.name == "en")
-
-        def drive(sim, i):
-            vec = stim[i % len(stim)]
-            sim.cycle({din: vec["din"], en: vec["en"]})
-
-        report = validate_at_rtl(aug, injected.mutants, drive, cycles=15)
+        report = validate_at_rtl(aug, injected.mutants,
+                                 stimuli=stimulus(30), cycles=15)
         by_spec = {
             (o.spec.kind, o.spec.register): o for o in report.outcomes
         }

@@ -7,9 +7,10 @@ mutants whose endpoint never changes judged from the golden pass
 alone.  These tests hold it to the straightforward semantics it
 replaced -- one fresh simulator per mutant, one delayed endpoint, every
 testbench cycle (:func:`fresh_reference`) -- over the three case
-studies, both sensors, two stimulus seeds, one and two workers, the
-default and a 5-mutant shard size, Razor recovery off and on, the
-legacy ``drive=`` path and a warm result cache.  They also cover the
+studies, both sensors, two stimulus seeds, one worker and two (the
+design pickled into worker processes), the default and a 5-mutant
+shard size, Razor recovery off and on, and a warm result cache.  They
+also cover caller-modified and ad-hoc designs on a pool, and the
 per-mutant TLM/RTL agreement gate of ``repro bench --rtl-validation``.
 """
 
@@ -19,7 +20,7 @@ import functools
 import pytest
 
 from repro.cli import main as cli_main
-from repro.flow import build_augmented
+from repro.flow import build_augmented, run_flow
 from repro.ips import case_study
 from repro.mutation import (
     CampaignScheduler,
@@ -92,20 +93,6 @@ def fresh_reference(augmented, specs, drive, cycles):
     return outcomes
 
 
-def hand_written_drive(augmented, stimuli, recovery):
-    """A ``drive(sim, i)`` callable as a caller of the legacy path
-    writes one."""
-    inputs = {p.name: p for p in augmented.module.inputs()}
-
-    def drive(sim, i):
-        pokes = {inputs[k]: v for k, v in stimuli[i % len(stimuli)].items()}
-        if augmented.sensor_type == "razor":
-            pokes[augmented.bank.recovery] = recovery
-        sim.cycle(pokes)
-
-    return drive
-
-
 @pytest.fixture(scope="module")
 def pool():
     with CampaignScheduler(workers=2) as scheduler:
@@ -133,7 +120,7 @@ def test_forked_sweep_matches_fresh_reference(ip, sensor, seed, recovery,
         cycles,
     )
     common = dict(stimuli=stimuli, cycles=cycles, ip_name=ip,
-                  recovery_value=recovery, rebuild=ip)
+                  recovery_value=recovery)
     for shard_size in (None, 5):
         inline = validate_at_rtl(augmented, specs, shard_size=shard_size,
                                  **common)
@@ -141,11 +128,6 @@ def test_forked_sweep_matches_fresh_reference(ip, sensor, seed, recovery,
         pooled = validate_at_rtl(augmented, specs, shard_size=shard_size,
                                  scheduler=pool, **common)
         assert pooled.outcomes == expected, ("workers=2", shard_size)
-    legacy = validate_at_rtl(
-        augmented, specs, hand_written_drive(augmented, stimuli, recovery),
-        cycles=cycles, ip_name=ip,
-    )
-    assert legacy.outcomes == expected
     cache = ResultCache(None)
     cold = validate_at_rtl(augmented, specs, cache=cache, **common)
     warm = validate_at_rtl(augmented, specs, cache=cache, **common)
@@ -262,12 +244,54 @@ def test_pending_no_op_write_at_the_fork_point():
         (t.endpoint, late) for t in augmented.bank.taps
     )
     specs = inject_mutants(augmented).mutants
-    report = validate_at_rtl(augmented, specs, stimuli=stimuli,
-                             cycles=len(stimuli))
-    assert report.outcomes == fresh_reference(
+    expected = fresh_reference(
         augmented, specs, _stimulus_driver(augmented, stimuli),
         len(stimuli),
     )
+    report = validate_at_rtl(augmented, specs, stimuli=stimuli,
+                             cycles=len(stimuli))
+    assert report.outcomes == expected
+    # The unregistered design runs on a pool too: its shards pickle it.
+    assert len(specs) >= 2
+    with CampaignScheduler(2) as scheduler:
+        pooled = validate_at_rtl(augmented, specs, stimuli=stimuli,
+                                 cycles=len(stimuli), shard_size=1,
+                                 scheduler=scheduler)
+        assert scheduler.describe()["live"]
+    assert pooled.outcomes == expected
+
+
+def test_caller_modified_flow_validates_as_built_at_any_pool_width():
+    """A suite handed a caller-built flow validates that flow's design,
+    not the registry build, at any pool width -- here a dsp/counter
+    flow whose LUT thresholds were lowered to 4.  The 2-worker suite
+    runs first, so its pool forks before anything else in this test
+    touches the design."""
+    spec = case_study("dsp")
+    key = ("dsp", "counter")
+    flow = run_flow(spec, "counter", run_mutation=False)
+    taps = flow.augmented.bank.taps
+    taps[:] = [dataclasses.replace(t, lut_threshold=4) for t in taps]
+
+    def rtl_report(workers, cache):
+        with CampaignScheduler(workers) as scheduler:
+            suite = run_benchmark_suite(
+                ["dsp"], ("counter",), flows={key: flow},
+                scheduler=scheduler, rtl_validation=True, cache=cache,
+            )
+        return suite.rtl_reports[key]
+
+    cache = ResultCache(None)
+    pooled = rtl_report(2, cache)
+    inline = rtl_report(1, ResultCache(None))
+    warm = rtl_report(2, cache)
+    stimuli = spec.stimulus(spec.mutation_cycles)
+    expected = validate_at_rtl(flow.augmented, flow.injected.mutants,
+                               stimuli=stimuli, cycles=len(stimuli),
+                               ip_name="dsp")
+    assert pooled == inline == expected
+    assert warm.cache_hits == warm.total
+    assert warm == expected
 
 
 # ----------------------------------------------------------------------

@@ -669,7 +669,6 @@ class _PoisonShard:
     would look exactly like this to the pool)."""
 
     indices = (0,)
-    inline_only = False
 
     def run(self):  # pragma: no cover - dies before returning
         os._exit(1)
@@ -679,7 +678,6 @@ class _HonestShard:
     """Control shard: runs fine anywhere."""
 
     indices = (1,)
-    inline_only = False
 
     def run(self):
         return ["ok"]

@@ -7,9 +7,15 @@ are detected by the Razor shadow latch (and corrected when recovery is
 on) and are measured in HF-clock periods by the Counter monitor.
 """
 
+import pickle
+
 import pytest
 
-from repro.rtl import Assign, Module, Simulation, const
+from repro.flow import build_augmented
+from repro.ips import case_study
+from repro.mutation.cache import rtl_fingerprint
+from repro.mutation.rtl_validation import _stimulus_driver
+from repro.rtl import Assign, Module, NativeProcess, Simulation, const
 from repro.sensors import (
     AugmentedIP,
     InsertionError,
@@ -321,3 +327,30 @@ class TestCounterAtSpeed:
             values.append(sim.peek_int(tap.meas_val))
         assert values[0] == 0  # nothing measured yet
         assert any(v > 0 for v in values[2:]), values
+
+
+# ----------------------------------------------------------------------
+# Augmented designs pickle: RTL-validation shards carry them to workers
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("sensor", ["razor", "counter"])
+@pytest.mark.parametrize("ip", ["plasma", "dsp", "filter"])
+def test_registry_design_pickles_unchanged(ip, sensor):
+    """A registry design survives a pickle round trip with its RTL
+    fingerprint intact, and each sensor bank's native callable pickles
+    to the same bytes before and after 20 simulated cycles: its
+    mutable state lives in the simulator's ``ctx.state``."""
+    spec = case_study(ip)
+    aug = build_augmented(spec, sensor).augmented
+    shipped = pickle.loads(pickle.dumps(aug))
+    assert rtl_fingerprint(shipped) == rtl_fingerprint(aug)
+
+    banks = [proc.fn for _, proc in aug.module.all_processes()
+             if isinstance(proc, NativeProcess)]
+    assert banks
+    before = [pickle.dumps(fn) for fn in banks]
+    sim = aug.make_simulation(input_launch_at_edge=True)
+    drive = _stimulus_driver(aug, spec.stimulus(20))
+    for i in range(20):
+        drive(sim, i)
+    assert [pickle.dumps(fn) for fn in banks] == before
