@@ -1,11 +1,8 @@
 """Campaign scaling benchmark: serial vs sharded-parallel throughput.
 
-Records mutants/second for each case-study IP under three executions
+Records mutants/second for each case-study IP under two executions
 of the same mutation campaign:
 
-* ``legacy serial`` -- the pre-engine behaviour, reproduced here as
-  the baseline: the golden model is re-simulated for every mutant and
-  the generated source is re-``exec``'d per instantiation;
 * ``engine x1``   -- the sharded campaign engine with one worker
   (golden trace memoised once per campaign, generated class compiled
   once per shard);
@@ -67,56 +64,8 @@ from repro.mutation import (                                 # noqa: E402
     ResultCache,
     run_benchmark_suite,
 )
-from repro.mutation.analysis import (                        # noqa: E402
-    _run_counter_mutant,
-    _run_razor_mutant,
-    compute_golden_trace,
-)
 from repro.mutation.campaign import run_campaign             # noqa: E402
 from repro.reporting import format_table                     # noqa: E402
-
-
-def _exec_instantiate(gen):
-    """Instantiate without the compiled-class cache: the per-mutant
-    ``exec`` cost the legacy loop paid."""
-    namespace: dict = {}
-    exec(
-        compile(gen.source, f"<legacy:{gen.class_name}>", "exec"),
-        namespace,
-    )
-    return namespace[gen.class_name]()
-
-
-def run_legacy(flow, stimuli, sensor):
-    """The pre-engine campaign loop: golden re-simulated and generated
-    source re-exec'd once per mutant."""
-    injected = flow.injected
-    tap_order = list(
-        getattr(injected.compiled_class(), "COUNTER_TAP_ORDER", ())
-    )
-    if not tap_order:
-        tap_order = []
-        for spec in injected.mutants:
-            if spec.register not in tap_order:
-                tap_order.append(spec.register)
-    started = time.perf_counter()
-    outcomes = []
-    for index, spec in enumerate(injected.mutants):
-        golden = _exec_instantiate(flow.tlm_optimized)
-        trace = compute_golden_trace(
-            golden, stimuli, sensor_type=sensor, recovery=True
-        )
-        mutant = _exec_instantiate(injected)
-        mutant.activate_mutant(index)
-        if sensor == "razor":
-            outcomes.append(_run_razor_mutant(
-                index, spec, mutant, stimuli, True, trace
-            ))
-        else:
-            outcomes.append(_run_counter_mutant(
-                index, spec, mutant, stimuli, tap_order, trace
-            ))
-    return time.perf_counter() - started, outcomes
 
 
 def bench_ip(name, sensor, workers, cycles):
@@ -124,8 +73,6 @@ def bench_ip(name, sensor, workers, cycles):
     flow = run_flow(spec, sensor, run_mutation=False)
     stimuli = spec.stimulus(cycles or spec.mutation_cycles)
     total = len(flow.injected.mutants)
-
-    legacy_s, legacy_outcomes = run_legacy(flow, stimuli, sensor)
 
     serial = run_campaign(
         flow.golden_factory(), flow.injected, stimuli,
@@ -135,20 +82,15 @@ def bench_ip(name, sensor, workers, cycles):
         flow.golden_factory(), flow.injected, stimuli,
         ip_name=name, sensor_type=sensor, workers=workers,
     )
-    deterministic = (
-        serial.outcomes == parallel.outcomes == legacy_outcomes
-    )
     return {
         "ip": spec.title,
         "mutants": total,
         "cycles": len(stimuli),
-        "legacy_s": legacy_s,
-        "legacy_mps": total / legacy_s if legacy_s else 0.0,
         "serial_s": serial.seconds,
         "serial_mps": serial.mutants_per_second,
         "parallel_s": parallel.seconds,
         "parallel_mps": parallel.mutants_per_second,
-        "deterministic": deterministic,
+        "deterministic": serial.outcomes == parallel.outcomes,
     }
 
 
@@ -302,25 +244,18 @@ def main(argv=None) -> int:
         per_ip.append(r)
         rows.append([
             r["ip"], r["mutants"], r["cycles"],
-            f"{r['legacy_mps']:.1f}",
             f"{r['serial_mps']:.1f}",
-            f"{r['serial_mps'] / r['legacy_mps']:.2f}x",
             f"{r['parallel_mps']:.1f}",
-            f"{r['parallel_mps'] / r['legacy_mps']:.2f}x",
             "yes" if r["deterministic"] else "NO",
         ])
     print(format_table(
         ["Digital IP", "Mutants", "Cycles",
-         "legacy (m/s)",
-         "engine x1 (m/s)", "x1 speedup",
-         f"engine x{args.workers} (m/s)", f"x{args.workers} speedup",
+         "engine x1 (m/s)", f"engine x{args.workers} (m/s)",
          "deterministic"],
         rows,
         title=(
             f"Campaign scaling ({args.sensor} sensors): mutants/sec, "
-            "serial baseline vs sharded engine\n"
-            "(legacy = golden re-simulated + source re-exec'd per "
-            "mutant; speedups are vs legacy)"
+            "sharded engine on 1 vs N workers"
         ),
     ))
 

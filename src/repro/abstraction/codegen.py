@@ -245,6 +245,13 @@ class _Generator:
         self.mutant_endpoint_targets = {
             t.endpoint.name for t in self.counter_taps
         } if self.inject else set()
+        #: Change-mask bit of each mutant target, in the sorted order
+        #: ``TARGET_ATTRS`` lists them; empty on non-injected models.
+        self._change_bit = {
+            name: 1 << i for i, name in enumerate(sorted(
+                self.mutant_reg_targets | self.mutant_endpoint_targets
+            ))
+        }
 
         if self.inject:
             self._build_mutant_list()
@@ -288,8 +295,20 @@ class _Generator:
         return self._wake_mask.get(id(obj), 0)
 
     # ------------------------------------------------------------------
-    # Batched-execution safety analysis
+    # Change mask and late endpoints (read by the batched sweep and the
+    # static mutant pruner)
     # ------------------------------------------------------------------
+
+    def _mark_changed(self, target: Signal) -> "list[str]":
+        """The change-mask update for a commit that changes ``target``'s
+        value: one line for a mutant target of an injected model, none
+        otherwise.  The batched sweep (:mod:`repro.mutation.batched`)
+        forks the attached mutants whose bit a base cycle set.  The
+        Razor bank's restore write needs no bit: it only happens on a
+        cycle whose outputs carry ``razor_stall``, which forks every
+        attached mutant."""
+        bit = self._change_bit.get(target.name)
+        return [f"self._changed |= {bit}"] if bit else []
 
     def _late_wake_closure(self) -> int:
         """Bitmask of combinational processes that can (transitively)
@@ -321,52 +340,32 @@ class _Generator:
                 return closure
             closure = grown
 
-    def _batch_safe_targets(self) -> "dict[str, str]":
-        """Mutant targets whose end-of-cycle value compare is an exact
-        divergence detector, mapped to their attribute name.
+    def _late_endpoints(self) -> "list[str]":
+        """Counter endpoints whose ``hf_tick == 1`` mutant is *not*
+        equivalent to the golden model, sorted.
 
-        A batched sweep (:mod:`repro.mutation.batched`) keeps a mutant
-        attached to the base simulation until its target's committed
-        value changes across a cycle boundary.  That compare only
-        misses a divergence when the target can change *and revert*
-        within one cycle, so:
-
-        * a **razor** register is safe when every writer is a
-          rising-edge process (a single commit point per cycle; the
-          razor-bank restore never fires on the base model);
-        * a **counter** endpoint is safe when every writer is
-          combinational and none of them sits in the late-wake closure
-          (it then settles in the pre-HF delta and cannot be re-run --
-          and thus reverted -- by window-close or falling-edge events).
-
-        Targets absent from the map run the plain serial path inside
-        batched mode.
+        That mutant commits the endpoint right after the pre-HF delta
+        loop, before the first HF sample -- where the golden commit is
+        first observable -- so it is equivalent only when every writer
+        is a combinational process that settles in that loop.  A
+        writer in the late-wake closure rewrites the endpoint after
+        the first HF sample, and the mutant postpones that write past
+        the next rising edge; a synchronous writer has no postponement
+        branch, so the tick-1 commit reverts its write.
+        :func:`repro.lint.mutants.plan_pruning` leaves the tick-1
+        mutants of these endpoints to the sweep.
         """
-        safe: "dict[str, str]" = {}
-        rise_ids = {id(p) for p in self.rise_procs}
-        writers: "dict[int, list]" = {}
-        for _, proc in self.module.all_processes():
-            if isinstance(proc, (SyncProcess, CombProcess)):
-                for sig in process_writes(proc):
-                    writers.setdefault(id(sig), []).append(proc)
-        for name in sorted(self.mutant_reg_targets):
-            sig = self.module.find_signal(name)
-            if all(id(p) in rise_ids for p in writers.get(id(sig), [])):
-                safe[name] = self.namer.signal(sig)
-        if self.mutant_endpoint_targets:
-            late = self._late_wake_closure()
-            comb_index = {id(p): i for i, p in enumerate(self.comb_procs)}
-            for name in sorted(self.mutant_endpoint_targets):
-                sig = self.module.find_signal(name)
-                ok = True
-                for proc in writers.get(id(sig), []):
-                    index = comb_index.get(id(proc))
-                    if index is None or (late >> index) & 1:
-                        ok = False
-                        break
-                if ok:
-                    safe[name] = self.namer.signal(sig)
-        return safe
+        late = self._late_wake_closure()
+        late_writes: "set[int]" = set()
+        for index, proc in enumerate(self.comb_procs):
+            if (late >> index) & 1:
+                late_writes.update(id(s) for s in process_writes(proc))
+        for proc in self.rise_procs + self.fall_procs:
+            late_writes.update(id(s) for s in process_writes(proc))
+        return [
+            name for name in sorted(self.mutant_endpoint_targets)
+            if id(self.module.find_signal(name)) in late_writes
+        ]
 
     # ------------------------------------------------------------------
     # Mutant bookkeeping
@@ -591,9 +590,12 @@ class _Generator:
         tap_order = [t.register.name for t in self.counter_taps]
         out.emit(f"COUNTER_TAP_ORDER = {tap_order!r}", 1)
         if self.inject:
-            out.emit(
-                f"BATCH_SAFE_TARGETS = {self._batch_safe_targets()!r}", 1
-            )
+            attrs = {
+                name: self.namer.signal(self.module.find_signal(name))
+                for name in self._change_bit
+            }
+            out.emit(f"TARGET_ATTRS = {attrs!r}", 1)
+            out.emit(f"LATE_ENDPOINTS = {self._late_endpoints()!r}", 1)
         out.emit("")
 
     def _emit_init(self, out: _Emitter) -> None:
@@ -636,9 +638,8 @@ class _Generator:
             out.emit("self._mutant_kind = None", 2)
             out.emit("self._mutant_target = None", 2)
             out.emit("self._mutant_hf = 0", 2)
-            for name in sorted(
-                self.mutant_reg_targets | self.mutant_endpoint_targets
-            ):
+            out.emit("self._changed = 0", 2)
+            for name in self._change_bit:
                 sig = self.module.find_signal(name)
                 attr = self.namer.signal(sig)
                 out.emit(
@@ -717,9 +718,8 @@ class _Generator:
         out.emit("self._mutant_kind = kind", 2)
         out.emit("self._mutant_target = target", 2)
         out.emit("self._mutant_hf = hf", 2)
-        targets = sorted(self.mutant_reg_targets | self.mutant_endpoint_targets)
         first = True
-        for name in targets:
+        for name in self._change_bit:
             sig = self.module.find_signal(name)
             attr = self.namer.signal(sig)
             key = "if" if first else "elif"
@@ -735,7 +735,7 @@ class _Generator:
         )
         out.emit("target = self._mutant_target", 2)
         first = True
-        for name in targets:
+        for name in self._change_bit:
             sig = self.module.find_signal(name)
             attr = self.namer.signal(sig)
             wake = self._wake_of(sig)
@@ -835,6 +835,7 @@ class _Generator:
                   f"    self.{attr} = {local}"]
         if wake:
             commit.append(f"    _wake |= {wake}")
+        commit.extend("    " + line for line in self._mark_changed(target))
         if self.inject and target.name in self.mutant_reg_targets:
             lines.append(f"if self._mutant_target == {target.name!r}:")
             lines.append(f"    self._tmp_{attr} = {local}  # postponed")
@@ -889,6 +890,9 @@ class _Generator:
                 commit_lines.append(f"    self.{attr} = n_{attr}")
                 if wake:
                     commit_lines.append(f"    _wake |= {wake}")
+                commit_lines.extend(
+                    "    " + line for line in self._mark_changed(target)
+                )
         for line in commit_lines:
             out.emit(line, 2)
         out.emit("for _arr, _i, _v, _d in _aw:", 2)
@@ -986,6 +990,7 @@ class _Generator:
                 out.emit(f"self.{attr} = n_{attr}", 3)
                 if wake:
                     out.emit(f"_wake |= {wake}", 3)
+                out.block(self._mark_changed(target), 3)
             out.emit("return _wake", 2)
             out.emit("")
 

@@ -8,13 +8,17 @@ acts on the result for every campaign:
 
 **Equivalent mutants** (``equivalent_static``) are entries whose
 activation provably cannot change the observable stream, so their
-verdict can be *synthesised* from the golden trace by replaying the
-exact judging logic of :mod:`repro.mutation.analysis` over it.  One
+verdict is *synthesised* by feeding the golden trace to the campaign's
+own :class:`~repro.mutation.analysis.CounterMutantJudge`.  One
 criterion applies -- ``hf-first-tick``: dual-scheduler (Counter)
 mutants with ``hf_tick == 1``, whose postponed endpoint commit is
 applied immediately after the main delta cycle, *before* the first HF
 sample, which is exactly where the golden commit is first observable.
-The two schedules are indistinguishable.
+The two schedules are indistinguishable as long as every write to the
+endpoint settles in that delta cycle; the generated model lists the
+endpoints where one may not (``LATE_ENDPOINTS``: a synchronous writer,
+or a combinational writer that falling-edge or window-close commits
+can re-run), and their tick-1 mutants execute.
 
 Mutants that merely never *apply* (wrong kind for the scheduler) are
 **not** equivalent: activation alone diverts every write of the target
@@ -96,8 +100,9 @@ def plan_pruning(injected, sensor_type: str) -> PrunePlan:
     equivalent: "dict[int, str]" = {}
 
     if sensor_type == "counter" and scheduler_kind == "dual":
+        late = injected.compiled_class().LATE_ENDPOINTS
         for i, spec in enumerate(specs):
-            if spec.hf_tick == 1:
+            if spec.hf_tick == 1 and spec.target not in late:
                 equivalent[i] = "hf-first-tick"
 
     duplicate_of: "dict[int, int]" = {}
@@ -129,46 +134,21 @@ def judge_equivalent(
     thresholds: "dict[str, int] | None" = None,
 ):
     """Synthesise the verdict of a statically-equivalent Counter mutant
-    by judging the golden trace as the mutant stream -- the
-    byte-identical replay of
-    :func:`repro.mutation.analysis._run_counter_mutant` for a mutant
-    whose stream *is* the golden stream."""
-    from repro.mutation.analysis import MutantOutcome
+    by feeding the golden trace to a
+    :class:`~repro.mutation.analysis.CounterMutantJudge` as the mutant
+    stream -- the stream such a mutant produces.  The functional
+    compare never fires on the golden stream, so only the measurement
+    lane decides the verdict."""
+    from repro.mutation.analysis import CounterMutantJudge
 
-    tap_order = list(tap_order)
-    thresholds = thresholds or {}
-    tap_index = tap_order.index(spec.register)
-    lo = 8 * tap_index
-    threshold = thresholds.get(spec.register, 8)
-    detected = False
-    risen = False
-    measured = None
-    killed = False
-    for outs in golden.full:
-        meas = (outs.get("meas_val", 0) >> lo) & 0xFF
-        if meas:
-            detected = True
-            measured = meas
-            if meas == spec.hf_tick:
-                killed = True
-        if meas and meas > threshold:
-            risen = True
-        if outs.get("metric_ok", 1) == 0:
-            risen = True
-    return MutantOutcome(
-        index=index,
-        kind=spec.kind,
-        target=spec.target,
-        register=spec.register,
-        hf_tick=spec.hf_tick,
-        killed=killed,
-        detected=detected,
-        error_risen=risen,
-        corrected=None,
-        meas_val=measured,
-        first_divergence=None,
-        timed_out=False,
+    judge = CounterMutantJudge(
+        index, spec, golden,
+        lo=8 * list(tap_order).index(spec.register),
+        threshold=(thresholds or {}).get(spec.register, 8),
     )
+    for outs, functional in zip(golden.full, golden.functional):
+        judge.observe(outs, functional=functional)
+    return judge.finish()
 
 
 def clone_outcome(source, index: int, spec):

@@ -450,19 +450,17 @@ def _drive_razor(
     *,
     position: int = 0,
     budget: "int | None" = None,
-    early_kill: bool = False,
 ) -> bool:
     """Drive a Razor mutant through the stall handshake, feeding every
-    observed output to ``judge``.  Returns whether the stall budget
-    timed out.
+    observed output to ``judge``, until the stimuli are consumed or the
+    judge is settled.  Returns whether the stall budget timed out.
 
-    ``position`` / ``budget`` resume a run mid-stream (a mutant forked
+    ``position`` / ``budget`` resume a run mid-stream: a mutant forked
     off a batched sweep at cycle ``position`` has already been judged
-    for the shared prefix and has ``position`` fewer budget units
-    left -- the prefix is stall-free, since a stall requires a razor
-    error and the base simulation never raises one).  With
-    ``early_kill`` the drive stops as soon as the judge is settled;
-    the run then did not time out by construction (see
+    for the shared prefix and has ``position`` fewer budget units left
+    -- the prefix is stall-free, because the sweep forks every attached
+    mutant on the first cycle the base stalls.  A drive that stops on a
+    settled judge did not time out by construction (see
     :meth:`RazorMutantJudge.settled`).
     """
     pending = stimuli
@@ -483,39 +481,10 @@ def _drive_razor(
         judge.observe(outs)
         stalled_next = bool(outs.get("razor_stall", 0))
         prev_inputs = inputs
-        if early_kill and judge.settled():
+        if judge.settled():
             return False
     # Budget exhausted mid-stall: stimuli were never consumed, or a
     # trailing re-presentation was still pending.  That is a driver
     # timeout, not an observation -- the truncated tail must not count
     # as a kill by length mismatch, nor be judged for correction.
     return (position < len(pending) or stalled_next) and not budget
-
-
-def _run_razor_mutant(index, spec, mutant, stimuli, recovery, golden):
-    """Evaluate one Razor mutant against the memoised golden trace."""
-    judge = RazorMutantJudge(index, spec, golden, recovery)
-    timed_out = _drive_razor(
-        mutant, list(stimuli), 1 if recovery else 0, judge
-    )
-    return judge.finish(timed_out)
-
-
-def _run_counter_mutant(index, spec, mutant, stimuli, tap_order, golden):
-    """Evaluate one Counter mutant against the memoised golden trace."""
-    judge = CounterMutantJudge(
-        index,
-        spec,
-        golden,
-        lo=8 * tap_order.index(spec.register),
-        threshold=_lut_threshold(mutant, spec.register),
-    )
-    for inputs in stimuli:
-        judge.observe(mutant.b_transport(dict(inputs)))
-    return judge.finish()
-
-
-def _lut_threshold(model, register: str) -> int:
-    """Per-path LUT threshold as baked into the generated model; the
-    paper's default global threshold is 8 HF periods."""
-    return getattr(model, "LUT_THRESHOLDS", {}).get(register, 8)

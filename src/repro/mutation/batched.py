@@ -2,42 +2,39 @@
 
 A one-simulation-per-mutant loop re-runs the full stimulus once per
 mutant, yet mutants of one generated model differ only at the
-``MUTANTS``-table postponement site: until the postponed target
-actually changes value, a mutant's committed state is provably
-identical to the base (no active mutant) simulation.  Every TLM
+``MUTANTS``-table postponement site: until the base (no active mutant)
+simulation commits a new value to a mutant's target, that mutant's
+committed state is provably identical to the base's.  Every TLM
 campaign shard therefore runs as one batched sweep over all of its
 mutants:
 
 * one **base** instance runs the stimulus; every mutant of the shard
   starts *attached* to it, its judge fed the shared base outputs
   (stimulus decode and golden comparison paid once per sweep);
-* before each cycle the sweep snapshots the base state and the
-  attached targets' committed values; a mutant whose target changed
-  during the cycle **forks** -- a fresh instance rebuilt from the
+* injected models keep a per-cycle **change mask**: every commit that
+  changes a mutant target's value sets that target's bit (the bit
+  order is the generated ``TARGET_ATTRS`` map).  The sweep clears the
+  mask and snapshots the base before each cycle; a mutant whose bit is
+  set afterwards **forks** -- a fresh instance rebuilt from the
   pre-cycle snapshot with the mutant activated, which replays the
-  cycle and continues solo (fork-on-first-divergence);
-* forked Razor mutants run to completion immediately with
-  **early-kill**: the drive stops once the judge is settled
-  (:meth:`~repro.mutation.analysis.RazorMutantJudge.settled`);
+  cycle and continues solo (fork-on-first-divergence).  The mask sees
+  a value that changes and reverts within one cycle, so the detector
+  is exact on every design;
+* a Razor base cycle whose outputs carry ``razor_stall`` forks every
+  attached mutant: the solo stall handshake re-presents the stalled
+  vector where the base feeds the next one;
+* forked Razor mutants run to completion immediately and stop once
+  the judge is settled (early-kill,
+  :meth:`~repro.mutation.analysis.RazorMutantJudge.settled`);
 * forked Counter mutants step in lockstep with the base and
   **re-join** (re-attach) once their committed state converges back
   to the base's -- on the slowly-toggling decimated endpoints of the
-  filter IP this recovers most of the sweep sharing.  (Counter
-  mutants applying at HF tick 1 never reach a sweep: they are
-  state-identical to the base at every observation point, so
-  :func:`~repro.mutation.campaign.prepare_campaign` judges them from
-  the golden trace.)
+  filter IP this recovers most of the sweep sharing.
 
-The cycle-boundary value compare is an exact divergence detector only
-for targets the generator proved immune to change-and-revert within a
-cycle (``BATCH_SAFE_TARGETS``, emitted by
-:meth:`repro.abstraction.codegen._Generator._batch_safe_targets`);
-mutants on any other target fall back to the plain per-mutant runner
-(:func:`~repro.mutation.analysis._run_razor_mutant` /
-``_run_counter_mutant``).  Reports are therefore **field-identical**
-to the serial, one-simulation-per-mutant oracle -- same
-``first_divergence``, same ``timed_out``, same cache write-back keys
--- for any shard size, which ``tests/test_batched_exec.py`` locks down.
+Reports are therefore **field-identical** to the serial,
+one-simulation-per-mutant oracle -- same ``first_divergence``, same
+``timed_out``, same cache write-back keys -- for any shard size, which
+``tests/test_batched_exec.py`` locks down.
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ from .analysis import (
     RazorMutantJudge,
     _drive_razor,
     _functional,
-    _run_counter_mutant,
-    _run_razor_mutant,
 )
 
 __all__ = ["run_batched_shard"]
@@ -84,34 +79,53 @@ def _fork(cls, snapshot: dict, index: int):
     return mutant
 
 
+def _change_bits(cls, group, specs) -> "dict[int, int]":
+    """Each mutant's change-mask bit: its target's position in the
+    generated ``TARGET_ATTRS`` map."""
+    position = {name: k for k, name in enumerate(cls.TARGET_ATTRS)}
+    return {i: 1 << position[specs[i].target] for i in group}
+
+
 #: Instance attributes excluded from the re-join state compare: the
-#: active-mutant bookkeeping always differs from the base, and the
-#: ``_tmp_`` postponement buffers are judged separately (the mutant's
-#: own buffer must equal its committed target -- coherence; foreign
+#: active-mutant bookkeeping always differs from the base, the change
+#: mask only describes the current cycle, and the ``_tmp_``
+#: postponement buffers are judged separately (the mutant's own
+#: buffer must equal its committed target -- coherence; foreign
 #: buffers are never written by either side).
-_MUTANT_BOOKKEEPING = ("_mutant_kind", "_mutant_target", "_mutant_hf")
+_MUTANT_BOOKKEEPING = (
+    "_mutant_kind", "_mutant_target", "_mutant_hf", "_changed",
+)
 
 
-def _rejoined(mutant, base, target_attr: str) -> bool:
+def _compared_keys(base) -> "list[str]":
+    """The attributes the re-join compare reads: every one but the
+    bookkeeping and the ``_tmp_`` buffers.  Generated models create
+    all their attributes in ``__init__``, so one list serves a whole
+    sweep."""
+    return [
+        k for k in base.__dict__
+        if k not in _MUTANT_BOOKKEEPING and not k.startswith("_tmp_")
+    ]
+
+
+def _rejoined(mutant, base, keys, target_attr: str) -> bool:
     """Whether a forked mutant's committed state has converged back to
-    the base's, making it safe to re-attach: every non-bookkeeping
-    attribute equal and the postponement buffer coherent with the
+    the base's, making it safe to re-attach: every compared attribute
+    (``keys``) equal and the postponement buffer coherent with the
     committed target value."""
-    md = mutant.__dict__
-    for k, v in base.__dict__.items():
-        if k in _MUTANT_BOOKKEEPING or k.startswith("_tmp_"):
-            continue
-        if md[k] != v:
+    md, bd = mutant.__dict__, base.__dict__
+    for k in keys:
+        if md[k] != bd[k]:
             return False
     return md["_tmp_" + target_attr] == md[target_attr]
 
 
-def _sweep_razor(cls, group, specs, stimuli, recovery, golden, safe):
+def _sweep_razor(cls, group, specs, stimuli, recovery, golden):
     """One Razor sweep: attached mutants ride the base simulation; a
-    mutant forks the cycle its register first changes at the rising
-    edge (the only cycle its postponed commit can make the main/shadow
-    compare fire) and then runs to completion solo with early-kill."""
+    mutant forks the cycle the base changes its register or stalls,
+    and then runs to completion solo with early-kill."""
     recovery_bit = 1 if recovery else 0
+    bits = _change_bits(cls, group, specs)
     judges = {
         i: RazorMutantJudge(i, specs[i], golden, recovery) for i in group
     }
@@ -122,25 +136,24 @@ def _sweep_razor(cls, group, specs, stimuli, recovery, golden, safe):
     for cyc, inputs in enumerate(stimuli):
         if not attached:
             break
+        base._changed = 0
         snapshot = _copy_state(base.__dict__)
-        pre = [
-            (i, getattr(base, safe[specs[i].target])) for i in attached
-        ]
         outs = base.b_transport({**inputs, "razor_r": recovery_bit})
         functional = _functional(outs, golden.functional_ports)
+        # -1 has every bit set: a stall forks every attached mutant.
+        changed = -1 if outs.get("razor_stall", 0) else base._changed
         still = []
-        for i, pre_value in pre:
-            if getattr(base, safe[specs[i].target]) != pre_value:
-                # The shared prefix was stall-free (the base never
-                # raises an error), so the solo run enters this cycle
-                # with exactly ``cyc`` budget units spent.
+        for i in attached:
+            if changed & bits[i]:
+                # Every earlier cycle was stall-free (a stall forks
+                # all attached mutants), so the solo run enters this
+                # cycle with exactly ``cyc`` budget units spent.
                 shard_count("batch_forks")
                 mutant = _fork(cls, snapshot, i)
                 with shard_span("batch.fork", index=i, cycle=cyc):
                     timed_out = _drive_razor(
                         mutant, stimuli, recovery_bit, judges[i],
                         position=cyc, budget=budget_total - cyc,
-                        early_kill=True,
                     )
                 if not timed_out and judges[i].settled():
                     # The drive stopped before consuming every
@@ -158,11 +171,14 @@ def _sweep_razor(cls, group, specs, stimuli, recovery, golden, safe):
     return outcomes
 
 
-def _sweep_counter(cls, group, specs, stimuli, tap_order, golden, safe):
+def _sweep_counter(cls, group, specs, stimuli, tap_order, golden):
     """One Counter sweep: attached mutants ride the base simulation,
-    fork the cycle their endpoint changes (their HF samples then lag
-    the base's) and re-attach once their state converges back."""
+    fork the cycle the base changes their endpoint (their HF samples
+    then lag the base's) and re-attach once their state converges
+    back."""
     thresholds = getattr(cls, "LUT_THRESHOLDS", {}) or {}
+    attrs = cls.TARGET_ATTRS
+    bits = _change_bits(cls, group, specs)
     judges = {}
     for i in group:
         spec = specs[i]
@@ -172,28 +188,31 @@ def _sweep_counter(cls, group, specs, stimuli, tap_order, golden, safe):
             threshold=thresholds.get(spec.register, 8),
         )
     base = cls()
+    keys = _compared_keys(base)
     attached = list(group)
     forked = []
     for cyc, inputs in enumerate(stimuli):
+        base._changed = 0
         snapshot = _copy_state(base.__dict__) if attached else None
-        pre = [(i, getattr(base, safe[specs[i].target])) for i in attached]
         outs = base.b_transport(dict(inputs))
         functional = _functional(outs, golden.functional_ports)
-        newly_forked = []
-        for i, pre_value in pre:
-            if getattr(base, safe[specs[i].target]) != pre_value:
-                attached.remove(i)
+        changed = base._changed
+        still_attached = []
+        for i in attached:
+            if changed & bits[i]:
                 shard_count("batch_forks")
                 shard_instant("batch.fork", index=i, cycle=cyc)
-                newly_forked.append((i, _fork(cls, snapshot, i)))
-        for i in attached:
-            judges[i].observe(outs, functional=functional)
+                forked.append((i, _fork(cls, snapshot, i)))
+            else:
+                judges[i].observe(outs, functional=functional)
+                still_attached.append(i)
+        attached = still_attached
         still = []
-        for i, mutant in forked + newly_forked:
+        for i, mutant in forked:
             m_outs = mutant.b_transport(dict(inputs))
             judges[i].observe(m_outs)
             if m_outs == outs and _rejoined(
-                mutant, base, safe[specs[i].target]
+                mutant, base, keys, attrs[specs[i].target]
             ):
                 shard_count("batch_rejoins")
                 shard_instant("batch.rejoin", index=i, cycle=cyc)
@@ -205,47 +224,21 @@ def _sweep_counter(cls, group, specs, stimuli, tap_order, golden, safe):
 
 
 def run_batched_shard(shard) -> "list":
-    """Evaluate a shard's mutants in one batched sweep.  Mutants whose
-    target is not in the generated model's ``BATCH_SAFE_TARGETS`` map
-    (or any mutant of a model generated without one) run the plain
-    per-mutant path; outcomes are returned in ``shard.indices`` order
-    either way."""
-    stimuli = list(shard.stimuli)
-    tap_order = list(shard.tap_order)
-    specs = shard.injected.mutants
+    """Evaluate a shard's mutants in one batched sweep; outcomes are
+    returned in ``shard.indices`` order."""
     cls = shard.injected.compiled_class()
-    safe = getattr(cls, "BATCH_SAFE_TARGETS", None) or {}
-    razor = shard.sensor_type == "razor"
-
-    outcomes: "dict[int, object]" = {}
-    group = []
-    for index in shard.indices:
-        if specs[index].target in safe:
-            group.append(index)
-            continue
-        mutant = shard.injected.instantiate()
-        mutant.activate_mutant(index)
-        if razor:
-            outcomes[index] = _run_razor_mutant(
-                index, specs[index], mutant, stimuli,
-                shard.recovery, shard.golden,
-            )
-        else:
-            outcomes[index] = _run_counter_mutant(
-                index, specs[index], mutant, stimuli, tap_order,
+    specs = shard.injected.mutants
+    stimuli = list(shard.stimuli)
+    with shard_span("batch.sweep", mutants=len(shard.indices),
+                    sensor=shard.sensor_type):
+        if shard.sensor_type == "razor":
+            outcomes = _sweep_razor(
+                cls, shard.indices, specs, stimuli, shard.recovery,
                 shard.golden,
             )
-    if group:
-        with shard_span("batch.sweep", mutants=len(group),
-                        sensor=shard.sensor_type):
-            if razor:
-                outcomes.update(_sweep_razor(
-                    cls, group, specs, stimuli, shard.recovery,
-                    shard.golden, safe,
-                ))
-            else:
-                outcomes.update(_sweep_counter(
-                    cls, group, specs, stimuli, tap_order, shard.golden,
-                    safe,
-                ))
+        else:
+            outcomes = _sweep_counter(
+                cls, shard.indices, specs, stimuli,
+                list(shard.tap_order), shard.golden,
+            )
     return [outcomes[i] for i in shard.indices]

@@ -17,11 +17,16 @@ This module locks that contract down:
 
 * field identity across all three case-study IPs x both sensor types
   x shard sizes {1, 3, default} x workers {1, 2} x cold/warm cache;
-* randomized-design lockstep (Hypothesis-built datapaths, in the
-  style of ``tests/test_compiled_kernel.py``);
-* early-kill semantics at the :func:`_drive_razor` level -- identical
-  verdict fields, and never a ``timed_out`` misreport when the stall
-  budget would only have been exhausted in skipped tail cycles;
+* a design with a falling-edge register, whose golden model stalls
+  and whose Counter endpoint is rewritten after the HF window;
+* randomized-design lockstep (Hypothesis-built datapaths with rising-
+  and falling-edge registers, in the style of
+  ``tests/test_compiled_kernel.py``);
+* early-kill semantics: :func:`_drive_razor` stops at the settled
+  judge with verdict fields identical to the oracle's full-length
+  drive, and never misreports ``timed_out`` when the stall budget
+  would only have been exhausted in skipped tail cycles;
+* the change-mask target map emitted on injected models;
 * fork isolation -- the shared :class:`~repro.mutation.GoldenTrace`
   is bit-identical before and after a batched sweep;
 * interplay with pruning (deferred duplicate clones) and with a
@@ -54,7 +59,12 @@ from repro.rtl import Assign, If, Simulation, Module, const
 from repro.sensors import insert_sensors
 from repro.sta import analyze, bin_critical_paths
 from repro.synth import synthesize
-from serial_oracle import assert_matches_oracle, serial_report
+from serial_oracle import (
+    assert_matches_oracle,
+    drive_razor_full,
+    serial_report,
+)
+from test_rtl_validation import augmented_fall_ip
 
 #: Reduced testbench lengths: long enough to exercise forks and
 #: re-joins on every IP, short enough for the full matrix.
@@ -217,11 +227,39 @@ class TestFieldIdentity:
             assert_matches_oracle(report, oracle)
 
 
+#: 33 cycles of the falling-edge design: ``b`` keeps ``h`` moving, so
+#: the golden Razor model stalls every third cycle and ``q__d`` is
+#: rewritten at every falling edge.
+FALL_STIMULI = [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 0x20, "b": 2}] + [
+    {"a": 0x20 * (i % 3), "b": (i * 37) % 256} for i in range(30)
+]
+
+
+@pytest.mark.parametrize("sensor", SENSORS)
+def test_falling_edge_design_equals_serial(sensor, sched2):
+    """A falling-edge register ``h`` breaks two shortcuts at once.  The
+    golden Razor model stalls (its tap on ``h`` fires), so the sweep
+    must fork every attached mutant on a stalled base cycle; and the
+    falling edge rewrites the Counter endpoint ``q__d`` after the HF
+    window, so its ``hf_tick == 1`` mutant is not equivalent and must
+    execute."""
+    aug = augmented_fall_ip(sensor, FALL_STIMULI)
+    golden = generate_tlm(aug.module, variant="hdtlib", augmented=aug)
+    injected = inject_mutants(aug, variant="hdtlib")
+    oracle = serial_report(golden, injected, FALL_STIMULI,
+                           sensor_type=sensor)
+    for kw in ({"shard_size": 1}, {"shard_size": 2}, {},
+               {"scheduler": sched2}):
+        report = run_campaign(golden, injected, FALL_STIMULI,
+                              sensor_type=sensor, **kw)
+        assert_matches_oracle(report, oracle)
+
+
 # ----------------------------------------------------------------------
 # Randomized-design lockstep (test_compiled_kernel style)
 # ----------------------------------------------------------------------
 
-def _random_module_factory(shape, inits, consts):
+def _random_module_factory(shape, inits, consts, edges):
     def factory():
         m = Module("rand_batch_ip")
         clk = m.input("clk")
@@ -245,7 +283,7 @@ def _random_module_factory(shape, inits, consts):
                     If(src.eq(0), [Assign(reg, const(consts[k], 8))],
                        [Assign(reg, reg + const(1, 8))]),
                 ]
-            m.sync(f"p_r{k}", clk, body)
+            m.sync(f"p_r{k}", clk, body, edge=edges[k])
         for k, reg in enumerate(regs):
             out = m.output(f"o{k}", 8)
             m.comb(f"p_o{k}", [Assign(out, reg)])
@@ -263,13 +301,15 @@ def test_prop_random_design_batched_equals_serial(data):
              for k in range(nregs)]
     consts = [data.draw(st.integers(1, 255), label=f"const{k}")
               for k in range(nregs)]
+    edges = [data.draw(st.sampled_from(("rise", "fall")), label=f"edge{k}")
+             for k in range(nregs)]
     sensor = data.draw(st.sampled_from(SENSORS), label="sensor")
     stim = [
         {"din": data.draw(st.integers(0, 255), label=f"din{i}"),
          "en": data.draw(st.integers(0, 1), label=f"en{i}")}
         for i in range(data.draw(st.integers(6, 14), label="cycles"))
     ]
-    factory = _random_module_factory(shape, inits, consts)
+    factory = _random_module_factory(shape, inits, consts, edges)
     golden, injected, stim = synthetic_campaign(
         sensor, module_factory=factory, stim=stim
     )
@@ -306,14 +346,12 @@ SPEC = MutantSpec("min", "t", 0, "r")
 
 
 def _drive_both(model_factory, stimuli, golden):
-    """(serial outcome + calls, early-kill outcome + calls)."""
+    """(oracle outcome + calls, early-kill outcome + calls)."""
     results = []
-    for early in (False, True):
+    for drive in (drive_razor_full, _drive_razor):
         model = model_factory()
         judge = RazorMutantJudge(0, SPEC, golden, True)
-        timed_out = _drive_razor(
-            model, stimuli, 1, judge, early_kill=early
-        )
+        timed_out = drive(model, stimuli, 1, judge)
         results.append((judge.finish(timed_out), model._calls))
     return results
 
@@ -332,11 +370,10 @@ class TestEarlyKill:
         for index, spec in enumerate(injected.mutants):
             calls = []
             outcomes = []
-            for early in (False, True):
+            for drive in (drive_razor_full, _drive_razor):
                 judge = RazorMutantJudge(index, spec, golden, True)
-                timed_out = _drive_razor(
-                    _instantiate(injected, index), stim, 1, judge,
-                    early_kill=early,
+                timed_out = drive(
+                    _instantiate(injected, index), stim, 1, judge
                 )
                 outcomes.append(judge.finish(timed_out))
                 calls.append(judge.calls)
@@ -525,27 +562,43 @@ class TestInterplay:
 
 
 # ----------------------------------------------------------------------
-# BATCH_SAFE_TARGETS emission
+# TARGET_ATTRS / LATE_ENDPOINTS emission
 # ----------------------------------------------------------------------
 
 class TestSafeTargets:
+    """The change-mask target map (``TARGET_ATTRS``, whose order defines
+    the mask bits) and the late-endpoint list the pruner reads."""
+
     def test_emitted_only_on_injected_models(self):
         golden, injected, stim = synthetic_campaign("razor")
-        assert not hasattr(golden.compiled_class(), "BATCH_SAFE_TARGETS")
-        safe = injected.compiled_class().BATCH_SAFE_TARGETS
-        assert isinstance(safe, dict) and safe
+        golden_cls = golden.compiled_class()
+        assert not hasattr(golden_cls, "TARGET_ATTRS")
+        assert not hasattr(golden_cls, "LATE_ENDPOINTS")
+        assert not hasattr(golden.instantiate(), "_changed")
+        cls = injected.compiled_class()
+        targets = {spec.target for spec in injected.mutants}
+        assert list(cls.TARGET_ATTRS) == sorted(targets)
+        assert cls.LATE_ENDPOINTS == []
 
     @pytest.mark.parametrize("ip", IPS)
     @pytest.mark.parametrize("sensor", SENSORS)
     def test_safe_map_names_real_attributes(self, ip, sensor):
         flow, _, _ = case_campaign(ip, sensor)
         cls = flow.injected.compiled_class()
-        safe = getattr(cls, "BATCH_SAFE_TARGETS", {})
         instance = flow.injected.instantiate()
         targets = {spec.target for spec in flow.injected.mutants}
-        for name, attr in safe.items():
-            assert name in targets
+        assert set(cls.TARGET_ATTRS) == targets
+        for attr in cls.TARGET_ATTRS.values():
             assert hasattr(instance, attr)
+            assert hasattr(instance, "_tmp_" + attr)
+        # Every registered endpoint settles before the first HF sample,
+        # so the hf-first-tick prune covers a full third of the table.
+        assert cls.LATE_ENDPOINTS == []
+
+    def test_falling_edge_endpoint_is_late(self):
+        aug = augmented_fall_ip("counter", FALL_STIMULI)
+        cls = inject_mutants(aug, variant="hdtlib").compiled_class()
+        assert cls.LATE_ENDPOINTS == ["q__d"]
 
 
 # ----------------------------------------------------------------------

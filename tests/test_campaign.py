@@ -17,12 +17,12 @@ from repro.mutation import (
     run_campaign,
     shard_indices,
 )
-from repro.mutation.analysis import _run_razor_mutant
 from repro.rtl import Assign, If, Module, Simulation, const
 from repro.rtl.vcd import VcdWriter
 from repro.sensors import insert_sensors
 from repro.sta import analyze, bin_critical_paths
 from repro.synth import synthesize
+from serial_oracle import _run_razor_mutant
 
 PERIOD = 1000
 

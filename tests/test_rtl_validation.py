@@ -203,14 +203,15 @@ def test_endpoint_that_never_changes(sensor):
     assert report.outcomes == fresh_reference(augmented, specs, drive, 2)
 
 
-def test_pending_no_op_write_at_the_fork_point():
-    """A falling-edge register rewrites the endpoint mid-cycle with an
-    unchanged value just before the fork point.  Under the late
-    nominal arrival that write is still pending at the fork, and would
-    land after a short-delay mutant's first change -- reverting it --
-    unless the fork drops it, as the fresh run (where it lands early,
-    as a no-op) demands."""
-    period = 1000
+#: Clock period of :func:`augmented_fall_ip`, in ps.
+FALL_IP_PERIOD = 1000
+
+
+def augmented_fall_ip(sensor_type: str, stimuli):
+    """A design with one falling-edge register: ``r <- a`` at the
+    rising edge, ``h <- b`` at the falling edge, ``q <- (r & 0xF0) +
+    (h & 0xF0)`` at the rising edge and ``out = q``; ``sensor_type``
+    sensors on every path, calibrated on ``stimuli``."""
     m = Module("fall_ip")
     clk = m.input("clk")
     a = m.input("a", 8)
@@ -224,18 +225,29 @@ def test_pending_no_op_write_at_the_fork_point():
         Assign(q, (r & const(0xF0, 8)) + (h & const(0xF0, 8))),
     ])
     m.comb("p_out", [Assign(m.output("out", 8), q)])
+    critical = bin_critical_paths(
+        analyze(synthesize(m), clock_period_ps=FALL_IP_PERIOD),
+        threshold_ps=1e9,
+    )
+    return insert_sensors(m, clk, critical, sensor_type=sensor_type,
+                          calibration_stimuli=stimuli)
+
+
+def test_pending_no_op_write_at_the_fork_point():
+    """A falling-edge register rewrites the endpoint mid-cycle with an
+    unchanged value just before the fork point.  Under the late
+    nominal arrival that write is still pending at the fork, and would
+    land after a short-delay mutant's first change -- reverting it --
+    unless the fork drops it, as the fresh run (where it lands early,
+    as a no-op) demands."""
     # q__d first changes at the rising edge of cycle 3 (r = 0x20); the
     # low nibble of b rewrites it, unchanged, at every falling edge.
     stimuli = [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 0x20, "b": 2}] + [
         {"a": 0x20, "b": i % 4} for i in range(9)
     ]
-    critical = bin_critical_paths(
-        analyze(synthesize(m), clock_period_ps=period), threshold_ps=1e9
-    )
-    augmented = insert_sensors(m, clk, critical, sensor_type="counter",
-                               calibration_stimuli=stimuli)
+    augmented = augmented_fall_ip("counter", stimuli)
     # Arrivals at the top of the Counter window (0.7 T).
-    late = 7 * period // 10
+    late = 7 * FALL_IP_PERIOD // 10
     augmented.bank.taps[:] = [
         dataclasses.replace(t, nominal_delay_ps=late)
         for t in augmented.bank.taps

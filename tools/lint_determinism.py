@@ -5,8 +5,11 @@ Mutation campaigns promise byte-identical reports for any worker
 count, shard size, placement and cache state.  That promise dies the
 moment worker-side code consults a nondeterministic source, so this
 lint walks the AST of every module that runs inside campaign workers
-(``src/repro/mutation/``, ``src/repro/rtl/``, ``src/repro/faults.py``)
-and rejects:
+(``src/repro/mutation/``, ``src/repro/obs/``, ``src/repro/rtl/``,
+``src/repro/faults.py``) or decides what they run: the TLM code
+generator (``src/repro/abstraction/``), whose source every TLM cache
+key hashes, and the static mutant pruner (``src/repro/lint/``), which
+decides verdicts.  It rejects:
 
 * wall-clock reads used as data: ``time.time`` / ``time.time_ns`` /
   ``time.monotonic`` / ``time.monotonic_ns``
@@ -48,6 +51,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Modules that execute inside campaign worker processes (or feed
 #: them data that must be reproducible).
 DEFAULT_TARGETS = (
+    "src/repro/abstraction",
+    "src/repro/lint",
     "src/repro/mutation",
     "src/repro/obs",
     "src/repro/rtl",
