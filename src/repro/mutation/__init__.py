@@ -16,10 +16,11 @@ Three consumption styles share that machinery:
 
 * :func:`run_campaign` -- blocking, one merged report per campaign
   (``scheduler=`` / ``progress=`` optional);
-* :func:`iter_campaign` -- streaming: yields each
-  :class:`MutantOutcome` as its shard completes, with
-  :class:`CampaignProgress` callbacks and :class:`AbortPolicy`
-  early-abort (first survivor / score threshold);
+* :func:`stream_shard_batches` -- streaming a :func:`prepare_campaign`
+  result on a :class:`CampaignScheduler`: yields each shard's outcomes
+  as it completes, with a :class:`CampaignProgress` snapshot and
+  :class:`AbortPolicy` early-abort (first survivor / score threshold);
+  the campaign service's ``/events`` feed;
 * :func:`run_benchmark_suite` -- cross-IP batching: every
   ``IP x sensor type`` campaign prepared up front, shards interleaved
   round-robin on one shared pool so small campaigns backfill idle
@@ -71,7 +72,6 @@ from .scheduler import (
     CampaignProgress,
     CampaignScheduler,
     SuiteResult,
-    iter_campaign,
     run_benchmark_suite,
     stream_shard_batches,
 )
@@ -97,7 +97,6 @@ __all__ = [
     "CampaignProgress",
     "CampaignScheduler",
     "SuiteResult",
-    "iter_campaign",
     "run_benchmark_suite",
     "stream_shard_batches",
     "ResultCache",

@@ -41,8 +41,9 @@ source.  The engine amortises both:
 
 This module owns campaign *preparation* (tap-order resolution, golden
 memoisation, pruning, shard construction -- :func:`prepare_campaign`)
-and the blocking :func:`run_campaign` entry point; streaming
-consumption lives in :func:`repro.mutation.scheduler.iter_campaign`.
+and the blocking :func:`run_campaign` entry point; shard-by-shard
+streaming of a prepared campaign lives in
+:func:`repro.mutation.scheduler.stream_shard_batches`.
 """
 
 from __future__ import annotations
@@ -216,16 +217,20 @@ class PreparedCampaign:
             )
         return expanded
 
-    def build_report(self, outcomes, seconds: float = 0.0) -> MutationReport:
+    def build_report(self, outcomes, seconds: float = 0.0,
+                     counters: "dict[str, int] | None" = None
+                     ) -> MutationReport:
         """Assemble the deterministic merged report: outcomes sorted
         by mutant index plus the campaign metadata captured at prepare
-        time.  Shared by :func:`run_campaign` and
-        :func:`repro.mutation.scheduler.run_benchmark_suite` so their
-        reports cannot drift apart.
+        time.  Shared by :func:`run_campaign`,
+        :func:`repro.mutation.scheduler.run_benchmark_suite` and the
+        campaign service so their reports cannot drift apart.
 
         ``executed`` counts the outcomes whose index sat in a shard:
         replayed, pruned and cloned verdicts never are, and a shard an
-        abort left unrun contributes no outcome at all."""
+        abort left unrun contributes no outcome at all.  ``counters``
+        (the executed shards' obs counters, summed) becomes
+        ``report.obs``; ``None`` or empty leaves it ``None``."""
         sharded = {i for shard in self.shards for i in shard.indices}
         report = MutationReport(
             ip_name=self.ip_name,
@@ -239,6 +244,8 @@ class PreparedCampaign:
             pruned_equivalent=self.pruned_equivalent,
             pruned_duplicate=self.pruned_duplicate,
             executed=sum(o.index in sharded for o in outcomes),
+            obs={"counters": dict(sorted(counters.items()))}
+            if counters else None,
         )
         report.seconds = seconds
         return report
@@ -588,22 +595,15 @@ def run_campaign(
             cache=cache,
         )
         outcomes: "list" = []
-        obs_counters: "dict[str, int]" = {}
+        counters: "dict[str, int]" = {}
         with _leased_scheduler(
             scheduler, _ephemeral_width(workers, prepared)
         ) as sched:
             for batch, _snapshot in stream_shard_batches(
-                sched, prepared, progress=progress, cache=cache
+                sched, prepared, progress=progress, cache=cache,
+                counters=counters,
             ):
                 outcomes.extend(batch)
-                payload = getattr(batch, "obs", None) or {}
-                for name, value in sorted(
-                    (payload.get("counters") or {}).items()
-                ):
-                    obs_counters[name] = obs_counters.get(name, 0) + value
-    report = prepared.build_report(
-        outcomes, seconds=time.perf_counter() - started
+    return prepared.build_report(
+        outcomes, seconds=time.perf_counter() - started, counters=counters
     )
-    if obs_counters:
-        report.obs = {"counters": obs_counters}
-    return report

@@ -107,7 +107,7 @@ class CampaignScheduler:
     The pool is created lazily on first submission and lives until
     :meth:`shutdown` (or context-manager exit), so a whole regression
     -- every IP x sensor type, TLM campaigns and RTL validations,
-    plus ad-hoc :func:`~repro.mutation.scheduler.iter_campaign`
+    plus ad-hoc :func:`~repro.mutation.scheduler.stream_shard_batches`
     streams -- reuses warm worker processes instead of forking a fresh
     pool per campaign.  ``workers=1`` never creates processes: shards
     run inline at submission time, which keeps the single-worker path

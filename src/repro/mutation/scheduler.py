@@ -13,14 +13,16 @@ single persistent worker pool:
   :func:`~repro.mutation.campaign.run_campaign` call; ``workers=1``
   degrades to inline execution (no processes, fully deterministic
   ordering).
-* :func:`iter_campaign` is the streaming face of one campaign: a
-  generator yielding :class:`~repro.mutation.analysis.MutantOutcome`
-  objects as their shards complete, with per-shard
-  :class:`CampaignProgress` callbacks and :class:`AbortPolicy`
-  early-abort (stop on the first surviving mutant, or once the score
-  threshold is reached -- new shards stop being submitted, in-flight
-  shards drain).  Collecting every yield and sorting by mutant index
-  reproduces the blocking report byte-for-byte.
+* :func:`stream_shard_batches` is the streaming face of one prepared
+  campaign: a generator yielding each completed shard's outcomes with
+  a :class:`CampaignProgress` snapshot, honouring
+  :class:`AbortPolicy` early-abort (stop on the first surviving
+  mutant, or once the score threshold is reached -- new shards stop
+  being submitted, in-flight shards drain).  Collecting every batch
+  and sorting by mutant index reproduces the blocking
+  :func:`~repro.mutation.campaign.run_campaign` report
+  byte-for-byte; the campaign service streams its ``/events`` feed
+  from it.
 * :func:`run_benchmark_suite` batches whole campaign *suites* across
   IPs: each campaign's shards are submitted to the shared pool as soon
   as that campaign is prepared (prep of later campaigns overlaps
@@ -62,7 +64,7 @@ from repro.obs import (
     trace_span,
 )
 
-from .campaign import PreparedCampaign, ShardResult, prepare_campaign
+from .campaign import PreparedCampaign, prepare_campaign
 from .placement import CampaignScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
@@ -73,9 +75,7 @@ __all__ = [
     "CampaignProgress",
     "CampaignScheduler",
     "SuiteResult",
-    "iter_campaign",
     "run_benchmark_suite",
-    "stream_prepared",
     "stream_shard_batches",
 ]
 
@@ -175,7 +175,7 @@ class _CampaignTracker:
     def absorb(self, outcomes, progress=None) -> None:
         """Account one completed shard: record every outcome, bump the
         shard counter, fire the progress callback.  The single
-        absorption path shared by :func:`stream_prepared` and
+        absorption path shared by :func:`stream_shard_batches` and
         :func:`run_benchmark_suite`, so streaming and suite accounting
         cannot drift apart."""
         for outcome in outcomes:
@@ -279,6 +279,30 @@ def _write_back(cache, cache_keys, outcomes, encode, ip=None) -> None:
         cache.put(cache_keys[outcome.index], payload)
 
 
+def _absorb_executed(prepared: PreparedCampaign, result, cache,
+                     counters: "dict[str, int]") -> "list":
+    """Account one freshly executed TLM shard; return its outcomes.
+
+    The shard's obs side-channel is absorbed before the outcome list
+    is re-shaped (expansion builds a plain list): its counters feed
+    the metrics registry and are added to ``counters``, the campaign's
+    total (:attr:`MutationReport.obs`), and its relative-offset spans
+    are re-anchored onto the tracer.  Deferred duplicate clones are
+    then expanded and every outcome is written back to ``cache``, so
+    the clones earn their own entries.  The one path shared by
+    :func:`stream_shard_batches` and :func:`run_benchmark_suite`."""
+    from .cache import encode_outcome
+
+    obs = getattr(result, "obs", None)
+    for name, value in absorb_shard_counters(obs).items():
+        counters[name] = counters.get(name, 0) + value
+    TRACER.absorb_shard(obs, ip=prepared.ip_name)
+    outcomes = prepared.expand_outcomes(result)
+    _write_back(cache, prepared.cache_keys, outcomes, encode_outcome,
+                ip=prepared.ip_name)
+    return outcomes
+
+
 def stream_shard_batches(
     scheduler: "CampaignScheduler",
     prepared: PreparedCampaign,
@@ -286,31 +310,39 @@ def stream_shard_batches(
     progress=None,
     abort: "AbortPolicy | None" = None,
     cache=None,
+    counters: "dict[str, int] | None" = None,
 ):
     """Run an already-prepared campaign on ``scheduler``, yielding one
     ``(outcomes, CampaignProgress)`` pair per completed shard.  The
-    shard-granular streaming core shared by :func:`stream_prepared`
-    and the campaign service (whose ``/jobs/<id>/events`` wire format
-    is exactly this: per-shard outcome batches interleaved with
-    progress snapshots); the caller owns the scheduler's lifetime.
+    shard-granular streaming core shared by
+    :func:`repro.mutation.campaign.run_campaign` and the campaign
+    service (whose ``/jobs/<id>/events`` wire format is exactly this:
+    per-shard outcome batches interleaved with progress snapshots);
+    the caller owns the scheduler's lifetime.
 
+    Every outcome is yielded exactly once, in shard-completion order
+    (deterministic for one worker, pool-dependent otherwise); the
+    outcomes themselves do not depend on sharding, so
+    :meth:`~repro.mutation.campaign.PreparedCampaign.build_report`
+    over the collected batches is deterministic.
+
+    ``progress`` is called with each snapshot.  ``abort`` (an
+    :class:`AbortPolicy`) stops *submission* of new shards once
+    triggered; shards already in flight drain and are still yielded.
     Replayed outcomes (``prepared.replayed_outcomes``: cache hits plus
     statically-pruned verdicts) are yielded first as one virtual shard
     -- they count toward progress and can trigger the abort policy
-    before any submission happens.  Freshly executed outcomes are
-    expanded with any deferred duplicate clones
-    (:meth:`~repro.mutation.campaign.PreparedCampaign.expand_outcomes`)
-    and written back to ``cache`` as their shards complete (pass the
-    same cache the campaign was prepared with) -- so the clones earn
-    their own content-addressed entries for free.
+    before any submission happens.  Freshly executed shards go through
+    :func:`_absorb_executed` (pass the cache the campaign was prepared
+    with); ``counters``, when given, collects their obs counters for
+    ``build_report``.
 
     Abandoning the generator early (``close()``, or an exception out
     of a ``progress`` callback) stops submission and drains in-flight
     shards before returning, so a shared scheduler is never left with
     orphan work -- see :func:`_stream_shard_results`.
     """
-    from .cache import encode_outcome
-
+    counters = {} if counters is None else counters
     with trace_span("scheduler.stream", ip=prepared.ip_name,
                     sensor=prepared.sensor_type,
                     shards=prepared.total_shards):
@@ -323,21 +355,11 @@ def stream_shard_batches(
             scheduler, prepared.shards, stop=lambda: tracker.aborted
         )
         try:
-            for outcomes in results:
-                # The obs side-channel is absorbed before the outcome
-                # list is re-shaped (expansion builds a plain list):
-                # shard counters feed the metrics registry, relative-
-                # offset spans are re-anchored onto the tracer, and the
-                # payload rides on to the caller for per-campaign
-                # aggregation (report.obs).
-                obs = getattr(outcomes, "obs", None)
-                absorb_shard_counters(obs)
-                TRACER.absorb_shard(obs, ip=prepared.ip_name)
-                outcomes = prepared.expand_outcomes(outcomes)
-                _write_back(cache, prepared.cache_keys, outcomes,
-                            encode_outcome, ip=prepared.ip_name)
+            for result in results:
+                outcomes = _absorb_executed(prepared, result, cache,
+                                            counters)
                 tracker.absorb(outcomes, progress)
-                yield ShardResult(outcomes, obs=obs), tracker.snapshot()
+                yield outcomes, tracker.snapshot()
         finally:
             # Deterministic cleanup even when our *own* frame is torn
             # down mid-yield (consumer close) or a callback raised
@@ -346,99 +368,16 @@ def stream_shard_batches(
             results.close()
 
 
-def stream_prepared(
-    scheduler: "CampaignScheduler",
-    prepared: PreparedCampaign,
-    *,
-    progress=None,
-    abort: "AbortPolicy | None" = None,
-    cache=None,
-):
-    """Run an already-prepared campaign on ``scheduler``, yielding
-    ``MutantOutcome``s as shards complete.  The streaming core shared
-    by :func:`iter_campaign` and
-    :func:`repro.mutation.campaign.run_campaign`; the caller owns the
-    scheduler's lifetime.  Outcome-granular flattening of
-    :func:`stream_shard_batches` -- see there for the cache-replay and
-    early-abandonment semantics.
-    """
-    batches = stream_shard_batches(
-        scheduler, prepared, progress=progress, abort=abort, cache=cache
-    )
-    try:
-        for outcomes, _snapshot in batches:
-            yield from outcomes
-    finally:
-        batches.close()
-
-
-def iter_campaign(
-    golden,
-    injected,
-    stimuli,
-    *,
-    ip_name: str = "ip",
-    sensor_type: str = "razor",
-    recovery: bool = True,
-    workers: int = 1,
-    shard_size: "int | None" = None,
-    scheduler: "CampaignScheduler | None" = None,
-    progress=None,
-    abort: "AbortPolicy | None" = None,
-    cache=None,
-):
-    """Stream one campaign: yield ``MutantOutcome``s as shards complete.
-
-    Arguments mirror :func:`repro.mutation.campaign.run_campaign`.
-    With a ``scheduler`` the campaign runs on that shared pool (and
-    ``workers`` is ignored in favour of ``scheduler.workers``);
-    otherwise an ephemeral scheduler is created and shut down when the
-    generator finishes (or is closed early).
-
-    Every outcome is yielded exactly once.  Yield order is shard-
-    completion order -- deterministic for one worker, pool-dependent
-    otherwise -- but the outcomes themselves are computed identically
-    regardless of sharding, so sorting the collected yields by
-    ``index`` reproduces :func:`run_campaign`'s deterministic report.
-
-    ``progress`` is called with a :class:`CampaignProgress` after each
-    shard.  ``abort`` (an :class:`AbortPolicy`) stops *submission* of
-    new shards once triggered; shards already in flight drain and are
-    still yielded.  ``cache`` (a
-    :class:`~repro.mutation.cache.ResultCache`) replays known verdicts
-    as the very first batch -- so with a warm cache the stream yields
-    everything instantly and submits nothing -- and writes fresh
-    verdicts back as shards complete.  Statically pruned verdicts join
-    that first (replayed) batch.
-    """
-    prepared = prepare_campaign(
-        golden,
-        injected,
-        stimuli,
-        ip_name=ip_name,
-        sensor_type=sensor_type,
-        recovery=recovery,
-        workers=workers if scheduler is None else scheduler.workers,
-        shard_size=shard_size,
-        cache=cache,
-    )
-    with _leased_scheduler(
-        scheduler, _ephemeral_width(workers, prepared)
-    ) as sched:
-        yield from stream_prepared(
-            sched, prepared, progress=progress, abort=abort, cache=cache
-        )
-
-
 @dataclass
 class SuiteResult:
     """Outcome of one :func:`run_benchmark_suite` run."""
 
     #: ``(ip_name, sensor_type) -> MutationReport``, every report
-    #: field-identical to a standalone ``run_campaign`` (modulo the
-    #: wall-clock ``seconds``, which here spans that campaign's own
-    #: preparation to its last shard; campaigns overlap on the shared
-    #: pool, so the per-campaign times can sum past the suite total).
+    #: field-identical to a standalone ``run_campaign``, ``obs``
+    #: counters included (modulo the wall-clock ``seconds``, which
+    #: here spans that campaign's own preparation to its last shard;
+    #: campaigns overlap on the shared pool, so the per-campaign times
+    #: can sum past the suite total).
     reports: "dict[tuple[str, str], MutationReport]"
     seconds: float           # whole suite, including flow builds
     campaign_seconds: float  # prepare+execute phase (prep of later
@@ -543,21 +482,18 @@ class _SuiteJob:
     started: float = 0.0     # perf_counter at this campaign's prepare
     outcomes: "list" = field(default_factory=list)
     seconds: float = 0.0
+    #: The executed shards' obs counters, summed (``report.obs``).
+    counters: "dict[str, int]" = field(default_factory=dict)
 
     def absorb_shard(self, outcomes, progress) -> None:
         self.outcomes.extend(outcomes)
         self.tracker.absorb(outcomes, progress)
 
-    def expand(self, outcomes) -> "list":
-        """Resolve deferred duplicate clones against a fresh shard
-        batch."""
-        return self.prepared.expand_outcomes(outcomes)
-
-    def write_back(self, cache, outcomes) -> None:
-        from .cache import encode_outcome
-
-        _write_back(cache, self.prepared.cache_keys, outcomes,
-                    encode_outcome, ip=self.key[0])
+    def absorb_fresh(self, result, cache) -> "list":
+        """Account a freshly executed shard exactly as a streamed
+        campaign does (:func:`_absorb_executed`)."""
+        return _absorb_executed(self.prepared, result, cache,
+                                self.counters)
 
     @property
     def complete(self) -> bool:
@@ -583,16 +519,16 @@ class _RtlSuiteJob:
         self.outcomes.extend(outcomes)
         self.shards_done += 1
 
-    def expand(self, outcomes) -> "list":
-        """RTL validation never prunes: every mutant re-executes at
-        RTL by definition of the cross-level check."""
-        return list(outcomes)
-
-    def write_back(self, cache, outcomes) -> None:
+    def absorb_fresh(self, result, cache) -> "list":
+        """Write a freshly executed shard back to ``cache``.  RTL
+        validation never prunes (every mutant re-executes at RTL by
+        definition of the cross-level check), so there is nothing to
+        expand."""
         from .cache import encode_rtl_outcome
 
-        _write_back(cache, self.prepared.cache_keys, outcomes,
+        _write_back(cache, self.prepared.cache_keys, result,
                     encode_rtl_outcome, ip=self.key[0])
+        return list(result)
 
     @property
     def complete(self) -> bool:
@@ -685,14 +621,12 @@ def run_benchmark_suite(
     campaign_started = time.perf_counter()
 
     def _absorb(job, outcomes, finished_at: "float | None" = None,
-                write: bool = True) -> None:
-        if write:
-            # Fresh shard: attach any deferred duplicate clones before
-            # write-back so the clones earn their own cache entries.
-            # (Replayed batches arrive with write=False and already
-            # contain every prepare-time clone.)
-            outcomes = job.expand(outcomes)
-            job.write_back(cache, outcomes)
+                fresh: bool = True) -> None:
+        if fresh:
+            # Replayed batches arrive with fresh=False: they are
+            # already cached, carry no obs payload and contain every
+            # prepare-time clone.
+            outcomes = job.absorb_fresh(outcomes, cache)
         job.absorb_shard(outcomes, progress)
         if job.complete:
             job.seconds = (
@@ -782,7 +716,7 @@ def run_benchmark_suite(
                     # Replayed verdicts (cache hits + statically
                     # pruned) are already in the cache -- absorb
                     # without writing them back.
-                    _absorb(job, prepared.replayed_outcomes, write=False)
+                    _absorb(job, prepared.replayed_outcomes, fresh=False)
                 _submit_job(sched, job, prepared.shards)
 
                 if rtl_validation:
@@ -811,7 +745,7 @@ def run_benchmark_suite(
                     if rtl_prepared.cached_outcomes:
                         _absorb(
                             rtl_job, rtl_prepared.cached_outcomes,
-                            write=False,
+                            fresh=False,
                         )
                     _submit_job(sched, rtl_job, rtl_prepared.shards)
                 # Keep progress live and per-campaign timing honest:
@@ -839,7 +773,9 @@ def run_benchmark_suite(
     campaign_seconds = time.perf_counter() - campaign_started
 
     reports = {
-        job.key: job.prepared.build_report(job.outcomes, seconds=job.seconds)
+        job.key: job.prepared.build_report(
+            job.outcomes, seconds=job.seconds, counters=job.counters
+        )
         for job in jobs
     }
     rtl_reports = {

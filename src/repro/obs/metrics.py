@@ -20,7 +20,8 @@ in (:func:`absorb_shard_counters`).
 
 Everything is runtime metadata -- nothing here feeds a verdict, so
 determinism is untouched (enforced by ``tools/lint_determinism.py``
-and the field-identity gate in ``benchmarks/bench_obs.py``).
+and the traced-vs-untraced field-identity tests in
+``tests/test_obs.py``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ One process-local :class:`Tracer` (:data:`TRACER`) records **spans**
 fault recoveries, dispatch decisions).  Disabled -- the default -- a
 :func:`trace_span` call returns a shared ``nullcontext`` and an
 :func:`instant` is a single attribute check, so the instrumented hot
-paths cost nothing measurable (gated by ``benchmarks/bench_obs.py``).
+paths cost nothing measurable.  What tracing *on* costs is printed as
+``obs.overhead_frac`` by every traced ``perfbench/run.py`` run.
 
 Determinism contract
 --------------------
@@ -15,9 +16,11 @@ Everything here is *runtime metadata*, never a verdict input:
   tracer epoch (explicitly allowed by ``tools/lint_determinism.py``);
 * worker-side timings never cross a process boundary as wall-clock
   data.  A shard records into a :class:`ShardCapture` whose spans are
-  **relative offsets** from the shard's own start; the payload rides
-  back inside a :class:`~repro.mutation.campaign.ShardResult` and the
-  coordinator re-anchors it onto its own clock
+  **relative offsets** from the shard's own start, and the start
+  itself is a ``time.perf_counter`` reading -- a monotonic clock every
+  process on the host shares.  The payload rides back inside a
+  :class:`~repro.mutation.campaign.ShardResult` and the coordinator
+  places it on its own timeline where the shard ran
   (:meth:`Tracer.absorb_shard`).  Reports stay byte-identical: every
   obs field is ``compare=False``, like
   :attr:`~repro.mutation.MutationReport.seconds`.
@@ -199,18 +202,18 @@ class Tracer:
     def absorb_shard(self, payload: "dict | None", **attrs) -> None:
         """Merge a shard's :class:`ShardCapture` payload into the
         timeline.  The payload's spans are offsets from the shard's
-        own start; they are re-anchored so the shard *ends* now (the
-        coordinator absorbs a shard the moment its result arrives).
-        Each distinct worker identity gets its own synthetic ``pid``
-        track."""
+        own start, which the payload carries on the host-wide
+        ``perf_counter`` clock, so they land where the shard ran
+        however late its result is absorbed: one worker's spans never
+        overlap.  Each distinct worker identity gets its own synthetic
+        ``pid`` track."""
         if not self.enabled or not payload:
             return
         spans = payload.get("spans") or []
         if not spans:
             return
         worker = str(payload.get("worker") or "local")
-        elapsed = float(payload.get("elapsed_s") or 0.0)
-        anchor = (time.perf_counter() - self._epoch) - elapsed
+        anchor = float(payload["started_s"]) - self._epoch
         with self._lock:
             pid = self._workers.get(worker)
             if pid is None:
@@ -299,8 +302,9 @@ class ShardCapture:
     Counters are always collected (plain integer adds).  Spans are
     collected only when the shard was built with ``trace=True`` --
     every span is a ``(start, duration)`` pair **relative to the
-    shard's own start**, so no wall-clock value ever leaves the worker
-    process (the det-lint rule this design exists to honour)."""
+    shard's own start**, and that start is a ``perf_counter`` reading,
+    so no wall-clock value ever leaves the worker process (the
+    det-lint rule this design exists to honour)."""
 
     __slots__ = ("spans_enabled", "spans", "counters", "_t0")
 
@@ -337,9 +341,12 @@ class ShardCapture:
     def payload(self) -> dict:
         """The JSON-safe dict carried home inside the shard result.
         ``worker`` names the executing process, so each pool worker
-        gets its own trace track."""
+        gets its own trace track; ``started_s`` is the shard's start
+        on ``time.perf_counter``, a clock the coordinator shares with
+        its pool workers."""
         return {
             "worker": f"pool/{os.getpid()}",
+            "started_s": self._t0,
             "elapsed_s": time.perf_counter() - self._t0,
             "spans": self.spans,
             "counters": dict(self.counters),

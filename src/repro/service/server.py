@@ -463,19 +463,12 @@ class CampaignService:
                 )
                 abort = _JobAbort(spec.abort_policy(), cancel)
                 outcomes: "list" = []
-                obs_counters: "dict[str, int]" = {}
+                counters: "dict[str, int]" = {}
                 for batch, snapshot in stream_shard_batches(
                     self.scheduler, prepared, abort=abort,
-                    cache=self.cache,
+                    cache=self.cache, counters=counters,
                 ):
                     outcomes.extend(batch)
-                    payload = getattr(batch, "obs", None) or {}
-                    for name, value in sorted(
-                        (payload.get("counters") or {}).items()
-                    ):
-                        obs_counters[name] = (
-                            obs_counters.get(name, 0) + value
-                        )
                     self._post(self._publish, job_id,
                                api.shard_event(batch))
                     self._post(self._publish, job_id,
@@ -485,10 +478,9 @@ class CampaignService:
                         self._crash(plan)
                     self._hold(cancel)
                 report = prepared.build_report(
-                    outcomes, seconds=time.perf_counter() - started
+                    outcomes, seconds=time.perf_counter() - started,
+                    counters=counters,
                 )
-                if obs_counters:
-                    report.obs = {"counters": obs_counters}
             status = "aborted" if cancel.is_set() else "done"
             self._post(self._finish, job_id, status,
                        report=api.encode_report(report))

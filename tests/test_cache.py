@@ -24,10 +24,10 @@ from repro.mutation import (
     CampaignScheduler,
     ResultCache,
     inject_mutants,
-    iter_campaign,
     prepare_campaign,
     run_benchmark_suite,
     run_campaign,
+    stream_shard_batches,
     validate_at_rtl,
 )
 from repro.mutation.cache import (
@@ -261,27 +261,25 @@ class TestCampaignCache:
         assert report.cache_hits == 0
         assert report.cache_misses == report.total
 
-    def test_iter_campaign_streams_cached_first(self, razor_campaign):
+    def test_warm_stream_replays_cached_first(self, razor_campaign):
         golden, injected, stimuli = razor_campaign
         cache = ResultCache(None)
-        cold = sorted(
-            iter_campaign(
-                golden, injected, stimuli,
-                ip_name="cache_ip", sensor_type="razor", cache=cache,
-            ),
-            key=lambda o: o.index,
-        )
+        cold = _campaign(golden, injected, stimuli, cache=cache).outcomes
         snapshots = []
-        warm = list(iter_campaign(
+        prepared = prepare_campaign(
             golden, injected, stimuli,
             ip_name="cache_ip", sensor_type="razor", cache=cache,
-            progress=snapshots.append,
-        ))
+        )
+        with CampaignScheduler(workers=1) as scheduler:
+            batches = list(stream_shard_batches(
+                scheduler, prepared, cache=cache, progress=snapshots.append,
+            ))
         # Warm stream yields every verdict in one replay batch, in
         # index order, before (and without) any shard submission.
-        assert warm == cold
+        assert not prepared.shards
+        assert [warm for warm, _snapshot in batches] == [cold]
         assert len(snapshots) == 1
-        assert snapshots[0].done == snapshots[0].total == len(warm)
+        assert snapshots[0].done == snapshots[0].total == len(cold)
         assert snapshots[0].shards_done == snapshots[0].shards_total == 1
 
 

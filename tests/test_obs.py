@@ -8,10 +8,14 @@ Acceptance contract:
   :func:`repro.obs.validate_chrome_trace`;
 * a step that raises still closes its span, tagged with the exception
   type (``error="LintGateError"`` on a lint-gated ``flow.run``);
-* tracing changes **nothing** about campaign results: reports run
-  with the tracer on and off both equal the serial, unpruned oracle
-  field for field (the full IP x sensor x workers x shard-size sweep
-  is gated in ``benchmarks/bench_obs.py``; a smoke slice runs here);
+* tracing changes **nothing** about campaign results: on every IP x
+  sensor type x workers {1, 2} x shard size {default, 3} the traced
+  report equals the untraced one field for field (wall clock aside),
+  and on filter/razor both equal the serial, unpruned oracle;
+* a traced :func:`repro.mutation.run_benchmark_suite` absorbs every
+  executed TLM shard like ``run_campaign`` does: one ``shard.execute``
+  span per shard, the same ``report.obs`` counters and the same
+  ``repro_shards_executed_total`` count;
 * :class:`repro.obs.CompletionStamps` rejects late
   ``add_done_callback`` stamps after ``close()`` -- the scheduler
   drain-loop fix;
@@ -31,6 +35,7 @@ Acceptance contract:
   ``--trace``.
 """
 
+import dataclasses
 import http.client
 import json
 import multiprocessing
@@ -40,8 +45,13 @@ import pytest
 
 from repro.faults import FaultPlan, active_plan
 from repro.flow import run_flow
-from repro.ips import case_study
-from repro.mutation import CampaignScheduler, run_campaign
+from repro.ips import CASE_STUDIES, case_study
+from repro.mutation import (
+    CampaignScheduler,
+    MutationReport,
+    run_benchmark_suite,
+    run_campaign,
+)
 from repro.obs import (
     REGISTRY,
     TRACER,
@@ -66,6 +76,10 @@ from serial_oracle import assert_matches_oracle, serial_report
 
 REDUCED_CYCLES = 24
 
+#: Every case-study IP x sensor type.
+CELLS = [(ip, sensor) for ip in sorted(CASE_STUDIES)
+         for sensor in ("razor", "counter")]
+
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
@@ -80,9 +94,23 @@ def _clean_obs():
 
 
 @pytest.fixture(scope="module")
-def flow():
-    """One memoised flow build (filter/razor) for the whole module."""
-    return run_flow(case_study("filter"), "razor", run_mutation=False)
+def flows():
+    """Memoised ``run_flow(..., run_mutation=False)`` per cell."""
+    built = {}
+
+    def get(ip, sensor):
+        if (ip, sensor) not in built:
+            built[(ip, sensor)] = run_flow(case_study(ip), sensor,
+                                           run_mutation=False)
+        return built[(ip, sensor)]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def flow(flows):
+    """The filter/razor flow most tests of the module share."""
+    return flows("filter", "razor")
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +188,24 @@ class TestTracer:
         names = {e["args"]["name"] for e in meta}
         assert "repro worker worker-a:1234" in names
         assert validate_chrome_trace(TRACER.chrome_trace()) == []
+
+    def test_late_absorbed_shard_keeps_its_place_on_the_track(self):
+        # Two shards run back to back on one worker and the first
+        # one's result is absorbed last, as when the coordinator drains
+        # it late: the spans still sit where the worker ran them.
+        TRACER.enable()
+        payloads = []
+        for index in (0, 1):
+            capture = ShardCapture(spans_enabled=True)
+            with capture.span("shard.execute", index=index):
+                pass
+            payloads.append(capture.payload())
+        for payload in reversed(payloads):
+            TRACER.absorb_shard(payload)
+        first, second = sorted(_spans_named("shard.execute"),
+                               key=lambda e: e["ts"])
+        assert [first["args"]["index"], second["args"]["index"]] == [0, 1]
+        assert first["ts"] + first["dur"] <= second["ts"]
 
     def test_enable_resets_the_timeline(self):
         TRACER.enable()
@@ -399,12 +445,75 @@ class TestTracingFieldIdentity:
                  for e in TRACER.chrome_trace()["traceEvents"]}
         assert {"campaign.run", "shard.execute", "batch.sweep"} <= names
 
+    @pytest.mark.parametrize("shard_size", [None, 3],
+                             ids=["default", "shard3"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("ip,sensor", CELLS)
+    def test_traced_equals_untraced(self, flows, ip, sensor, workers,
+                                    shard_size):
+        flow = flows(ip, sensor)
+        stim = case_study(ip).stimulus(REDUCED_CYCLES)
+
+        def run():
+            return run_campaign(
+                flow.tlm_optimized, flow.injected, stim,
+                ip_name=ip, sensor_type=sensor,
+                workers=workers, shard_size=shard_size,
+            )
+
+        untraced = run()
+        TRACER.enable()
+        traced = run()
+        TRACER.disable()
+        assert traced == untraced
+        assert traced.outcomes == untraced.outcomes
+        # The compare=False metadata too (obs counters included): only
+        # the wall clock may differ.
+        for f in dataclasses.fields(MutationReport):
+            if f.name != "seconds":
+                assert getattr(traced, f.name) == \
+                    getattr(untraced, f.name), f.name
+
     def test_campaign_report_carries_obs_counters(self, flow):
         report = _campaign(flow, workers=1)
         assert report.obs is not None
         counters = report.obs["counters"]
         assert counters["mutants"] == report.total
         assert counters["shards"] >= 1
+
+
+class TestSuiteObs:
+    """``run_benchmark_suite`` (the methodology run) absorbs each
+    executed TLM shard's obs payload exactly as ``run_campaign``
+    does.  Its RTL-validation shards share the pool and carry no
+    payload."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_suite_matches_run_campaign_obs(self, flows, workers):
+        sensors = ("razor", "counter")
+        TRACER.enable()
+        suite = run_benchmark_suite(
+            ["dsp"], sensors, workers=workers,
+            mutation_cycles=REDUCED_CYCLES, rtl_validation=True,
+            flows={("dsp", s): flows("dsp", s) for s in sensors},
+        )
+        TRACER.disable()
+        spans = _spans_named("shard.execute")
+        absorbed = REGISTRY.counter_value("repro_shards_executed_total")
+
+        stim = case_study("dsp").stimulus(REDUCED_CYCLES)
+        shards = 0
+        for sensor in sensors:
+            flow = flows("dsp", sensor)
+            direct = run_campaign(
+                flow.tlm_optimized, flow.injected, stim,
+                ip_name="dsp", sensor_type=sensor, workers=workers,
+            )
+            report = suite.reports[("dsp", sensor)]
+            assert report == direct
+            assert report.obs == direct.obs
+            shards += direct.obs["counters"]["shards"]
+        assert len(spans) == absorbed == shards
 
 
 class _Rendezvous:

@@ -26,10 +26,10 @@ from repro.mutation import (
     MutantOutcome,
     MutationReport,
     SupervisedFuture,
-    iter_campaign,
     prepare_campaign,
     run_benchmark_suite,
     run_campaign,
+    stream_shard_batches,
 )
 from repro.reporting import mutation_summary_pairs
 from repro.stimuli import TlmSensorMonitor
@@ -73,6 +73,27 @@ def assert_reports_match(actual: MutationReport, expected: MutationReport):
     assert actual.mutation_score == expected.mutation_score
 
 
+def prepare(flow, stim, ip, sensor, *, workers, shard_size=None):
+    """Prepare one campaign sharded for a ``workers``-wide pool."""
+    return prepare_campaign(
+        flow.golden_factory(), flow.injected, stim,
+        ip_name=ip, sensor_type=sensor,
+        workers=workers, shard_size=shard_size,
+    )
+
+
+def streamed(scheduler, prepared, **kwargs):
+    """Every outcome :func:`stream_shard_batches` yields, in yield
+    order."""
+    return [
+        outcome
+        for batch, _snapshot in stream_shard_batches(
+            scheduler, prepared, **kwargs
+        )
+        for outcome in batch
+    ]
+
+
 class CountingScheduler(CampaignScheduler):
     """Scheduler that counts shard submissions (early-abort probes)."""
 
@@ -86,7 +107,7 @@ class CountingScheduler(CampaignScheduler):
 
 
 # ----------------------------------------------------------------------
-# Streaming equivalence: iter_campaign == run_campaign, all IPs
+# Streaming equivalence: stream_shard_batches == run_campaign, all IPs
 # ----------------------------------------------------------------------
 
 class TestStreamingEquivalence:
@@ -101,11 +122,10 @@ class TestStreamingEquivalence:
             ip_name=ip, sensor_type=sensor, workers=1,
         )
         for workers, shard_size in [(1, None), (4, None), (4, 2)]:
-            outcomes = list(iter_campaign(
-                flow.golden_factory(), flow.injected, stim,
-                ip_name=ip, sensor_type=sensor,
-                workers=workers, shard_size=shard_size,
-            ))
+            prepared = prepare(flow, stim, ip, sensor, workers=workers,
+                               shard_size=shard_size)
+            with CampaignScheduler(workers) as scheduler:
+                outcomes = streamed(scheduler, prepared)
             # Every outcome exactly once, no duplicates, no gaps.
             assert sorted(o.index for o in outcomes) == \
                 list(range(baseline.total))
@@ -123,11 +143,11 @@ class TestStreamingEquivalence:
         flow = flows("dsp", "razor")
         stim = spec.stimulus(REDUCED_CYCLES)
         snapshots = []
-        outcomes = list(iter_campaign(
+        outcomes = run_campaign(
             flow.golden_factory(), flow.injected, stim,
             ip_name="dsp", sensor_type="razor",
             workers=1, shard_size=4, progress=snapshots.append,
-        ))
+        ).outcomes
         total = len(flow.injected.mutants)
         assert [s.shards_done for s in snapshots] == \
             list(range(1, len(snapshots) + 1))
@@ -301,12 +321,11 @@ class TestEarlyAbort:
         flow = flows("filter", "razor")
         stim = case_study("filter").stimulus(8)
         scheduler = CountingScheduler(workers=1)
-        outcomes = list(iter_campaign(
-            flow.golden_factory(), flow.injected, stim,
-            ip_name="filter", sensor_type="razor",
-            shard_size=1, scheduler=scheduler,
+        outcomes = streamed(
+            scheduler,
+            prepare(flow, stim, "filter", "razor", workers=1, shard_size=1),
             abort=AbortPolicy(stop_on_survivor=True),
-        ))
+        )
         total = len(flow.injected.mutants)
         survivor_positions = [
             i for i, o in enumerate(outcomes)
@@ -325,12 +344,11 @@ class TestEarlyAbort:
         flow = flows("dsp", "razor")
         stim = spec.stimulus(spec.mutation_cycles)
         scheduler = CountingScheduler(workers=1)
-        outcomes = list(iter_campaign(
-            flow.golden_factory(), flow.injected, stim,
-            ip_name="dsp", sensor_type="razor",
-            shard_size=1, scheduler=scheduler,
+        outcomes = streamed(
+            scheduler,
+            prepare(flow, stim, "dsp", "razor", workers=1, shard_size=1),
             abort=AbortPolicy(score_threshold=100.0),
-        ))
+        )
         assert outcomes[0].killed
         assert scheduler.submitted == 1
         assert len(outcomes) < len(flow.injected.mutants)
@@ -442,10 +460,9 @@ class TestCallbackHardening:
         # means the shared pool must come back clean.
         flow, stim, baseline = self._baseline(flows)
         with CampaignScheduler(workers=2) as scheduler:
-            gen = iter_campaign(
-                flow.golden_factory(), flow.injected, stim,
-                ip_name="dsp", sensor_type="razor",
-                scheduler=scheduler, shard_size=1,
+            gen = stream_shard_batches(
+                scheduler,
+                prepare(flow, stim, "dsp", "razor", workers=2, shard_size=1),
             )
             next(gen)          # at least one shard in flight
             gen.close()        # consumer disappears
@@ -699,12 +716,11 @@ class TestPoolSelfHealing:
         with CampaignScheduler(workers=2) as scheduler:
             killed = False
             outcomes = []
-            for outcome in iter_campaign(
-                flow.golden_factory(), flow.injected, stim,
-                ip_name="dsp", sensor_type="razor",
-                scheduler=scheduler, shard_size=1,
+            for batch, _snapshot in stream_shard_batches(
+                scheduler,
+                prepare(flow, stim, "dsp", "razor", workers=2, shard_size=1),
             ):
-                outcomes.append(outcome)
+                outcomes.extend(batch)
                 if not killed:
                     killed = True
                     # SIGKILL a real pool process while the remaining
