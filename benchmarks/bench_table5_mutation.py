@@ -106,7 +106,6 @@ def test_rtl_validation_agrees(campaigns, once):
             flow.augmented,
             flow.injected.mutants,
             stimuli=spec.stimulus(spec.mutation_cycles),
-            cycles=spec.mutation_cycles,
             ip_name="dsp",
         )
         assert report.risen_pct == 100.0

@@ -18,10 +18,10 @@ Commands
 ``mutate <ip> <sensor> [--workers N] [--shard-size M] [--cycles C]
 [--cache-dir DIR] [--no-cache] [--trace FILE]``
     Run only the mutation campaign through the sharded engine
-    (:mod:`repro.mutation.campaign`): statically equivalent and
-    duplicate mutants are pruned (:mod:`repro.lint.mutants`) and each
-    shard runs as one batched sweep with fork-on-divergence and
-    early-kill (:mod:`repro.mutation.batched`).  ``--workers``
+    (:mod:`repro.mutation.campaign`): statically equivalent mutants
+    are pruned (:mod:`repro.lint.mutants`) and each shard runs as one
+    batched sweep with fork-on-divergence and early-kill
+    (:mod:`repro.mutation.batched`).  ``--workers``
     distributes the mutant shards across worker processes (the report
     is deterministic for any worker count); ``--shard-size`` overrides
     the automatic one-shard-per-worker split (and with it the sweep
@@ -43,9 +43,10 @@ Commands
     left idle by big ones; the per-campaign reports stay deterministic
     (identical to standalone ``mutate`` runs).  ``--rtl-validation``
     interleaves each campaign's RTL-validation shards on the same
-    pool and prints a second table with the RTL results, listing the
-    mutants whose TLM and RTL verdicts disagree (any makes the exit
-    code non-zero).
+    pool -- they replay the campaign's own stimuli, ``--cycles``
+    included -- and prints a second table with the RTL results,
+    listing the mutants whose TLM and RTL verdicts disagree (any makes
+    the exit code non-zero).
 ``timing <ip> <sensor> [cycles] [--rtl-exec compiled|interpreted]``
     Measure the RTL / TLM / optimised-TLM simulation times on the IP's
     testbench workload.  ``--rtl-exec both`` additionally times the
@@ -53,7 +54,9 @@ Commands
     compile-once speedup in place.
 ``emit <ip> {vhdl|tlm} [--sensor razor|counter]``
     Print the generated VHDL of the (augmented) IP, or the generated
-    TLM Python model.
+    TLM Python model.  ``--sensor`` emits the design the flow builds
+    (:func:`repro.flow.build_augmented`: Counter taps calibrated on the
+    IP's testbench).
 
 Campaign service (see :mod:`repro.service` and ``docs/service.md``)
 -------------------------------------------------------------------
@@ -121,7 +124,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.flow import run_flow, speedup, time_rtl, time_tlm
+from repro.flow import build_augmented, run_flow, speedup, time_rtl, time_tlm
 from repro.ips import CASE_STUDIES, case_study
 from repro.reporting import format_kv, format_table, mutation_summary_pairs
 
@@ -188,8 +191,6 @@ def _cmd_lint(args) -> int:
     for ip in args.ips:
         spec = case_study(ip)
         if args.sensor:
-            from repro.flow import build_augmented
-
             module = build_augmented(spec, args.sensor).augmented.module
         else:
             module, _clk = spec.factory()
@@ -288,10 +289,7 @@ def _cache_cell(report) -> str:
 
 
 def _disagreement_cell(indices) -> str:
-    """The disagreeing mutant indices of one RTL-validated campaign, or
-    ``n.a.`` when its RTL testbench length differs from the TLM one."""
-    if indices is None:
-        return "n.a."
+    """The disagreeing mutant indices of one RTL-validated campaign."""
     if not indices:
         return "0"
     return f"{len(indices)}: " + ", ".join(map(str, indices))
@@ -325,7 +323,6 @@ def _cmd_bench(args) -> int:
             progress=progress,
             cache=cache,
             rtl_validation=args.rtl_validation,
-            rtl_validation_cycles=args.rtl_cycles,
         )
     rows = []
     for (ip, sensor), report in sorted(suite.reports.items()):
@@ -354,7 +351,7 @@ def _cmd_bench(args) -> int:
         disagreements = suite.rtl_disagreements
         rtl_rows = [
             [ip, sensor, report.total, f"{report.risen_pct:.1f}%",
-             _disagreement_cell(disagreements.get((ip, sensor))),
+             _disagreement_cell(disagreements[(ip, sensor)]),
              _cache_cell(report), f"{report.seconds:.2f}"]
             for (ip, sensor), report in sorted(suite.rtl_reports.items())
         ]
@@ -389,7 +386,7 @@ def _cmd_bench(args) -> int:
     # every campaign AND no stall-budget truncations -- plus, when RTL
     # validation ran, cross-level agreement: every Razor RTL report
     # must have raised its error on every mutant, and every mutant's
-    # TLM and RTL verdicts must agree (same-length testbenches).
+    # TLM and RTL verdicts must agree.
     return 0 if suite.all_killed and suite.timed_out_count == 0 \
         and suite.rtl_validation_ok else 1
 
@@ -432,19 +429,14 @@ def _cmd_timing(args) -> int:
 def _cmd_emit(args) -> int:
     from repro.abstraction import generate_tlm
     from repro.rtl import emit_vhdl
-    from repro.sensors import insert_sensors
-    from repro.sta import analyze, bin_critical_paths
-    from repro.synth import synthesize
 
     spec = case_study(args.ip)
-    module, clk = spec.factory()
     augmented = None
     if args.sensor:
-        sta = analyze(synthesize(module), spec.clock_period_ps)
-        critical = bin_critical_paths(sta, spec.slack_threshold_ps)
-        augmented = insert_sensors(
-            module, clk, critical, sensor_type=args.sensor
-        )
+        augmented = build_augmented(spec, args.sensor).augmented
+        module = augmented.module
+    else:
+        module, _clk = spec.factory()
     if args.kind == "vhdl":
         print(emit_vhdl(module))
     else:
@@ -896,14 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-progress", action="store_true",
                          help="suppress the live per-shard progress lines")
     p_bench.add_argument("--rtl-validation", action="store_true",
-                         help="also run each campaign's RTL validation "
-                              "as shards on the same shared pool")
-    p_bench.add_argument("--rtl-cycles", type=int, default=None,
-                         help="RTL-validation testbench cycles, "
-                              "decoupled from --cycles (default: "
-                              "--cycles, else the per-IP value; short "
-                              "RTL testbenches can legitimately miss "
-                              "100%% risen)")
+                         help="also run each campaign's RTL validation, "
+                              "over the campaign's own stimuli, as "
+                              "shards on the same shared pool")
     _add_cache_options(p_bench)
 
     p_time = sub.add_parser("timing", help="RTL vs TLM simulation speed")

@@ -17,7 +17,7 @@ to regenerate the paper's Tables 1-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.abstraction import GeneratedTlm, generate_tlm
 from repro.ips import IpSpec
@@ -60,8 +60,8 @@ class FlowResult:
     injected: GeneratedTlm            # mutant-injected (Table 5)
     mutation: "MutationReport | None" = None
     rtl_validation: "RtlValidationReport | None" = None
-    #: Pre-campaign IR lint of the augmented design (``None`` when the
-    #: flow ran with ``lint=False``); per-IP waivers already applied.
+    #: Pre-campaign IR lint of the augmented design, per-IP waivers
+    #: already applied.
     lint_report: "object | None" = None
 
     @property
@@ -103,7 +103,8 @@ def build_augmented(spec: IpSpec, sensor_type: str) -> AugmentationArtifacts:
 
     Deterministic by construction: synthesis, STA, binning and the
     Counter CPS-bit calibration all derive from the spec alone.
-    :func:`run_flow` and ``repro lint --sensor`` build on it.
+    :func:`run_flow`, ``repro lint --sensor`` and ``repro emit
+    --sensor`` build on it.
     """
     module, clk, synth, sta, critical = characterize(spec)
     original_rtl_loc = count_loc(emit_vhdl(module))
@@ -135,41 +136,33 @@ def run_flow(
     mutation_cycles: "int | None" = None,
     run_mutation: bool = True,
     run_rtl_validation: bool = False,
-    rtl_validation_cycles: "int | None" = None,
     workers: int = 1,
     shard_size: "int | None" = None,
-    scheduler=None,
     cache=None,
-    lint: bool = True,
 ) -> FlowResult:
     """Execute the full methodology for one IP and sensor type.
 
     Args:
         spec: the case study (see :data:`repro.ips.CASE_STUDIES`).
         sensor_type: ``"razor"`` or ``"counter"``.
-        mutation_cycles / rtl_validation_cycles: testbench lengths
-            (default: the IP's ``mutation_cycles``).
+        mutation_cycles: testbench length of the TLM campaign and of
+            the RTL cross-validation, which replays the campaign's
+            stimuli (default: the IP's ``mutation_cycles``).
         run_mutation / run_rtl_validation: enable step 4's TLM
             campaign and the RTL cross-validation.
         workers / shard_size: forwarded to the sharded campaign engine
             (:mod:`repro.mutation.campaign`) *and* to the RTL
             validation shards.
-        scheduler: a :class:`repro.mutation.CampaignScheduler` letting
-            many ``run_flow`` calls (and the RTL validation) share one
-            persistent worker pool instead of paying a pool spin-up
-            per call -- the cross-IP batching entry point
-            :func:`repro.mutation.run_benchmark_suite` builds on
-            exactly this.
         cache: a :class:`repro.mutation.ResultCache`; campaign and
             RTL-validation verdicts are replayed from it when their
             content-addressed keys match, and written back otherwise.
-        lint: run the IR linter (:mod:`repro.lint`) over the augmented
-            design before the mutation campaign; per-IP waivers
-            (:func:`repro.lint.waivers_for_ip`) are applied, and any
-            remaining *error*-severity finding raises
-            :class:`repro.lint.LintGateError` instead of simulating a
-            broken netlist.  The report lands in
-            :attr:`FlowResult.lint_report` either way.
+
+    Before any campaign, the IR linter (:mod:`repro.lint`) checks the
+    augmented design with the IP's waivers
+    (:func:`repro.lint.waivers_for_ip`) applied; any remaining
+    *error*-severity finding raises :class:`repro.lint.LintGateError`
+    instead of simulating a broken netlist.  The report lands in
+    :attr:`FlowResult.lint_report`.
 
     Returns:
         A :class:`FlowResult` carrying every artefact of the four
@@ -201,20 +194,18 @@ def run_flow(
             injected = inject_mutants(augmented, variant="hdtlib")
 
         # -- static analysis gate (repro.lint) ----------------------------
-        lint_report = None
-        if lint:
-            from repro.lint import (
-                LintGateError,
-                apply_waivers,
-                lint_module,
-                waivers_for_ip,
-            )
+        from repro.lint import (
+            LintGateError,
+            apply_waivers,
+            lint_module,
+            waivers_for_ip,
+        )
 
-            lint_report = apply_waivers(
-                lint_module(module), waivers_for_ip(spec.name)
-            )
-            if not lint_report.ok:
-                raise LintGateError(lint_report)
+        lint_report = apply_waivers(
+            lint_module(module), waivers_for_ip(spec.name)
+        )
+        if not lint_report.ok:
+            raise LintGateError(lint_report)
 
         result = FlowResult(
             spec=spec,
@@ -232,15 +223,13 @@ def run_flow(
         )
 
         # -- step 4: mutation analysis ------------------------------------
-        if mutation_cycles is None:
-            mutation_cycles = spec.mutation_cycles
-        if rtl_validation_cycles is None:
-            # Full campaign length: slowly-toggling endpoints (e.g. the
-            # filter's /32-decimated output registers) need the
-            # complete testbench to be stimulated at RTL too.
-            rtl_validation_cycles = spec.mutation_cycles
+        # RTL validation replays the campaign's stimuli, so the two
+        # levels' verdicts are comparable mutant by mutant.
+        stimuli = spec.stimulus(
+            spec.mutation_cycles if mutation_cycles is None
+            else mutation_cycles
+        )
         if run_mutation:
-            stimuli = spec.stimulus(mutation_cycles)
             # The GeneratedTlm itself (not a bare factory) keeps the
             # golden fingerprintable, so a warm cache can replay the
             # golden trace and skip the reference simulation entirely.
@@ -255,22 +244,18 @@ def run_flow(
                     recovery=True,
                     workers=workers,
                     shard_size=shard_size,
-                    scheduler=scheduler,
                     cache=cache,
                 )
 
         if run_rtl_validation:
-            stimuli = spec.stimulus(rtl_validation_cycles)
             with trace_span("flow.rtl_validation", ip=spec.name):
                 result.rtl_validation = validate_at_rtl(
                     augmented,
                     injected.mutants,
                     stimuli=stimuli,
-                    cycles=rtl_validation_cycles,
                     ip_name=spec.name,
                     workers=workers,
                     shard_size=shard_size,
-                    scheduler=scheduler,
                     cache=cache,
                 )
         return result

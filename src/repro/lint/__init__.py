@@ -8,11 +8,10 @@ simulation:
   latches, connectivity, X-sources) producing structured
   :class:`~repro.lint.findings.LintFinding` records with a severity
   model and per-IP waivers;
-* :mod:`repro.lint.mutants` -- static classification of a ``MUTANTS``
-  table into equivalent / duplicate / must-execute entries, applied
-  by :func:`repro.mutation.campaign.prepare_campaign` to every
-  campaign to cut executed-mutant counts without changing a single
-  verdict.
+* :mod:`repro.lint.mutants` -- static detection of the equivalent
+  entries of a ``MUTANTS`` table, applied by
+  :func:`repro.mutation.campaign.prepare_campaign` to every campaign
+  to cut executed-mutant counts without changing a single verdict.
 
 Exposed on the CLI as ``repro lint`` and run automatically in front of
 every :func:`repro.flow.run_flow` mutation campaign.
@@ -29,12 +28,7 @@ from .findings import (
     waivers_for_ip,
 )
 from .ir_lint import CHECKS, lint_module
-from .mutants import (
-    PrunePlan,
-    clone_outcome,
-    judge_equivalent,
-    plan_pruning,
-)
+from .mutants import judge_equivalent, plan_pruning
 
 __all__ = [
     "SEVERITIES",
@@ -47,8 +41,6 @@ __all__ = [
     "load_waiver_file",
     "waivers_for_ip",
     "lint_module",
-    "PrunePlan",
     "plan_pruning",
     "judge_equivalent",
-    "clone_outcome",
 ]

@@ -3,9 +3,9 @@
 Campaign execution goes through the sharded engine in
 :mod:`repro.mutation.campaign` and the streaming cross-IP scheduler in
 :mod:`repro.mutation.scheduler`: the golden stimulus run is memoised
-once per campaign (it is mutant-independent), statically equivalent and
-duplicate mutants are pruned (:mod:`repro.lint.mutants`), the rest are
-grouped into shards that each run as one batched sweep
+once per campaign (it is mutant-independent), statically equivalent
+mutants are pruned (:mod:`repro.lint.mutants`), the rest are grouped
+into shards that each run as one batched sweep
 (:mod:`repro.mutation.batched`), and shards execute on a persistent
 :class:`CampaignScheduler` worker pool -- ``workers=1`` runs inline,
 ``workers=N`` shards across ``N`` processes with a deterministic merge
@@ -21,11 +21,13 @@ Three consumption styles share that machinery:
   as it completes, with a :class:`CampaignProgress` snapshot and
   :class:`AbortPolicy` early-abort (first survivor / score threshold);
   the campaign service's ``/events`` feed;
-* :func:`run_benchmark_suite` -- cross-IP batching: every
-  ``IP x sensor type`` campaign prepared up front, shards interleaved
-  round-robin on one shared pool so small campaigns backfill idle
-  slots (``rtl_validation=True`` interleaves
-  :class:`RtlValidationShard` units on the same pool).
+* :func:`run_benchmark_suite` -- cross-IP batching: each
+  ``IP x sensor type`` campaign's shards are submitted to one shared
+  pool as soon as that campaign is prepared, so later campaigns
+  prepare while earlier ones execute and small campaigns backfill
+  idle slots (``rtl_validation=True`` submits
+  :class:`RtlValidationShard` units, which replay the campaign's own
+  stimuli, to the same pool).
 
 All three styles accept ``cache=`` (a :class:`ResultCache` from
 :mod:`repro.mutation.cache`): verdicts are content-addressed by
@@ -52,7 +54,6 @@ from .campaign import (
     PreparedCampaign,
     ShardResult,
     prepare_campaign,
-    resolve_tap_order,
     run_campaign,
     shard_indices,
 )
@@ -90,7 +91,6 @@ __all__ = [
     "PreparedCampaign",
     "ShardResult",
     "prepare_campaign",
-    "resolve_tap_order",
     "run_campaign",
     "shard_indices",
     "AbortPolicy",

@@ -107,18 +107,17 @@ class MutationReport:
     #: ran cache-less / with an unfingerprintable golden (``None``).
     golden_cache_hit: "bool | None" = field(default=None, compare=False)
     #: Static-prune accounting (:mod:`repro.lint.mutants`) over the
-    #: whole mutant table: the number of mutants whose verdicts are
-    #: synthesised from the golden trace (equivalents) or cloned from
-    #: a representative (duplicates) instead of simulated; ``None``
-    #: on a report that does not carry them (e.g. one decoded from the
-    #: service wire).  ``compare=False`` for the same reason as the
-    #: cache counters -- pruning must never change a verdict, so
-    #: pruned reports compare equal to the serial, unpruned oracle.
+    #: whole mutant table: the number of equivalent mutants whose
+    #: verdicts are synthesised from the golden trace instead of
+    #: simulated; ``None`` on a report that does not carry it (e.g.
+    #: one decoded from the service wire).  ``compare=False`` for the
+    #: same reason as the cache counters -- pruning must never change
+    #: a verdict, so pruned reports compare equal to the serial,
+    #: unpruned oracle.
     pruned_equivalent: "int | None" = field(default=None, compare=False)
-    pruned_duplicate: "int | None" = field(default=None, compare=False)
     #: Mutants this run actually simulated: outcomes whose index sat
-    #: in an executed shard (cache replays, pruned verdicts and
-    #: duplicate clones excluded).  The numerator of
+    #: in an executed shard (cache replays and pruned verdicts
+    #: excluded).  The numerator of
     #: :attr:`mutants_per_second`.
     executed: int = field(default=0, compare=False)
     #: Aggregated observability data (:mod:`repro.obs`): per-campaign

@@ -171,12 +171,14 @@ def _sweep_razor(cls, group, specs, stimuli, recovery, golden):
     return outcomes
 
 
-def _sweep_counter(cls, group, specs, stimuli, tap_order, golden):
+def _sweep_counter(cls, group, specs, stimuli, golden):
     """One Counter sweep: attached mutants ride the base simulation,
     fork the cycle the base changes their endpoint (their HF samples
     then lag the base's) and re-attach once their state converges
-    back."""
+    back.  Each mutant is judged on the ``meas_val`` lane of its
+    register in the generated ``COUNTER_TAP_ORDER``."""
     thresholds = getattr(cls, "LUT_THRESHOLDS", {}) or {}
+    tap_order = cls.COUNTER_TAP_ORDER
     attrs = cls.TARGET_ATTRS
     bits = _change_bits(cls, group, specs)
     judges = {}
@@ -238,7 +240,6 @@ def run_batched_shard(shard) -> "list":
             )
         else:
             outcomes = _sweep_counter(
-                cls, shard.indices, specs, stimuli,
-                list(shard.tap_order), shard.golden,
+                cls, shard.indices, specs, stimuli, shard.golden,
             )
     return [outcomes[i] for i in shard.indices]

@@ -14,10 +14,9 @@ source.  The engine amortises both:
    :meth:`GeneratedTlm.compiled_class` cache), and each shard runs as
    one batched sweep (:mod:`repro.mutation.batched`): its mutants ride
    a shared base simulation and fork off on first divergence;
-3. statically equivalent and duplicate mutants are **pruned** at
-   preparation (:mod:`repro.lint.mutants`): their verdicts are
-   synthesised from the golden trace or cloned from a representative
-   instead of simulated;
+3. statically equivalent mutants are **pruned** at preparation
+   (:mod:`repro.lint.mutants`): their verdicts are synthesised from
+   the golden trace instead of simulated;
 4. shard execution goes through the streaming cross-IP scheduler
    (:mod:`repro.mutation.scheduler`): ``workers > 1`` runs the shards
    on a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -39,8 +38,8 @@ source.  The engine amortises both:
    as a :class:`GeneratedTlm` (not a bare factory) to make it
    fingerprintable.
 
-This module owns campaign *preparation* (tap-order resolution, golden
-memoisation, pruning, shard construction -- :func:`prepare_campaign`)
+This module owns campaign *preparation* (golden memoisation, cache
+probe, pruning, shard construction -- :func:`prepare_campaign`)
 and the blocking :func:`run_campaign` entry point; shard-by-shard
 streaming of a prepared campaign lives in
 :func:`repro.mutation.scheduler.stream_shard_batches`.
@@ -68,7 +67,6 @@ __all__ = [
     "PreparedCampaign",
     "ShardResult",
     "prepare_campaign",
-    "resolve_tap_order",
     "run_campaign",
     "shard_indices",
 ]
@@ -103,7 +101,6 @@ class CampaignShard:
     golden: GoldenTrace
     sensor_type: str
     recovery: bool
-    tap_order: "tuple[str, ...]"
     #: Record worker-side spans (:mod:`repro.obs`) during execution.
     #: Counters are collected regardless (cheap integer adds); spans
     #: only when the coordinator prepared the campaign with tracing
@@ -131,9 +128,9 @@ class CampaignShard:
 class PreparedCampaign:
     """A campaign lowered to its schedulable form: the shard list plus
     the metadata needed to assemble the merged :class:`MutationReport`.
-    Preparation (golden trace, tap order, cache probe, pruning) runs
-    once in the parent; the shards are then free to execute on any
-    pool, interleaved with shards from other campaigns.
+    Preparation (golden trace, cache probe, pruning) runs once in the
+    parent; the shards are then free to execute on any pool,
+    interleaved with shards from other campaigns.
 
     When prepared against a :class:`~repro.mutation.cache.ResultCache`,
     ``shards`` covers only the cache *misses*; the replayed verdicts
@@ -142,10 +139,7 @@ class PreparedCampaign:
     be written back.
 
     Statically-equivalent mutants are judged against the golden trace
-    at prepare time (``pruned_outcomes``) and duplicates of
-    still-executing representatives are deferred (``duplicate_of`` /
-    ``duplicate_specs``) until :meth:`expand_outcomes` clones them as
-    their representative's shard completes.  Pruned mutants are
+    at prepare time (``pruned_outcomes``).  Pruned mutants are
     *counted, never dropped*: every mutant index appears in the final
     outcome stream.
     """
@@ -166,19 +160,10 @@ class PreparedCampaign:
     #: ``False`` when it was simulated (and stored), ``None`` when no
     #: cache was in play or the golden was not fingerprintable.
     golden_cached: "bool | None" = None
-    #: Verdicts synthesised at prepare time by the static mutant
-    #: analyzer (equivalents judged against the golden trace, plus
-    #: duplicates whose representative's verdict was already known).
+    #: Verdicts the static mutant analyzer synthesised at prepare time
+    #: (equivalents judged against the golden trace).
     pruned_outcomes: "tuple" = ()
-    #: Deferred duplicates: mutant index -> representative index that
-    #: is still scheduled for execution; resolved by
-    #: :meth:`expand_outcomes`.
-    duplicate_of: "dict[int, int] | None" = None
-    #: Deferred duplicates' own table entries (spec fields for the
-    #: cloned outcome).
-    duplicate_specs: "dict[int, object] | None" = None
     pruned_equivalent: int = 0
-    pruned_duplicate: int = 0
 
     @property
     def replayed_outcomes(self) -> "tuple":
@@ -195,28 +180,6 @@ class PreparedCampaign:
         batch)."""
         return len(self.shards) + (1 if self.replayed_outcomes else 0)
 
-    def expand_outcomes(self, outcomes) -> "list":
-        """Resolve deferred duplicates against a freshly-executed
-        outcome batch: clones of any representative present in the
-        batch are appended (spec fields from the duplicate's own
-        table entry, verdict fields from the representative).  Returns
-        a new list; call before cache write-back so the clones earn
-        their own cache entries."""
-        if not self.duplicate_of:
-            return list(outcomes)
-        from repro.lint.mutants import clone_outcome
-
-        by_index = {o.index: o for o in outcomes}
-        expanded = list(outcomes)
-        for dup, rep in sorted(self.duplicate_of.items()):
-            source = by_index.get(rep)
-            if source is None:
-                continue
-            expanded.append(
-                clone_outcome(source, dup, self.duplicate_specs[dup])
-            )
-        return expanded
-
     def build_report(self, outcomes, seconds: float = 0.0,
                      counters: "dict[str, int] | None" = None
                      ) -> MutationReport:
@@ -227,7 +190,7 @@ class PreparedCampaign:
         campaign service so their reports cannot drift apart.
 
         ``executed`` counts the outcomes whose index sat in a shard:
-        replayed, pruned and cloned verdicts never are, and a shard an
+        replayed and pruned verdicts never are, and a shard an
         abort left unrun contributes no outcome at all.  ``counters``
         (the executed shards' obs counters, summed) becomes
         ``report.obs``; ``None`` or empty leaves it ``None``."""
@@ -242,7 +205,6 @@ class PreparedCampaign:
             cache_misses=self.cache_misses,
             golden_cache_hit=self.golden_cached,
             pruned_equivalent=self.pruned_equivalent,
-            pruned_duplicate=self.pruned_duplicate,
             executed=sum(o.index in sharded for o in outcomes),
             obs={"counters": dict(sorted(counters.items()))}
             if counters else None,
@@ -284,28 +246,6 @@ def shard_indices(
     return _shard_sequence(list(range(total)), workers, shard_size)
 
 
-def resolve_tap_order(
-    injected: GeneratedTlm, sensor_type: str
-) -> "tuple[str, ...]":
-    """Derive the ``meas_val`` lane order of a Counter campaign: the
-    generated model's ``COUNTER_TAP_ORDER``, else the order in which
-    the mutant table first names each register.
-
-    Only the Counter mutant runner reads the tap order, so for every
-    other sensor type this returns ``()`` without touching the
-    generated source -- probing ``COUNTER_TAP_ORDER`` through
-    :meth:`GeneratedTlm.compiled_class` would pay a full generated-
-    source compile in the parent process that razor campaigns never
-    need (their workers compile in their own processes).
-    """
-    if sensor_type != "counter":
-        return ()
-    tap_order = getattr(injected.compiled_class(), "COUNTER_TAP_ORDER", ())
-    if tap_order:
-        return tuple(tap_order)
-    return tuple(dict.fromkeys(spec.register for spec in injected.mutants))
-
-
 def _run_shard(shard) -> "list":
     """Execute any shard kind by its ``run()`` method.  Module-level so
     :class:`~concurrent.futures.ProcessPoolExecutor` submissions can
@@ -341,36 +281,34 @@ def prepare_campaign(
     Simulates the golden model (exactly once, regardless of the mutant
     count -- or not at all, when ``cache`` holds the golden trace for
     this (golden fingerprint, stimuli) pair and ``golden`` is a
-    fingerprintable :class:`GeneratedTlm`), derives the Counter tap
-    order (razor campaigns skip the generated-source probe entirely),
-    probes ``cache`` (a :class:`~repro.mutation.cache.ResultCache`) for
-    already-known verdicts, and partitions the remaining mutant indices
-    into :class:`CampaignShard` work units sized for ``workers`` /
+    fingerprintable :class:`GeneratedTlm`), probes ``cache`` (a
+    :class:`~repro.mutation.cache.ResultCache`) for already-known
+    verdicts, and partitions the remaining mutant indices into
+    :class:`CampaignShard` work units sized for ``workers`` /
     ``shard_size`` -- each shard executes as one batched sweep.
 
     The static mutant analyzer (:func:`repro.lint.mutants.plan_pruning`)
     removes provably-equivalent mutants from the executable set: their
     verdicts are synthesised against the golden trace right here and
-    written back to ``cache`` like executed ones.  Duplicate mutants
-    clone their representative's verdict -- immediately when it is
-    already known (cache hit or equivalent), otherwise deferred to
-    :meth:`PreparedCampaign.expand_outcomes` as the representative's
-    shard completes.
+    written back to ``cache`` like executed ones.  Razor preparation
+    never compiles the injected model: its workers compile it in their
+    own processes.
 
     Returns a :class:`PreparedCampaign` whose ``shards`` cover exactly
     the cache misses minus the pruned set; replayed verdicts are
     carried in ``cached_outcomes`` / ``pruned_outcomes``, re-indexed
     to the current mutant table.
     """
-    from repro.lint.mutants import (
-        clone_outcome,
-        judge_equivalent,
-        plan_pruning,
-    )
+    from repro.lint.mutants import judge_equivalent, plan_pruning
 
     with trace_span("campaign.prepare", ip=ip_name, sensor=sensor_type):
         specs = injected.mutants
-        taps = resolve_tap_order(injected, sensor_type)
+        # The Counter ``meas_val`` lane order: part of a Counter
+        # verdict's cache key and of the equivalent-mutant judge.
+        taps = (
+            tuple(injected.compiled_class().COUNTER_TAP_ORDER)
+            if sensor_type == "counter" else ()
+        )
 
         golden_trace = None
         golden_cached = None
@@ -442,42 +380,19 @@ def prepare_campaign(
             hits = len(cached_outcomes)
             misses = len(miss_indices)
 
-        plan = plan_pruning(injected, sensor_type)
+        equivalent = plan_pruning(injected, sensor_type)
         thresholds = None
-        if plan.equivalent:
+        if equivalent:
             thresholds = dict(
                 getattr(injected.compiled_class(), "LUT_THRESHOLDS", {})
                 or {}
             )
-        pruned_outcomes: "list" = []
-        duplicate_of: "dict[int, int]" = {}
-        duplicate_specs: "dict[int, object]" = {}
-        known = {o.index: o for o in cached_outcomes}
-        remaining: "list[int]" = []
-        for i in miss_indices:
-            if i in plan.equivalent:
-                outcome = judge_equivalent(
-                    i, specs[i], golden_trace,
-                    tap_order=taps, thresholds=thresholds,
-                )
-                pruned_outcomes.append(outcome)
-                known[i] = outcome
-            else:
-                remaining.append(i)
-        miss_indices = []
-        for i in remaining:
-            rep = plan.duplicate_of.get(i)
-            if rep is None:
-                miss_indices.append(i)
-            elif rep in known:
-                outcome = clone_outcome(known[rep], i, specs[i])
-                pruned_outcomes.append(outcome)
-                known[i] = outcome
-            else:
-                # Representative still executes; clone when its shard
-                # lands (PreparedCampaign.expand_outcomes).
-                duplicate_of[i] = rep
-                duplicate_specs[i] = specs[i]
+        pruned_outcomes = [
+            judge_equivalent(i, specs[i], golden_trace,
+                             tap_order=taps, thresholds=thresholds)
+            for i in miss_indices if i in equivalent
+        ]
+        miss_indices = [i for i in miss_indices if i not in equivalent]
         if cache is not None and pruned_outcomes:
             from .cache import encode_outcome
 
@@ -494,7 +409,6 @@ def prepare_campaign(
                 golden=golden_trace,
                 sensor_type=sensor_type,
                 recovery=recovery,
-                tap_order=taps,
                 trace=TRACER.enabled,
             )
             for indices in _shard_sequence(miss_indices, workers, shard_size)
@@ -512,13 +426,10 @@ def prepare_campaign(
             cache_misses=misses,
             golden_cached=golden_cached,
             pruned_outcomes=tuple(pruned_outcomes),
-            duplicate_of=duplicate_of or None,
-            duplicate_specs=duplicate_specs or None,
-            # Plan-level counters (all table entries, not just cache
+            # Plan-level count (all table entries, not just cache
             # misses) so cold and warm runs of the same campaign report
             # identical prune statistics.
-            pruned_equivalent=plan.equivalent_count,
-            pruned_duplicate=plan.duplicate_count,
+            pruned_equivalent=len(equivalent),
         )
 
 
@@ -566,9 +477,8 @@ def run_campaign(
     Returns:
         The merged :class:`MutationReport`, with ``cache_hits`` /
         ``cache_misses`` set when a cache was in play and the
-        whole-table ``pruned_equivalent`` / ``pruned_duplicate``
-        counts of the static mutant analyzer
-        (:mod:`repro.lint.mutants`).
+        whole-table ``pruned_equivalent`` count of the static mutant
+        analyzer (:mod:`repro.lint.mutants`).
 
     Determinism: the report equals the serial, unpruned
     one-simulation-per-mutant oracle on every scored field, for any

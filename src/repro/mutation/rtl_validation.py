@@ -69,7 +69,7 @@ case study or not.
 Results are cached in the same
 :class:`~repro.mutation.cache.ResultCache` as the TLM campaign
 verdicts, keyed by :func:`repro.mutation.cache.rtl_entry_key`
-(structural RTL fingerprint, stimuli hash, cycle count, recovery
+(structural RTL fingerprint, stimuli hash, testbench length, recovery
 value, mutant spec).
 """
 
@@ -173,9 +173,9 @@ def _rtl_delay_for(spec: MutantSpec, augmented: AugmentedIP) -> int:
 def _stimulus_driver(augmented: AugmentedIP, stimuli,
                      recovery_value: int = 0):
     """The testbench driver ``drive(sim, i)``: poke input vector
-    ``stimuli[i % len(stimuli)]`` (plus the Razor recovery enable) and
-    advance one clock.  It depends only on ``sim`` and ``i``, as the
-    forked sweep's out-of-order cycles require."""
+    ``stimuli[i]`` (plus the Razor recovery enable) and advance one
+    clock.  It depends only on ``sim`` and ``i``, as the forked sweep's
+    out-of-order cycles require."""
     input_ports = {p.name: p for p in augmented.module.inputs()}
     extra = {}
     if augmented.sensor_type == "razor" and \
@@ -183,8 +183,7 @@ def _stimulus_driver(augmented: AugmentedIP, stimuli,
         extra[augmented.bank.recovery] = recovery_value
 
     def drive(sim, i):
-        vec = stimuli[i % len(stimuli)]
-        pokes = {input_ports[k]: v for k, v in vec.items()}
+        pokes = {input_ports[k]: v for k, v in stimuli[i].items()}
         pokes.update(extra)
         sim.cycle(pokes)
 
@@ -318,11 +317,11 @@ def _forked_sweep(augmented: AugmentedIP, indices, specs, drive,
 class RtlValidationShard:
     """One schedulable batch of RTL-validation mutants, with everything
     a worker process needs to reproduce them: the augmented design
-    itself and the declarative testbench."""
+    itself and the declarative testbench, one cycle per stimulus
+    vector."""
 
     indices: "tuple[int, ...]"
     specs: "tuple[MutantSpec, ...]"           # aligned with ``indices``
-    cycles: int
     recovery_value: int
     stimuli: "tuple[dict, ...]"
     augmented: AugmentedIP
@@ -332,7 +331,8 @@ class RtlValidationShard:
             self.augmented, self.stimuli, self.recovery_value
         )
         return _forked_sweep(
-            self.augmented, self.indices, self.specs, drive, self.cycles
+            self.augmented, self.indices, self.specs, drive,
+            len(self.stimuli),
         )
 
 
@@ -378,7 +378,6 @@ def prepare_rtl_validation(
     mutants: "list[MutantSpec]",
     *,
     stimuli,
-    cycles: int = 24,
     ip_name: str = "ip",
     recovery_value: int = 0,
     workers: int = 1,
@@ -410,7 +409,8 @@ def prepare_rtl_validation(
         rtl_fp = rtl_fingerprint(augmented)
         stim_hash = stimuli_hash(stimuli)
         cache_keys = tuple(
-            rtl_entry_key(rtl_fp, stim_hash, cycles, recovery_value, spec)
+            rtl_entry_key(rtl_fp, stim_hash, len(stimuli), recovery_value,
+                          spec)
             for spec in specs
         )
         cached_outcomes, miss_indices = cache.probe(
@@ -423,7 +423,6 @@ def prepare_rtl_validation(
         RtlValidationShard(
             indices=indices,
             specs=tuple(specs[i] for i in indices),
-            cycles=cycles,
             recovery_value=recovery_value,
             stimuli=stimuli,
             augmented=augmented,
@@ -434,7 +433,7 @@ def prepare_rtl_validation(
         ip_name=ip_name,
         sensor_type=augmented.sensor_type,
         total=len(specs),
-        cycles_per_run=cycles,
+        cycles_per_run=len(stimuli),
         shards=shards,
         cached_outcomes=tuple(cached_outcomes),
         cache_keys=cache_keys,
@@ -448,7 +447,6 @@ def validate_at_rtl(
     mutants: "list[MutantSpec]",
     *,
     stimuli,
-    cycles: int = 24,
     ip_name: str = "ip",
     recovery_value: int = 0,
     workers: int = 1,
@@ -464,11 +462,12 @@ def validate_at_rtl(
             workers receive it pickled inside each shard.
         mutants: the TLM campaign's :class:`MutantSpec` table.
         stimuli: declarative per-cycle ``name -> int`` input vectors
-            (the same form the TLM campaign consumes); the canonical
-            driver re-presents ``stimuli[i % len(stimuli)]`` each
-            cycle, with the Razor recovery enable poked to
-            ``recovery_value``.
-        cycles: testbench cycles per mutant.
+            (the same form the TLM campaign consumes).  The testbench
+            runs one cycle per vector -- the canonical driver presents
+            ``stimuli[i]`` at cycle ``i``, with the Razor recovery
+            enable poked to ``recovery_value`` -- so passing the
+            campaign's own stimuli validates each mutant over exactly
+            the cycles it was judged on at TLM.
         workers / shard_size / scheduler: shard sizing and pool
             placement, exactly as in
             :func:`~repro.mutation.campaign.run_campaign`; pass the
@@ -494,7 +493,6 @@ def validate_at_rtl(
         augmented,
         mutants,
         stimuli=stimuli,
-        cycles=cycles,
         ip_name=ip_name,
         recovery_value=recovery_value,
         workers=workers if scheduler is None else scheduler.workers,

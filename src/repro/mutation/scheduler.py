@@ -281,15 +281,14 @@ def _write_back(cache, cache_keys, outcomes, encode, ip=None) -> None:
 
 def _absorb_executed(prepared: PreparedCampaign, result, cache,
                      counters: "dict[str, int]") -> "list":
-    """Account one freshly executed TLM shard; return its outcomes.
+    """Account one freshly executed TLM shard; return its outcomes as
+    a plain list.
 
-    The shard's obs side-channel is absorbed before the outcome list
-    is re-shaped (expansion builds a plain list): its counters feed
-    the metrics registry and are added to ``counters``, the campaign's
+    The shard's obs side-channel is absorbed: its counters feed the
+    metrics registry and are added to ``counters``, the campaign's
     total (:attr:`MutationReport.obs`), and its relative-offset spans
-    are re-anchored onto the tracer.  Deferred duplicate clones are
-    then expanded and every outcome is written back to ``cache``, so
-    the clones earn their own entries.  The one path shared by
+    are re-anchored onto the tracer.  Every outcome is then written
+    back to ``cache``.  The one path shared by
     :func:`stream_shard_batches` and :func:`run_benchmark_suite`."""
     from .cache import encode_outcome
 
@@ -297,10 +296,9 @@ def _absorb_executed(prepared: PreparedCampaign, result, cache,
     for name, value in absorb_shard_counters(obs).items():
         counters[name] = counters.get(name, 0) + value
     TRACER.absorb_shard(obs, ip=prepared.ip_name)
-    outcomes = prepared.expand_outcomes(result)
-    _write_back(cache, prepared.cache_keys, outcomes, encode_outcome,
+    _write_back(cache, prepared.cache_keys, result, encode_outcome,
                 ip=prepared.ip_name)
-    return outcomes
+    return list(result)
 
 
 def stream_shard_batches(
@@ -443,18 +441,16 @@ class SuiteResult:
 
     @property
     def rtl_disagreements(self) -> "dict[tuple[str, str], list[int]]":
-        """Per RTL-validated campaign whose two levels ran the same
-        testbench length, the indices of the mutants whose TLM and RTL
-        ``error_risen``/``meas_val`` disagree
+        """Per RTL-validated campaign, the indices of the mutants whose
+        TLM and RTL ``error_risen``/``meas_val`` disagree
         (:func:`~repro.mutation.rtl_validation.cross_level_disagreements`).
-        A campaign validated over a different RTL length is left out:
-        a shorter testbench may legitimately miss an arrival."""
+        Both levels drive the campaign's own stimuli, so every
+        campaign is compared."""
         from .rtl_validation import cross_level_disagreements
 
         return {
             key: cross_level_disagreements(self.reports[key], rtl)
             for key, rtl in self.rtl_reports.items()
-            if rtl.cycles_per_run == self.reports[key].cycles_per_run
         }
 
     @property
@@ -521,9 +517,8 @@ class _RtlSuiteJob:
 
     def absorb_fresh(self, result, cache) -> "list":
         """Write a freshly executed shard back to ``cache``.  RTL
-        validation never prunes (every mutant re-executes at RTL by
-        definition of the cross-level check), so there is nothing to
-        expand."""
+        validation never prunes: every mutant re-executes at RTL by
+        definition of the cross-level check."""
         from .cache import encode_rtl_outcome
 
         _write_back(cache, self.prepared.cache_keys, result,
@@ -547,7 +542,6 @@ def run_benchmark_suite(
     flows: "dict | None" = None,
     cache=None,
     rtl_validation: bool = False,
-    rtl_validation_cycles: "int | None" = None,
 ) -> SuiteResult:
     """Run the cross-IP campaign suite on one shared worker pool.
 
@@ -559,7 +553,8 @@ def run_benchmark_suite(
         workers: pool width when no ``scheduler`` is passed.
         shard_size: overrides the one-shard-per-worker split (and
             with it the width of each TLM shard's batched sweep).
-        mutation_cycles: overrides each IP's testbench length.
+        mutation_cycles: overrides each IP's testbench length (TLM
+            campaign and RTL validation alike).
         scheduler: a :class:`CampaignScheduler` owning the shared pool
             (its ``workers`` takes precedence).
         progress: per-shard :class:`CampaignProgress` callback, tagged
@@ -577,15 +572,11 @@ def run_benchmark_suite(
             mutants to shards on the *same* pool
             (:class:`~repro.mutation.rtl_validation.RtlValidationShard`),
             interleaved with the TLM shards; reports land in
-            :attr:`SuiteResult.rtl_reports`.
-        rtl_validation_cycles: RTL testbench length (default: the
-            suite's ``mutation_cycles`` override, else the IP's
-            ``mutation_cycles``).  Note a short override truncates the
-            RTL testbench too: slowly-toggling endpoints (e.g. the
+            :attr:`SuiteResult.rtl_reports`.  RTL validation replays
+            the campaign's own stimuli, so a short ``mutation_cycles``
+            truncates it too: slowly-toggling endpoints (e.g. the
             filter's decimated outputs) may then legitimately miss
-            100% risen -- same caveat as the TLM kill gate on short
-            testbenches; pass ``rtl_validation_cycles`` explicitly to
-            decouple.
+            100% risen, the same caveat as the TLM kill gate.
 
     Each campaign's flow (characterise + insert + abstract + inject)
     and golden trace are prepared in the parent, and its shards are
@@ -624,8 +615,7 @@ def run_benchmark_suite(
                 fresh: bool = True) -> None:
         if fresh:
             # Replayed batches arrive with fresh=False: they are
-            # already cached, carry no obs payload and contain every
-            # prepare-time clone.
+            # already cached and carry no obs payload.
             outcomes = job.absorb_fresh(outcomes, cache)
         job.absorb_shard(outcomes, progress)
         if job.complete:
@@ -720,19 +710,13 @@ def run_benchmark_suite(
                 _submit_job(sched, job, prepared.shards)
 
                 if rtl_validation:
-                    # Honour the suite-wide cycle override: a quick
-                    # `--cycles 4` suite must not pay full-length RTL
-                    # simulation per mutant behind the user's back.
-                    rtl_stimuli = spec.stimulus(
-                        rtl_validation_cycles or mutation_cycles
-                        or spec.mutation_cycles
-                    )
+                    # Both levels drive the same stimuli, so per-mutant
+                    # agreement is defined for every campaign.
                     rtl_started = time.perf_counter()
                     rtl_prepared = prepare_rtl_validation(
                         flow.augmented,
                         flow.injected.mutants,
-                        stimuli=rtl_stimuli,
-                        cycles=len(rtl_stimuli),
+                        stimuli=stimuli,
                         ip_name=spec.name,
                         workers=sched.workers,
                         shard_size=shard_size,

@@ -33,6 +33,15 @@ service wraps each job's execution in ``TRACER.context(job=job_id)``,
 which is what lets ``repro trace <job-id>`` filter one job out of a
 shared daemon's timeline.
 
+Retention
+---------
+A ``repro serve --trace`` daemon traces every job it runs, so the
+tracer keeps events per job and holds at most :data:`MAX_TRACED_JOBS`
+jobs: when one more job records its first event, the job that recorded
+least recently loses all of its events at once.  Events recorded
+outside any job context (a serverless ``repro mutate --trace`` run) are
+kept until the next :meth:`Tracer.enable` or :meth:`Tracer.clear`.
+
 Export
 ------
 :meth:`Tracer.chrome_trace` emits the Chrome trace-event JSON format
@@ -49,8 +58,10 @@ import contextlib
 import os
 import threading
 import time
+from collections import OrderedDict
 
 __all__ = [
+    "MAX_TRACED_JOBS",
     "TRACER",
     "CompletionStamps",
     "ShardCapture",
@@ -67,6 +78,9 @@ __all__ = [
 #: Shared disabled-path context manager: entering/exiting it is the
 #: whole cost of an instrumented block while tracing is off.
 _NULL = contextlib.nullcontext()
+
+#: Jobs whose events one tracer keeps (see "Retention" above).
+MAX_TRACED_JOBS = 32
 
 #: Synthetic ``pid`` base for absorbed worker tracks (far above any
 #: real pid, so worker tracks never collide with the coordinator's).
@@ -111,7 +125,9 @@ class Tracer:
 
     Thread-safe; one instance (:data:`TRACER`) serves the whole
     process.  ``enable()`` stamps the epoch every span offset is
-    relative to and clears any previous timeline.
+    relative to and clears any previous timeline.  Events are kept per
+    ``job`` context attribute, least recently active job first
+    (``None`` holds the events recorded outside any job).
     """
 
     def __init__(self) -> None:
@@ -119,7 +135,7 @@ class Tracer:
         self._local = threading.local()
         self.enabled = False
         self._epoch = 0.0
-        self._events: "list[dict]" = []
+        self._events: "OrderedDict[object, list[dict]]" = OrderedDict()
         self._workers: "dict[str, int]" = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -128,7 +144,7 @@ class Tracer:
         with self._lock:
             self.enabled = True
             self._epoch = time.perf_counter()
-            self._events = []
+            self._events = OrderedDict()
             self._workers = {}
 
     def disable(self) -> None:
@@ -137,12 +153,12 @@ class Tracer:
 
     def clear(self) -> None:
         with self._lock:
-            self._events = []
+            self._events = OrderedDict()
             self._workers = {}
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return sum(len(events) for events in self._events.values())
 
     # -- thread-local span context ----------------------------------------
 
@@ -193,9 +209,19 @@ class Tracer:
         })
 
     def _record(self, event: dict) -> None:
+        job = event["args"].get("job")
         with self._lock:
-            if self.enabled:
-                self._events.append(event)
+            if not self.enabled:
+                return
+            events = self._events.get(job)
+            if events is None:
+                events = self._events[job] = []
+                jobs = [j for j in self._events if j is not None]
+                for stale in jobs[:-MAX_TRACED_JOBS]:
+                    del self._events[stale]
+            else:
+                self._events.move_to_end(job)
+            events.append(event)
 
     # -- worker-shard absorption ------------------------------------------
 
@@ -238,15 +264,15 @@ class Tracer:
     def chrome_trace(self, job: "str | None" = None) -> dict:
         """The recorded timeline as Chrome trace-event JSON.  With
         ``job``, only events carrying that ``job`` context attribute
-        are exported (a shared daemon traces many jobs)."""
+        are exported (a shared daemon traces many jobs); a job whose
+        events were dropped (see "Retention") exports none."""
         with self._lock:
-            events = list(self._events)
+            if job is None:
+                events = [e for bucket in self._events.values()
+                          for e in bucket]
+            else:
+                events = list(self._events.get(job, ()))
             workers = dict(self._workers)
-        if job is not None:
-            events = [
-                e for e in events
-                if (e.get("args") or {}).get("job") == job
-            ]
         names = {os.getpid(): "repro coordinator"}
         names.update(
             {pid: f"repro worker {worker}"

@@ -95,8 +95,7 @@ def mutation_summary_pairs(report) -> "list[tuple[str, object]]":
     if getattr(report, "pruned_equivalent", None) is not None:
         pairs.append((
             "static prune",
-            f"{report.pruned_equivalent} equivalent / "
-            f"{report.pruned_duplicate} duplicate (not simulated)",
+            f"{report.pruned_equivalent} equivalent (not simulated)",
         ))
     return pairs
 

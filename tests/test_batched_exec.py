@@ -511,13 +511,13 @@ class TestInterplay:
         # the golden trace; it never reaches a batched shard.
         pruned = oracle.total // 3 if sensor == "counter" else 0
         assert report.pruned_equivalent == pruned
-        assert report.pruned_duplicate == 0
         assert report.executed == oracle.total - pruned
 
     def test_batch_with_deferred_duplicate_clones(self):
         """An hf_ratio=2 Counter build collides max/delta mutants onto
-        one HF tick, so the pruner defers duplicate clones until the
-        representative's shard lands -- here, a batched shard."""
+        one HF tick: mutants the dual scheduler and the Counter judge
+        cannot tell apart.  They ride the batched sweep like every
+        other non-equivalent mutant."""
         from repro.lint import plan_pruning
 
         spec = case_study("dsp")
@@ -535,8 +535,13 @@ class TestInterplay:
         golden = generate_tlm(module, variant="hdtlib", augmented=aug)
         injected = inject_mutants(aug, variant="hdtlib")
         stim = spec.stimulus(spec.mutation_cycles)
-        plan = plan_pruning(injected, "counter")
-        assert plan.duplicate_of  # the fixture must actually defer
+        equivalent = plan_pruning(injected, "counter")
+        executable = {
+            (s.target, s.hf_tick, s.register)
+            for i, s in enumerate(injected.mutants) if i not in equivalent
+        }
+        # The fixture must actually collide.
+        assert len(executable) < len(injected.mutants) - len(equivalent)
 
         oracle = serial_report(golden, injected, stim,
                                sensor_type="counter")
@@ -544,7 +549,7 @@ class TestInterplay:
             golden, injected, stim, sensor_type="counter", shard_size=4,
         )
         assert_matches_oracle(report, oracle)
-        assert report.pruned_duplicate == len(plan.duplicate_of)
+        assert report.executed == oracle.total - len(equivalent)
 
     def test_batch_under_seeded_worker_crashes(self, sched2):
         """Self-healing re-dispatch of batched shards: a seeded

@@ -289,14 +289,12 @@ class TestRtlValidationCache:
         injected = inject_mutants(aug)
         stim = stimulus(15)
         cache = ResultCache(tmp_path / "rtl")
-        baseline = validate_at_rtl(
-            aug, injected.mutants, stimuli=stim, cycles=15
-        )
+        baseline = validate_at_rtl(aug, injected.mutants, stimuli=stim)
         cold = validate_at_rtl(
-            aug, injected.mutants, stimuli=stim, cycles=15, cache=cache
+            aug, injected.mutants, stimuli=stim, cache=cache
         )
         warm = validate_at_rtl(
-            aug, injected.mutants, stimuli=stim, cycles=15, cache=cache
+            aug, injected.mutants, stimuli=stim, cache=cache
         )
         assert cold.cache_misses == len(injected.mutants)
         assert warm.cache_hits == len(injected.mutants)
@@ -309,10 +307,10 @@ class TestRtlValidationCache:
         stim = stimulus(15)
         cache = ResultCache(None)
         validate_at_rtl(
-            aug, injected.mutants, stimuli=stim, cycles=15, cache=cache
+            aug, injected.mutants, stimuli=stim, cache=cache
         )
         other = validate_at_rtl(
-            aug, injected.mutants, stimuli=stim, cycles=10, cache=cache
+            aug, injected.mutants, stimuli=stim[:10], cache=cache
         )
         assert other.cache_hits == 0
 
@@ -326,11 +324,11 @@ class TestSharedPoolAndSuite:
         cache = ResultCache(tmp_path / "pool")
         cold = run_flow(
             spec, "razor", mutation_cycles=24, run_rtl_validation=True,
-            rtl_validation_cycles=12, workers=2, cache=cache,
+            workers=2, cache=cache,
         )
         warm = run_flow(
             spec, "razor", mutation_cycles=24, run_rtl_validation=True,
-            rtl_validation_cycles=12, workers=2, cache=cache,
+            workers=2, cache=cache,
         )
         assert cold.mutation.cache_misses == cold.mutation.total
         assert warm.mutation.cache_hits == warm.mutation.total
@@ -347,8 +345,7 @@ class TestSharedPoolAndSuite:
             with CampaignScheduler(workers=1) as sched:
                 return run_benchmark_suite(
                     specs, ("razor", "counter"), mutation_cycles=16,
-                    scheduler=sched, cache=cache,
-                    rtl_validation=True, rtl_validation_cycles=8,
+                    scheduler=sched, cache=cache, rtl_validation=True,
                 )
 
         reference = run(None)

@@ -4,7 +4,9 @@ Two invariants, enforced in CI by the docs job:
 
 * every ``repro`` CLI subcommand and every long option flag exposed by
   :func:`repro.cli.build_parser` appears in the CLI reference prose of
-  ``README.md`` / ``docs/*.md`` (add a flag -> document it);
+  ``README.md`` / ``docs/*.md`` (add a flag -> document it), and every
+  row of README's CLI reference table names only flags its subcommand
+  has (delete a flag -> drop it from the table);
 * every intra-repo markdown link in ``README.md`` / ``docs/*.md``
   resolves to an existing file (move a file -> fix the links).
 """
@@ -72,6 +74,23 @@ class TestCliReferenceSync:
                         f"flag {opt!r} of `repro {name}` is not "
                         "documented in README.md/docs/*.md"
                     )
+
+    def test_readme_table_names_only_real_flags(self):
+        subs = _subparsers(build_parser())
+        text = (REPO / "README.md").read_text()
+        rows = re.findall(r"^\| `repro (\w+)[^`]*` \|(.*)\|$", text, re.M)
+        assert {name for name, _ in rows} == set(subs), (
+            "README's CLI reference table must have one row per "
+            "subcommand"
+        )
+        for name, cell in rows:
+            flags = {opt for action in subs[name]._actions
+                     for opt in action.option_strings}
+            for flag in re.findall(r"--[a-z][a-z0-9-]*", cell):
+                assert flag in flags, (
+                    f"README's CLI table names {flag!r} for `repro "
+                    f"{name}`, which has no such flag"
+                )
 
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -139,6 +139,25 @@ class TestCli:
         assert "def scheduler(self):" in out
         assert "Razor bank" in out
 
+    @pytest.mark.parametrize("ip", ["plasma", "dsp", "filter"])
+    def test_emit_counter_design_is_the_flows(self, ip, capsys):
+        """``emit --sensor counter`` prints the design every flow,
+        campaign and RTL validation uses: CPS taps calibrated on the
+        IP's testbench (uncalibrated, every tap samples bit 0)."""
+        from repro.abstraction import generate_tlm
+        from repro.flow import build_augmented
+        from repro.ips import case_study
+        from repro.rtl import emit_vhdl
+
+        augmented = build_augmented(case_study(ip), "counter").augmented
+        assert cli_main(["emit", ip, "vhdl", "--sensor", "counter"]) == 0
+        assert capsys.readouterr().out == \
+            emit_vhdl(augmented.module) + "\n"
+        assert cli_main(["emit", ip, "tlm", "--sensor", "counter"]) == 0
+        tlm = generate_tlm(augmented.module, variant="hdtlib",
+                           augmented=augmented)
+        assert capsys.readouterr().out == tlm.source + "\n"
+
     def test_bad_ip_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["flow", "nonexistent", "razor"])

@@ -290,12 +290,6 @@ class TestFlowGate:
         assert result.lint_report is not None
         assert result.lint_report.ok
 
-    def test_flow_lint_opt_out(self):
-        result = run_flow(
-            case_study("dsp"), "razor", run_mutation=False, lint=False
-        )
-        assert result.lint_report is None
-
     def test_gate_error_carries_report(self):
         m = Module("dd")
         clk = m.input("clk")

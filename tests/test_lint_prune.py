@@ -17,9 +17,9 @@ Coverage:
   verdict an unpruned reader looks up, and a cache an unpruned run
   filled replays in full) with identical prune counters on cold and
   warm runs;
-* the deferred-duplicate clone path (representative executes, clones
-  attach at shard completion) via an ``hf_ratio=2`` Counter build that
-  actually produces fingerprint collisions;
+* an ``hf_ratio=2`` Counter build whose table holds mutants that no
+  scheduler or judge can tell apart: they execute like every other
+  mutant and still match the oracle;
 * multi-worker / shared-pool runs (:func:`run_benchmark_suite`).
 """
 
@@ -74,32 +74,18 @@ class TestPlan:
     @pytest.mark.parametrize("ip", IPS)
     def test_counter_equivalents_are_one_third(self, ip):
         flow = _flow(ip, "counter", run_mutation=False)
-        plan = plan_pruning(flow.injected, "counter")
+        equivalent = plan_pruning(flow.injected, "counter")
         total = len(flow.injected.mutants)
-        assert plan.total == total
-        assert plan.equivalent_count == total // 3
-        assert set(plan.equivalent.values()) == {"hf-first-tick"}
+        assert len(equivalent) == total // 3
+        assert set(equivalent.values()) == {"hf-first-tick"}
         assert all(
-            flow.injected.mutants[i].hf_tick == 1 for i in plan.equivalent
+            flow.injected.mutants[i].hf_tick == 1 for i in equivalent
         )
-        # Default HF ratio leaves every (target, hf_tick, register)
-        # fingerprint distinct.
-        assert plan.duplicate_of == {}
 
     @pytest.mark.parametrize("ip", IPS)
     def test_razor_tables_have_no_equivalents(self, ip):
         flow = _flow(ip, "razor", run_mutation=False)
-        plan = plan_pruning(flow.injected, "razor")
-        assert plan.equivalent == {}
-        assert plan.duplicate_of == {}
-
-    def test_plan_to_dict_round_trip_shape(self):
-        flow = _flow("dsp", "counter", run_mutation=False)
-        plan = plan_pruning(flow.injected, "counter")
-        d = plan.to_dict()
-        assert d["total"] == 27
-        assert d["prunable"] == plan.prunable == 9
-        assert all(isinstance(k, str) for k in d["equivalent"])
+        assert plan_pruning(flow.injected, "razor") == {}
 
 
 class TestReportEquality:
@@ -114,7 +100,6 @@ class TestReportEquality:
         # rest counted as simulated.
         expected = off.total // 3 if sensor == "counter" else 0
         assert on.pruned_equivalent == expected
-        assert on.pruned_duplicate == 0
         assert on.executed == off.total - expected
 
     def test_pruned_mutants_leave_the_executable_set(self):
@@ -147,7 +132,7 @@ def _cache_keys(flow, cache):
 
 class TestThroughput:
     """``mutants_per_second`` counts only mutants an executed shard
-    simulated -- never cache replays, pruned verdicts or clones."""
+    simulated -- never cache replays or pruned verdicts."""
 
     def test_cold_counter_campaign_counts_executed_mutants(self):
         report = _flow("filter", "counter").mutation
@@ -205,7 +190,7 @@ class TestCacheInterplay:
         cold = flow.mutation
         oracle = _oracle("dsp", "counter")
         assert_matches_oracle(cold, oracle)
-        # Synthesised and cloned verdicts were written back: a reader
+        # Synthesised verdicts were written back: a reader
         # that looks every mutant up by its entry key (an unpruned
         # replay) finds the oracle's verdict for each one.
         keys = _cache_keys(flow, cache)
@@ -230,13 +215,12 @@ class TestCacheInterplay:
         # Plan-level counters: a fully-warm run still reports the
         # whole-table prune statistics, identical to a cold one.
         assert warm.pruned_equivalent == cold.total // 3
-        assert warm.pruned_duplicate == 0
 
 
 def _build_counter_hf2(ip="dsp"):
     """An off-registry Counter build at ``hf_ratio=2``: the coarser HF
     clock makes distinct delay mutants land on the same HF tick, which
-    is the only way to get genuine duplicate fingerprints out of the
+    is the only way to get indistinguishable mutants out of the
     shipped IPs."""
     from repro.sensors import insert_sensors
     from repro.sta import analyze, bin_critical_paths
@@ -260,13 +244,24 @@ def _build_counter_hf2(ip="dsp"):
 
 
 class TestDeferredDuplicates:
+    """Duplicate mutants -- entries that agree on every spec field the
+    dual scheduler and the Counter judge read -- execute in the batched
+    sweep like every other mutant."""
+
     def test_hf2_build_has_duplicates(self):
         _module, _golden, injected, _stimuli = _build_counter_hf2()
-        plan = plan_pruning(injected, "counter")
-        assert plan.equivalent_count == 9
+        equivalent = plan_pruning(injected, "counter")
+        assert len(equivalent) == 9
         # Three mutants per target now span only hf_tick in {1, 2, 2}:
-        # the max- and delta-tick entries collide pairwise.
-        assert plan.duplicate_of == {
+        # the max- and delta-tick entries collide pairwise on
+        # (target, hf_tick, register).
+        first, duplicate_of = {}, {}
+        for i, spec in enumerate(injected.mutants):
+            if i not in equivalent:
+                key = (spec.target, spec.hf_tick, spec.register)
+                if first.setdefault(key, i) != i:
+                    duplicate_of[i] = first[key]
+        assert duplicate_of == {
             2: 1, 5: 4, 8: 7, 11: 10, 14: 13, 17: 16, 20: 19, 23: 22,
             26: 25,
         }
@@ -283,9 +278,9 @@ class TestDeferredDuplicates:
         )
         assert_matches_oracle(on, off)
         assert on.pruned_equivalent == 9
-        assert on.pruned_duplicate == 9
-        # Only the nine representatives were simulated.
-        assert on.executed == 9
+        # Every mutant but the nine equivalents was simulated, the
+        # nine duplicates included.
+        assert on.executed == 18
 
     def test_deferred_clones_earn_cache_entries(self):
         _module, golden, injected, stimuli = _build_counter_hf2()
@@ -294,9 +289,11 @@ class TestDeferredDuplicates:
             golden, injected, stimuli,
             ip_name="dsp-hf2", sensor_type="counter", cache=cache,
         )
-        # 27 mutants, 9 equivalents + 9 duplicate clones pruned: only
-        # 9 representatives executed.
+        # 27 mutants: the 9 equivalents are judged from the golden
+        # trace, the other 18 (duplicates included) execute, and each
+        # verdict is written back under its own entry.
         assert cold.cache_misses == 27  # probe ran before pruning
+        assert cold.executed == 18
         warm = run_campaign(
             golden, injected, stimuli,
             ip_name="dsp-hf2", sensor_type="counter", cache=cache,
@@ -343,9 +340,7 @@ class TestSummaryRow:
 
         report = _flow("dsp", "counter").mutation
         pairs = dict(mutation_summary_pairs(report))
-        assert pairs["static prune"] == (
-            "9 equivalent / 0 duplicate (not simulated)"
-        )
+        assert pairs["static prune"] == "9 equivalent (not simulated)"
 
     def test_summary_pairs_silent_without_pruning(self):
         # Every campaign run carries the prune counters now; a report

@@ -197,7 +197,7 @@ class TestRtlValidation:
         aug = augment("razor")
         injected = inject_mutants(aug)
         report = validate_at_rtl(aug, injected.mutants,
-                                 stimuli=stimulus(30), cycles=15)
+                                 stimuli=stimulus(15))
         assert report.risen_pct == 100.0
 
     def test_counter_rtl_measures_same_ticks(self):
@@ -206,7 +206,7 @@ class TestRtlValidation:
         aug = augment("counter")
         injected = inject_mutants(aug)
         report = validate_at_rtl(aug, injected.mutants,
-                                 stimuli=stimulus(30), cycles=15)
+                                 stimuli=stimulus(15))
         by_spec = {
             (o.spec.kind, o.spec.register): o for o in report.outcomes
         }

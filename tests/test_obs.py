@@ -65,7 +65,7 @@ from repro.obs import (
     trace_span,
     validate_chrome_trace,
 )
-from repro.obs.tracer import _WORKER_PID_BASE
+from repro.obs.tracer import _WORKER_PID_BASE, MAX_TRACED_JOBS
 from repro.service import (
     CampaignService,
     ServiceClient,
@@ -213,6 +213,41 @@ class TestTracer:
             pass
         TRACER.enable()
         assert len(TRACER) == 0
+
+    def test_buffer_keeps_only_the_most_recent_jobs(self):
+        # A traced daemon that has run 200 jobs holds the events of the
+        # last MAX_TRACED_JOBS of them, each job complete; events
+        # outside any job context are all kept.
+        TRACER.enable()
+        TRACER.instant("boot")
+        for n in range(200):
+            with TRACER.context(job=f"j{n}"):
+                with trace_span("job.run"):
+                    TRACER.instant("shard", n=n)
+        assert len(TRACER) == 1 + 2 * MAX_TRACED_JOBS
+        jobs = {e["args"].get("job")
+                for e in TRACER.chrome_trace()["traceEvents"]
+                if e["ph"] != "M"}
+        assert jobs == {None} | {f"j{n}" for n in
+                                 range(200 - MAX_TRACED_JOBS, 200)}
+        newest = [e for e in TRACER.chrome_trace(job="j199")["traceEvents"]
+                  if e["ph"] != "M"]
+        assert sorted(e["name"] for e in newest) == ["job.run", "shard"]
+        assert all(e["args"]["job"] == "j199" for e in newest)
+        assert TRACER.chrome_trace(job="j0")["traceEvents"] == []
+
+    def test_an_active_job_outlives_newer_finished_ones(self):
+        # Retention follows the last event, not the first: a long job
+        # that keeps recording is not dropped while short ones finish.
+        TRACER.enable()
+        for n in range(MAX_TRACED_JOBS + 5):
+            with TRACER.context(job="long"):
+                TRACER.instant("step", n=n)
+            with TRACER.context(job=f"short{n}"):
+                TRACER.instant("done")
+        steps = [e for e in TRACER.chrome_trace(job="long")["traceEvents"]
+                 if e["ph"] != "M"]
+        assert len(steps) == MAX_TRACED_JOBS + 5
 
 
 def _spans_named(name):

@@ -119,8 +119,7 @@ def test_forked_sweep_matches_fresh_reference(ip, sensor, seed, recovery,
         augmented, specs, _stimulus_driver(augmented, stimuli, recovery),
         cycles,
     )
-    common = dict(stimuli=stimuli, cycles=cycles, ip_name=ip,
-                  recovery_value=recovery)
+    common = dict(stimuli=stimuli, ip_name=ip, recovery_value=recovery)
     for shard_size in (None, 5):
         inline = validate_at_rtl(augmented, specs, shard_size=shard_size,
                                  **common)
@@ -164,8 +163,8 @@ def test_razor_error_rising_on_the_last_cycle():
     latest = max(first, key=first.get)
     assert first[latest] > 0
     for cycles in (first[latest] + 1, first[latest]):
-        report = validate_at_rtl(augmented, specs, stimuli=stimuli,
-                                 cycles=cycles, ip_name="dsp")
+        report = validate_at_rtl(augmented, specs,
+                                 stimuli=stimuli[:cycles], ip_name="dsp")
         assert report.outcomes == fresh_reference(
             augmented, specs, drive, cycles
         )
@@ -198,7 +197,7 @@ def test_endpoint_that_never_changes(sensor):
                  if sig in initial and value != initial[sig])
     assert endpoints - moved, "every endpoint changes within 2 cycles"
 
-    report = validate_at_rtl(augmented, specs, stimuli=stimuli, cycles=2,
+    report = validate_at_rtl(augmented, specs, stimuli=stimuli,
                              ip_name="dsp")
     assert report.outcomes == fresh_reference(augmented, specs, drive, 2)
 
@@ -260,15 +259,13 @@ def test_pending_no_op_write_at_the_fork_point():
         augmented, specs, _stimulus_driver(augmented, stimuli),
         len(stimuli),
     )
-    report = validate_at_rtl(augmented, specs, stimuli=stimuli,
-                             cycles=len(stimuli))
+    report = validate_at_rtl(augmented, specs, stimuli=stimuli)
     assert report.outcomes == expected
     # The unregistered design runs on a pool too: its shards pickle it.
     assert len(specs) >= 2
     with CampaignScheduler(2) as scheduler:
         pooled = validate_at_rtl(augmented, specs, stimuli=stimuli,
-                                 cycles=len(stimuli), shard_size=1,
-                                 scheduler=scheduler)
+                                 shard_size=1, scheduler=scheduler)
         assert scheduler.describe()["live"]
     assert pooled.outcomes == expected
 
@@ -299,8 +296,7 @@ def test_caller_modified_flow_validates_as_built_at_any_pool_width():
     warm = rtl_report(2, cache)
     stimuli = spec.stimulus(spec.mutation_cycles)
     expected = validate_at_rtl(flow.augmented, flow.injected.mutants,
-                               stimuli=stimuli, cycles=len(stimuli),
-                               ip_name="dsp")
+                               stimuli=stimuli, ip_name="dsp")
     assert pooled == inline == expected
     assert warm.cache_hits == warm.total
     assert warm == expected
@@ -349,14 +345,16 @@ class TestCrossLevelGate:
         short = dataclasses.replace(rtl, outcomes=rtl.outcomes[1:])
         assert cross_level_disagreements(tlm, short) == [0]
 
-    def test_different_testbench_lengths_are_not_compared(self):
-        with CampaignScheduler(workers=1) as scheduler:
-            suite = run_benchmark_suite(["dsp"], ("counter",),
-                                        scheduler=scheduler,
-                                        rtl_validation=True,
-                                        rtl_validation_cycles=8)
-        assert suite.rtl_reports[("dsp", "counter")].cycles_per_run == 8
-        assert suite.rtl_disagreements == {}
+    @pytest.mark.parametrize("sensor", ["razor", "counter"])
+    def test_run_flow_validates_over_the_campaign_stimuli(self, sensor):
+        """A shortened flow validates at RTL over the same vectors as
+        its TLM campaign, so the two levels compare mutant by mutant."""
+        flow = run_flow(case_study("dsp"), sensor, mutation_cycles=24,
+                        run_rtl_validation=True)
+        assert flow.rtl_validation.cycles_per_run == 24
+        assert flow.mutation.cycles_per_run == 24
+        assert cross_level_disagreements(flow.mutation,
+                                         flow.rtl_validation) == []
 
     def test_bench_exit_code_and_table(self, monkeypatch, capsys):
         import repro.mutation

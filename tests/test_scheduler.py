@@ -7,8 +7,9 @@ on all three case-study IPs and both sensor types), persistent-pool
 reuse across campaigns, cross-IP suite batching, early-abort policies
 (submission stops), pool self-healing and the drain of cancelled
 supervised futures, and regressions for the three accounting/monitor
-bugfixes: timed-out runs excluded from the mutation score, the lazy
-Counter tap-order probe, and per-lane ``meas_val`` histograms.
+bugfixes: timed-out runs excluded from the mutation score, Razor
+preparation never compiling the injected model (only Counter
+campaigns read its tap order), and per-lane ``meas_val`` histograms.
 """
 
 import os
@@ -237,16 +238,6 @@ class TestPersistentScheduler:
             ip_name="plasma", sensor_type="razor", workers=1,
         )
         assert_reports_match(report, baseline)
-
-    def test_run_flow_threads_scheduler_through(self):
-        spec = case_study("plasma")
-        with CampaignScheduler(workers=2) as scheduler:
-            shared = run_flow(
-                spec, "razor", mutation_cycles=REDUCED_CYCLES,
-                scheduler=scheduler,
-            )
-        baseline = run_flow(spec, "razor", mutation_cycles=REDUCED_CYCLES)
-        assert_reports_match(shared.mutation, baseline.mutation)
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +543,7 @@ class TestScoreAccounting:
 
 
 # ----------------------------------------------------------------------
-# Regression: lazy Counter tap-order resolution
+# Regression: only Counter preparation compiles the injected model
 # ----------------------------------------------------------------------
 
 class TestLazyTapOrder:
@@ -575,26 +566,6 @@ class TestLazyTapOrder:
         # The golden model must compile (it simulates); the injected
         # description must not -- its compile belongs to the workers.
         assert all(gen is not injected for gen in compiled)
-
-    def test_razor_shards_carry_empty_tap_order(self, flows):
-        flow = flows("dsp", "razor")
-        prepared = prepare_campaign(
-            flow.golden_factory(), flow.injected,
-            case_study("dsp").stimulus(8), sensor_type="razor",
-        )
-        assert all(s.tap_order == () for s in prepared.shards)
-
-    def test_counter_prepare_resolves_generated_tap_order(self, flows):
-        flow = flows("dsp", "counter")
-        prepared = prepare_campaign(
-            flow.golden_factory(), flow.injected,
-            case_study("dsp").stimulus(8), sensor_type="counter",
-        )
-        expected = tuple(getattr(
-            flow.injected.compiled_class(), "COUNTER_TAP_ORDER", ()
-        ))
-        assert expected, "counter model must declare its tap order"
-        assert all(s.tap_order == expected for s in prepared.shards)
 
 
 # ----------------------------------------------------------------------
