@@ -10,17 +10,21 @@ Subpackages
     RTL substrate: four-valued logic, IR, event-driven delta-cycle
     simulator, VHDL backend.
 ``repro.sctypes`` / ``repro.hdtlib``
-    Heavyweight ("SystemC-like") and word-packed (HDTLib-like) data
-    type libraries used by the two TLM code-generation variants.
+    The value types of the two TLM code-generation variants: the
+    heavyweight ``sc_lv``-like ``ScLogicVector`` and HDTLib-like word
+    operations on plain ints.
 ``repro.synth`` / ``repro.sta``
     Operator-level synthesis and static timing analysis used to locate
     critical path endpoints.
 ``repro.sensors``
     The modified Razor flip-flop, the Counter-based delay monitor and
     the automatic insertion strategy.
-``repro.abstraction`` / ``repro.tlm``
-    RTL-to-TLM code generation (single- and dual-clock schedulers) and
-    the TLM runtime (payloads, sockets, LT/AT protocols).
+``repro.abstraction``
+    RTL-to-TLM code generation (single- and dual-clock schedulers).
+``repro.tlm``
+    TLM-2.0-style payloads, sockets and LT/AT protocol drivers that
+    wrap a generated model; generated models do not import it.  The
+    ablation benchmarks measure the protocol overhead with it.
 ``repro.mutation``
     Delay mutants (minimum/maximum/delta), the ADAM injection tool and
     the mutation-analysis engine.

@@ -8,8 +8,8 @@ in the backend's value domain.
 
 ``ScBackend``
     values are :class:`repro.sctypes.ScLogicVector` objects; every
-    operation allocates a fresh vector and walks truth tables, exactly
-    like the ``sc_lv``-based models the paper's Table 3 measures.
+    operation validates widths and allocates a fresh vector, like the
+    ``sc_lv``-based models the paper's Table 3 measures.
 
 ``IntBackend``
     values are plain masked integers; operations are native integer
@@ -137,8 +137,7 @@ class IntBackend(Backend):
 
 
 class ScBackend(Backend):
-    """SystemC-style logic vectors (per-bit truth tables, fresh object
-    per operation)."""
+    """SystemC-style logic vectors (a fresh object per operation)."""
 
     name = "sctypes"
     preamble = ["from repro.sctypes import ScLogicVector as _LV"]

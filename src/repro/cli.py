@@ -41,7 +41,11 @@ Commands
     progress lines.  Each campaign's shards enter the shared queue as
     soon as it is prepared, so small campaigns backfill pool slots
     left idle by big ones; the per-campaign reports stay deterministic
-    (identical to standalone ``mutate`` runs).  ``--rtl-validation``
+    (identical to standalone ``mutate`` runs).  Each table's
+    ``prepare-to-done (s)`` column runs from a campaign's preparation
+    to its last shard's completion, so a later campaign's figure
+    includes the time its shards queued behind earlier campaigns'.
+    ``--rtl-validation``
     interleaves each campaign's RTL-validation shards on the same
     pool -- they replay the campaign's own stimuli, ``--cycles``
     included -- and prints a second table with the RTL results,
@@ -339,7 +343,7 @@ def _cmd_bench(args) -> int:
     print(format_table(
         ["IP", "sensor", "judged", "mutants", "killed", "corrected",
          "errors risen", "timed out (excl.)", "cache (hit/miss)",
-         "time (s)"],
+         "prepare-to-done (s)"],
         rows,
         title=(
             f"Cross-IP campaign suite: {len(suite.reports)} campaigns "
@@ -358,7 +362,8 @@ def _cmd_bench(args) -> int:
         print()
         print(format_table(
             ["IP", "sensor", "mutants", "errors risen",
-             "TLM/RTL disagreements", "cache (hit/miss)", "time (s)"],
+             "TLM/RTL disagreements", "cache (hit/miss)",
+             "prepare-to-done (s)"],
             rtl_rows,
             title=(
                 "RTL validation (same shared pool, interleaved with "

@@ -17,9 +17,8 @@ site                      effect when the plan fires
 ``pool.break_worker``     the local pool executes ``os._exit`` instead of the
                           shard -> a real ``BrokenProcessPool`` for the
                           supervisor to heal (pool rebuild + shard retry)
-``cache.corrupt_entry``   a cache write stores truncated JSON (disk) or drops
-                          the entry (memory) -> quarantined to ``.corrupt``
-                          on next read, degraded to a miss
+``cache.corrupt_entry``   a cache write stores truncated JSON -> quarantined
+                          to ``.corrupt`` on next read, degraded to a miss
 ``server.crash.mid_job``  the job runner dies between shard batches --
                           ``os._exit`` when the plan allows it (daemon runs),
                           a loud :class:`FaultInjectionError` otherwise ->

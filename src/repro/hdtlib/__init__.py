@@ -1,57 +1,17 @@
 """HDTLib: efficient HDL-oriented data types (paper Section 5.3).
 
 The paper speeds up abstracted TLM models by replacing SystemC data
-types with HDTLib, which
+types with HDTLib, which maps vectors onto statically allocated machine
+words, implements operations on whole words instead of single bits,
+and folds multi-valued logic (``X``/``Z``) to ``0``, trading accuracy
+for speed at TLM.
 
-* maps vectors onto statically allocated machine words,
-* implements operations on whole words instead of single bits,
-* uses Karnaugh-map plane equations rather than per-bit lookup tables,
-* optionally folds multi-valued logic (``X``/``Z``) to ``0``, trading
-  accuracy for speed at TLM.
-
-This package reproduces that library:
-
-``ops``
-    Free functions on plain Python ints -- the fastest layer, inlined
-    by the optimised TLM code generator.
-``BitVec2``
-    Two-valued vector: one packed word plus a width.
-``LogicVec4``
-    Four-valued vector: two packed planes (value/unknown) with
-    word-parallel Karnaugh equations.
-``LogicVal``
-    A single four-valued scalar.
-``UInt`` / ``SInt``
-    Thin fixed-width integer wrappers.
-``convert``
-    Lossy and lossless conversions between the RTL four-valued types
-    and the two-valued TLM types (X/Z -> 0 folding).
+Here that library is :mod:`repro.hdtlib.ops`: word operations on plain
+Python ints.  The optimised TLM code generator emits most operations
+as inline integer expressions and calls ``ops`` for the shifts and
+signed compares (see ``repro.abstraction.datatypes.IntBackend``).
 """
 
 from . import ops
-from .bitvec import BitVec2
-from .logicvec import LogicVal, LogicVec4
-from .integers import SInt, UInt
-from .convert import (
-    bitvec_from_lv,
-    int_from_lv,
-    logicvec_from_lv,
-    lv_from_bitvec,
-    lv_from_int,
-    lv_from_logicvec,
-)
 
-__all__ = [
-    "ops",
-    "BitVec2",
-    "LogicVal",
-    "LogicVec4",
-    "UInt",
-    "SInt",
-    "bitvec_from_lv",
-    "int_from_lv",
-    "logicvec_from_lv",
-    "lv_from_bitvec",
-    "lv_from_int",
-    "lv_from_logicvec",
-]
+__all__ = ["ops"]

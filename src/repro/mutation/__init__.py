@@ -55,7 +55,6 @@ from .campaign import (
     ShardResult,
     prepare_campaign,
     run_campaign,
-    shard_indices,
 )
 from .placement import PoisonShardError, SupervisedFuture
 from .rtl_validation import (
@@ -67,7 +66,6 @@ from .rtl_validation import (
     prepare_rtl_validation,
     validate_at_rtl,
 )
-from .saboteurs import Saboteur, insert_saboteur
 from .scheduler import (
     AbortPolicy,
     CampaignProgress,
@@ -78,8 +76,6 @@ from .scheduler import (
 )
 
 __all__ = [
-    "Saboteur",
-    "insert_saboteur",
     "delta_tick_plan",
     "inject_mutants",
     "SENSOR_PORTS",
@@ -92,7 +88,6 @@ __all__ = [
     "ShardResult",
     "prepare_campaign",
     "run_campaign",
-    "shard_indices",
     "AbortPolicy",
     "CampaignProgress",
     "CampaignScheduler",

@@ -46,12 +46,10 @@ by :func:`repro.reporting.mutation_summary_pairs`.
 Storage is one JSON object per entry under
 ``<root>/objects/<key[:2]>/<key>.json`` with atomic writes
 (temp-file + ``os.replace``), so concurrent campaigns sharing a cache
-directory never observe torn entries.  ``ResultCache(None)`` keeps the
-store in memory -- same semantics, no filesystem.  One
-:class:`ResultCache` instance may be shared by many threads (the
-campaign service stores every job's verdicts in one cache): lookups
-hit the filesystem or the GIL-protected dict directly and the hit/miss
-counters are guarded by a lock.
+directory never observe torn entries.  One :class:`ResultCache`
+instance may be shared by many threads (the campaign service stores
+every job's verdicts in one cache): lookups hit the filesystem directly
+and the hit/miss counters are guarded by a lock.
 
 Housekeeping is explicit, never implicit: entries are immutable and
 correct forever, so nothing is ever evicted behind the user's back --
@@ -382,10 +380,7 @@ class ResultCache:
     """Persistent, content-addressed store of mutant verdicts.
 
     Args:
-        root: cache directory (created lazily on first write).  Pass
-            ``None`` for an in-memory store with identical semantics
-            -- useful for tests and for sharing results inside one
-            process without touching the filesystem.
+        root: cache directory (created lazily on first write).
 
     Entries are immutable by construction (the key digests every input
     of the computation), so there is no eviction or coherence
@@ -400,19 +395,14 @@ class ResultCache:
     ``cache_misses`` on each report.
     """
 
-    def __init__(self, root: "str | os.PathLike | None" = None) -> None:
-        self.root = os.fspath(root) if root is not None else None
-        self._mem: "dict[str, dict]" = {}
-        #: In-memory entry timestamps, so :meth:`prune` can apply the
-        #: same age/budget policy the disk backend reads from mtimes.
-        self._times: "dict[str, float]" = {}
+    def __init__(self, root: "str | os.PathLike") -> None:
+        self.root = os.fspath(root)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.corrupt_quarantined = 0
 
     def _path(self, key: str) -> str:
-        assert self.root is not None
         return os.path.join(self.root, "objects", key[:2], key + ".json")
 
     def _quarantine(self, path: str) -> None:
@@ -435,18 +425,15 @@ class ResultCache:
         as a miss -- it must never escape as a ``ValueError``
         mid-campaign."""
         with trace_span("cache.get", key=key[:12]):
-            if self.root is None:
-                payload = self._mem.get(key)
-            else:
-                path = self._path(key)
-                try:
-                    with open(path) as handle:
-                        payload = json.load(handle)
-                except OSError:
-                    payload = None
-                except ValueError:
-                    payload = None
-                    self._quarantine(path)
+            path = self._path(key)
+            try:
+                with open(path) as handle:
+                    payload = json.load(handle)
+            except OSError:
+                payload = None
+            except ValueError:
+                payload = None
+                self._quarantine(path)
         with self._lock:
             if payload is None:
                 self.misses += 1
@@ -461,16 +448,6 @@ class ResultCache:
     def put(self, key: str, payload: dict) -> None:
         """Store ``payload`` under ``key`` (atomic on disk)."""
         corrupt = fault_point("cache.corrupt_entry") is not None
-        if self.root is None:
-            # The memory backend has no torn writes to simulate; the
-            # injected corruption degrades to the entry being lost.
-            if corrupt:
-                return
-            with self._lock:
-                self._mem[key] = payload
-                # Eviction-age metadata only, never a verdict input.
-                self._times[key] = metadata_wall_clock()
-            return
         path = self._path(key)
         with trace_span("cache.put", key=key[:12]):
             directory = os.path.dirname(path)
@@ -515,8 +492,6 @@ class ResultCache:
 
     def __len__(self) -> int:
         """Number of stored entries (walks the store)."""
-        if self.root is None:
-            return len(self._mem)
         objects = os.path.join(self.root, "objects")
         if not os.path.isdir(objects):
             return 0
@@ -528,49 +503,33 @@ class ResultCache:
     # -- housekeeping -----------------------------------------------------
 
     def _entries(self):
-        """``(key, path_or_None, size_bytes, mtime)`` for every stored
-        entry, oldest first.  Disk sizes/times come from ``stat`` (no
-        payload read); memory sizes are the serialised JSON length, so
-        both backends report comparable byte footprints."""
+        """``(path, size_bytes, mtime)`` for every stored entry, oldest
+        first.  Sizes and times come from ``stat`` (no payload read)."""
         rows = []
-        if self.root is None:
-            with self._lock:
-                snapshot = [
-                    (key, payload, self._times.get(key, 0.0))
-                    for key, payload in self._mem.items()
-                ]
-            for key, payload, when in snapshot:
-                size = len(json.dumps(payload, sort_keys=True))
-                rows.append((key, None, size, when))
-        else:
-            objects = os.path.join(self.root, "objects")
-            if os.path.isdir(objects):
-                for dirpath, _, files in os.walk(objects):
-                    for name in files:
-                        if not name.endswith(".json"):
-                            continue
-                        path = os.path.join(dirpath, name)
-                        try:
-                            st = os.stat(path)
-                        except OSError:
-                            continue  # pruned concurrently
-                        rows.append(
-                            (name[:-5], path, st.st_size, st.st_mtime)
-                        )
-        rows.sort(key=lambda r: (r[3], r[0]))
+        objects = os.path.join(self.root, "objects")
+        if os.path.isdir(objects):
+            for dirpath, _, files in os.walk(objects):
+                for name in files:
+                    if not name.endswith(".json"):
+                        continue
+                    path = os.path.join(dirpath, name)
+                    try:
+                        st = os.stat(path)
+                    except OSError:
+                        continue  # pruned concurrently
+                    rows.append((path, st.st_size, st.st_mtime))
+        rows.sort(key=lambda r: (r[2], r[0]))
         return rows
 
-    def _entry_ip(self, key: str, path: "str | None") -> str:
+    @staticmethod
+    def _entry_ip(path: str) -> str:
         """The ``ip`` tag of one entry (``"(untagged)"`` for entries
         written before tagging existed, or by ad-hoc campaigns)."""
-        if path is None:
-            payload = self._mem.get(key) or {}
-        else:
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                payload = {}
+        try:
+            with open(path) as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError):
+            payload = {}
         return payload.get("ip") or "(untagged)"
 
     def stats(self) -> dict:
@@ -580,16 +539,15 @@ class ResultCache:
         per_ip: "dict[str, dict]" = {}
         entries = 0
         total_bytes = 0
-        for key, path, size, _ in self._entries():
+        for path, size, _ in self._entries():
             entries += 1
             total_bytes += size
             bucket = per_ip.setdefault(
-                self._entry_ip(key, path), {"entries": 0, "bytes": 0}
+                self._entry_ip(path), {"entries": 0, "bytes": 0}
             )
             bucket["entries"] += 1
             bucket["bytes"] += size
         return {
-            "backend": "memory" if self.root is None else "disk",
             "root": self.root,
             "entries": entries,
             "bytes": total_bytes,
@@ -599,8 +557,8 @@ class ResultCache:
             "corrupt_quarantined": self.corrupt_quarantined,
         }
 
-    def _remove(self, key: str, path: "str | None",
-                *, newer_than: "float | None" = None) -> bool:
+    @staticmethod
+    def _remove(path: str, *, newer_than: "float | None" = None) -> bool:
         """Delete one entry; returns whether anything was deleted.
 
         ``newer_than`` is the prune scan-start guard: an entry whose
@@ -610,16 +568,6 @@ class ResultCache:
         stale).  An entry that vanished since the scan (pruned by a
         concurrent process) reports ``False`` instead of raising.
         """
-        if path is None:
-            with self._lock:
-                if key not in self._mem:
-                    return False  # vanished mid-scan
-                if newer_than is not None and \
-                        self._times.get(key, 0.0) >= newer_than:
-                    return False  # re-written after the scan started
-                self._mem.pop(key, None)
-                self._times.pop(key, None)
-            return True
         try:
             if newer_than is not None and \
                     os.stat(path).st_mtime >= newer_than:
@@ -660,28 +608,28 @@ class ResultCache:
         )
         removed_entries = removed_bytes = 0
         survivors = []
-        for key, path, size, mtime in self._entries():
+        for path, size, mtime in self._entries():
             if cutoff is not None and mtime < cutoff and \
-                    self._remove(key, path, newer_than=scan_start):
+                    self._remove(path, newer_than=scan_start):
                 removed_entries += 1
                 removed_bytes += size
             else:
-                survivors.append((key, path, size))
+                survivors.append((path, size))
         if max_bytes is not None:
-            kept_bytes = sum(size for _, _, size in survivors)
+            kept_bytes = sum(size for _, size in survivors)
             remaining = []
-            for key, path, size in survivors:   # oldest first
+            for path, size in survivors:   # oldest first
                 if kept_bytes > max_bytes and \
-                        self._remove(key, path, newer_than=scan_start):
+                        self._remove(path, newer_than=scan_start):
                     removed_entries += 1
                     removed_bytes += size
                     kept_bytes -= size
                 else:
-                    remaining.append((key, path, size))
+                    remaining.append((path, size))
             survivors = remaining
         return {
             "removed_entries": removed_entries,
             "removed_bytes": removed_bytes,
             "kept_entries": len(survivors),
-            "kept_bytes": sum(size for _, _, size in survivors),
+            "kept_bytes": sum(size for _, size in survivors),
         }

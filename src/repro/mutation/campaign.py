@@ -68,7 +68,6 @@ __all__ = [
     "ShardResult",
     "prepare_campaign",
     "run_campaign",
-    "shard_indices",
 ]
 
 
@@ -216,9 +215,15 @@ class PreparedCampaign:
 def _shard_sequence(
     indices: "list[int]", workers: int, shard_size: "int | None" = None
 ) -> "list[tuple[int, ...]]":
-    """Partition an arbitrary index list into contiguous shards (the
-    cache-aware generalisation of :func:`shard_indices`: after a cache
-    probe the miss indices need not be contiguous)."""
+    """Partition an index list into contiguous shards (after a cache
+    probe the miss indices need not be contiguous).
+
+    The default is one shard per worker: delay mutants are homogeneous
+    in cost (same stimuli length each), so finer batching only
+    multiplies the per-shard setup (pickling the golden trace,
+    dispatching the task).  Pass ``shard_size`` explicitly to trade
+    load balance against that overhead.
+    """
     if not indices:
         return []
     if shard_size is None:
@@ -228,22 +233,6 @@ def _shard_sequence(
         tuple(indices[lo:lo + shard_size])
         for lo in range(0, len(indices), shard_size)
     ]
-
-
-def shard_indices(
-    total: int, workers: int, shard_size: "int | None" = None
-) -> "list[tuple[int, ...]]":
-    """Partition ``range(total)`` into contiguous shards.
-
-    The default is one shard per worker: delay mutants are homogeneous
-    in cost (same stimuli length each), so finer batching only
-    multiplies the per-shard setup (pickling the golden trace,
-    dispatching the task).  Pass ``shard_size`` explicitly to trade
-    load balance against that overhead.
-    """
-    if total <= 0:
-        return []
-    return _shard_sequence(list(range(total)), workers, shard_size)
 
 
 def _run_shard(shard) -> "list":

@@ -133,10 +133,6 @@ class CampaignProgress:
     shards_total: int
     aborted: bool = False
 
-    @property
-    def pct(self) -> float:
-        return 100.0 * self.done / self.total if self.total else 100.0
-
 
 class _CampaignTracker:
     """Mutable per-campaign counters behind the progress snapshots and

@@ -33,7 +33,6 @@ from .tracer import (
     shard_count,
     shard_instant,
     shard_span,
-    trace_instant,
     trace_span,
     validate_chrome_trace,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "shard_count",
     "shard_instant",
     "shard_span",
-    "trace_instant",
     "trace_span",
     "validate_chrome_trace",
 ]

@@ -158,10 +158,6 @@ class MetricsRegistry:
                 },
             }
 
-    def counter_value(self, name: str, **labels) -> float:
-        with self._lock:
-            return self._counters.get(_key(name, labels), 0.0)
-
     def render(self) -> str:
         """The registry in Prometheus text exposition format."""
         with self._lock:

@@ -70,7 +70,6 @@ __all__ = [
     "shard_capture",
     "shard_count",
     "shard_span",
-    "trace_instant",
     "trace_span",
     "validate_chrome_trace",
 ]
@@ -311,11 +310,6 @@ TRACER = Tracer()
 def trace_span(name: str, **attrs):
     """``TRACER.span(...)`` -- the instrumentation entry point."""
     return TRACER.span(name, **attrs)
-
-
-def trace_instant(name: str, **attrs) -> None:
-    """``TRACER.instant(...)``."""
-    TRACER.instant(name, **attrs)
 
 
 # ---------------------------------------------------------------------------

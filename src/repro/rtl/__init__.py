@@ -33,7 +33,6 @@ from .build import (
     red_and,
     red_or,
     red_xor,
-    replicate,
     resize,
     sar,
     sign_extend,
@@ -42,7 +41,7 @@ from .build import (
 )
 from .compile import CompiledProcess, compile_process, compile_stmts
 from .kernel import DeltaOverflowError, Simulation, SimulationError
-from .nextstate import module_next_state, next_state_exprs
+from .nextstate import next_state_exprs
 from .trace import WaveRecorder
 from .vcd import VcdWriter
 from .vhdl import count_loc, emit_vhdl
@@ -54,11 +53,11 @@ __all__ = [
     "NativeProcess", "Signal", "Slice", "SliceAssign", "SyncProcess",
     "Unop", "WidthError", "registers_of",
     "array_read", "b_not", "cat", "const", "mux", "red_and", "red_or",
-    "red_xor", "replicate", "resize", "sar", "sign_extend", "truncate",
+    "red_xor", "resize", "sar", "sign_extend", "truncate",
     "zero_extend",
     "CompiledProcess", "compile_process", "compile_stmts",
     "DeltaOverflowError", "Simulation", "SimulationError",
-    "module_next_state", "next_state_exprs",
+    "next_state_exprs",
     "WaveRecorder",
     "VcdWriter",
     "count_loc", "emit_vhdl",

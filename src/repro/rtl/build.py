@@ -30,7 +30,6 @@ __all__ = [
     "red_and",
     "red_or",
     "red_xor",
-    "replicate",
     "array_read",
     "sar",
     "b_not",
@@ -111,13 +110,6 @@ def red_xor(expr: Expr) -> Unop:
 def b_not(expr: Expr) -> Unop:
     """1-bit boolean negation."""
     return Unop("bool_not", expr)
-
-
-def replicate(expr: Expr, times: int) -> Expr:
-    """Concatenate ``times`` copies of ``expr``."""
-    if times <= 0:
-        raise ValueError("replication count must be positive")
-    return cat(*([expr] * times))
 
 
 def array_read(array, index: Expr) -> ArrayRead:

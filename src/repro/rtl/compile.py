@@ -49,8 +49,7 @@ Compiled closures are memoised per process object in a weak-key
 cache, fingerprinted over the full statement/expression structure, so
 re-elaborating the same module (e.g. one simulator per mutant in the
 RTL validation loop) does not recompile -- while in-place IR rewrites
-(saboteur insertion, endpoint extraction) are detected and trigger
-recompilation.
+(endpoint extraction) are detected and trigger recompilation.
 """
 
 from __future__ import annotations
@@ -283,9 +282,6 @@ class _FnCompiler:
         return f"LVR({width}, {v}, {u})"
 
     # -- constant folding ----------------------------------------------
-
-    def _is_pure(self, expr: Expr) -> bool:
-        return expr_is_pure(expr, self._pure)
 
     def fold(self, expr: Expr) -> "LV | None":
         """Evaluate a signal-free subtree once, through the reference

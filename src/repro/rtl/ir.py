@@ -773,9 +773,8 @@ class Module:
 
 def walk_stmts(stmts: "list[Stmt]"):
     """Yield every statement in a statement list, pre-order, descending
-    into :class:`If` / :class:`Case` bodies.  The single traversal used
-    by in-place rewrites (saboteur retargeting) and the static linter,
-    so neither can miss a nesting level the other handles."""
+    into :class:`If` / :class:`Case` bodies (the static linter's
+    traversal)."""
     for stmt in stmts:
         yield stmt
         if isinstance(stmt, If):

@@ -19,7 +19,6 @@ from .ir import (
     Const,
     Expr,
     If,
-    Module,
     Mux,
     Signal,
     SliceAssign,
@@ -28,7 +27,7 @@ from .ir import (
     written_signals,
 )
 
-__all__ = ["next_state_exprs", "module_next_state", "drop_assignments_to"]
+__all__ = ["next_state_exprs", "drop_assignments_to"]
 
 
 def next_state_exprs(proc: SyncProcess) -> "dict[Signal, Expr]":
@@ -83,18 +82,6 @@ def _splice(base: Expr, hi: int, lo: int, part: Expr) -> Expr:
     if lo > 0:
         pieces.append(Slice(base, lo - 1, 0))
     return pieces[0] if len(pieces) == 1 else Concat(*pieces)
-
-
-def module_next_state(module: Module) -> "dict[Signal, tuple[SyncProcess, Expr]]":
-    """Next-state expressions for every register in the module tree,
-    keyed by register signal, valued ``(owning_process, expr)``."""
-    out: dict[Signal, tuple[SyncProcess, Expr]] = {}
-    for _, proc in module.all_processes():
-        if not isinstance(proc, SyncProcess):
-            continue
-        for sig, expr in next_state_exprs(proc).items():
-            out[sig] = (proc, expr)
-    return out
 
 
 def drop_assignments_to(stmts: "list[Stmt]", target: Signal) -> "list[Stmt]":

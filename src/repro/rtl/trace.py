@@ -14,6 +14,9 @@ from .types import LV
 
 __all__ = ["WaveRecorder"]
 
+#: Column width of the signal names in :meth:`WaveRecorder.render`.
+_NAME_WIDTH = 14
+
 
 class WaveRecorder:
     """Records ``(time, value)`` changes for a set of signals."""
@@ -45,14 +48,7 @@ class WaveRecorder:
         """All recorded ``(time, value)`` change points of a signal."""
         return list(self.history[sig])
 
-    def render(
-        self,
-        t_start: int,
-        t_stop: int,
-        step: int,
-        *,
-        name_width: int = 14,
-    ) -> str:
+    def render(self, t_start: int, t_stop: int, step: int) -> str:
         """Render an ASCII timing diagram sampling every ``step`` ps.
 
         Single-bit signals render as ``_``/``#``/``X`` rails; multi-bit
@@ -60,7 +56,7 @@ class WaveRecorder:
         """
         times = list(range(t_start, t_stop + 1, step))
         lines = []
-        header = " " * name_width + "".join(
+        header = " " * _NAME_WIDTH + "".join(
             f"{t // 1000:<6}" if (t % 5000 == 0) else " " * 6
             for t in times[:: max(1, len(times) // 12)]
         )
@@ -80,7 +76,7 @@ class WaveRecorder:
                 rail = "".join(cells)
             else:
                 rail = self._multibit_rail(sig, times)
-            lines.append(f"{sig.name:<{name_width}}{rail}")
+            lines.append(f"{sig.name:<{_NAME_WIDTH}}{rail}")
         return "\n".join(lines)
 
     def _multibit_rail(self, sig: Signal, times: "list[int]") -> str:

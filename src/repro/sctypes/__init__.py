@@ -1,23 +1,22 @@
 """SystemC-style data types (the *slow, accurate* library).
 
 The paper's standard RTL-to-TLM abstraction maps HDL data types onto
-SystemC types (``sc_lv``, ``sc_bv``, ``sc_int``), whose generality
-costs simulation speed; Table 4 then shows the gain from swapping them
-for HDTLib.  This package is the stand-in for the SystemC side: a
-deliberately faithful multi-value logic vector that
+SystemC types, whose generality costs simulation speed; Table 4 then
+shows the gain from swapping them for HDTLib.  This package is the
+stand-in for the SystemC side: :class:`ScLogicVector`, the value type
+of every signal in the standard TLM variant, an ``sc_lv``-style
+four-valued vector that
 
-* stores one :class:`~repro.rtl.types.Logic` state per bit,
-* dispatches every bitwise operation through per-bit truth tables
-  (lookup-table style, as ``sc_lv`` does),
-* allocates a fresh object per operation.
+* allocates a fresh object per operation,
+* validates widths and normalises ``Z`` states on every operation,
+* dispatches through a method layer instead of inlined integer
+  expressions.
 
 It is semantically equivalent to :class:`repro.rtl.types.LV` (property
-tests enforce this) but structurally mirrors why SystemC data types
+tests enforce this) but mirrors the costs that make SystemC data types
 dominate TLM simulation time.
 """
 
 from .logic_vector import ScLogicVector
-from .bit_vector import ScBitVector
-from .integers import ScInt, ScUInt
 
-__all__ = ["ScLogicVector", "ScBitVector", "ScInt", "ScUInt"]
+__all__ = ["ScLogicVector"]

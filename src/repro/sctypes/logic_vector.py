@@ -11,37 +11,17 @@ structure* SystemC templates impose:
 * operations dispatch through a method layer rather than being
   inlined integer expressions.
 
-The per-bit truth tables below are the reference semantics; the plane
-equations are verified against them by the test suite.
+Its semantics are checked against ``LV`` by property tests
+(``tests/test_datatypes.py``).
 """
 
 from __future__ import annotations
 
 from repro.rtl.types import LV
 
-__all__ = ["ScLogicVector", "AND_TABLE", "OR_TABLE", "XOR_TABLE", "NOT_TABLE"]
+__all__ = ["ScLogicVector"]
 
-# Reference per-bit truth tables, state codes 0, 1, X(2), Z(3).
-AND_TABLE = [
-    [0, 0, 0, 0],
-    [0, 1, 2, 2],
-    [0, 2, 2, 2],
-    [0, 2, 2, 2],
-]
-OR_TABLE = [
-    [0, 1, 2, 2],
-    [1, 1, 1, 1],
-    [2, 1, 2, 2],
-    [2, 1, 2, 2],
-]
-XOR_TABLE = [
-    [0, 1, 2, 2],
-    [1, 0, 2, 2],
-    [2, 2, 2, 2],
-    [2, 2, 2, 2],
-]
-NOT_TABLE = [1, 0, 2, 2]
-
+# State codes 0, 1, X(2), Z(3).
 _CODE_TO_CHAR = "01XZ"
 _CHAR_TO_CODE = {"0": 0, "1": 1, "X": 2, "x": 2, "Z": 3, "z": 3}
 

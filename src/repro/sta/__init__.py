@@ -1,13 +1,14 @@
-"""Static timing analysis: graph, analyzer, corners, critical binning."""
+"""Static timing analysis: graph, analyzer, sign-off derate, critical
+binning."""
 
-from .analyzer import EndpointTiming, StaReport, analyze, analyze_corners
-from .corners import FF_CORNER, SS, TT, WORST_CASE, Corner, DeratingModel
+from .analyzer import EndpointTiming, StaReport, analyze
+from .corners import TT, WORST_CASE, Corner, DeratingModel
 from .critical import CriticalPathReport, MonitoredPath, bin_critical_paths
 from .graph import StaError, TimingGraph
 
 __all__ = [
-    "EndpointTiming", "StaReport", "analyze", "analyze_corners",
-    "FF_CORNER", "SS", "TT", "WORST_CASE", "Corner", "DeratingModel",
+    "EndpointTiming", "StaReport", "analyze",
+    "TT", "WORST_CASE", "Corner", "DeratingModel",
     "CriticalPathReport", "MonitoredPath", "bin_critical_paths",
     "StaError", "TimingGraph",
 ]

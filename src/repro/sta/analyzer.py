@@ -5,7 +5,8 @@ A standard block-based STA over the operator-level timing graph:
 * startpoint launch: registers contribute clk-to-Q, primary inputs an
   external input delay;
 * arrivals propagate in topological order through combinational arcs,
-  derated by the corner/OCV/aging model;
+  derated by the sign-off corner/OCV/aging model
+  (``WORST_CASE.total_factor(TT)``, :mod:`repro.sta.corners`);
 * endpoints (register D pins, primary outputs) get
   ``slack = T_clk - setup - arrival``;
 * the worst path per endpoint is reconstructed from predecessor links.
@@ -24,10 +25,10 @@ from repro.rtl.ir import Signal
 from repro.synth.cells import TechLibrary
 from repro.synth.synthesize import SynthesisResult
 
-from .corners import TT, WORST_CASE, Corner, DeratingModel
+from .corners import TT, WORST_CASE
 from .graph import StaError, TimingGraph
 
-__all__ = ["EndpointTiming", "StaReport", "analyze", "analyze_corners"]
+__all__ = ["EndpointTiming", "StaReport", "analyze"]
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,9 @@ class EndpointTiming:
 
 @dataclass
 class StaReport:
-    """Full STA result for one corner/derate setting."""
+    """Full STA result at the sign-off derate ``derate_factor``."""
 
     clock_period_ps: int
-    corner: Corner
-    derating: DeratingModel
     derate_factor: float
     endpoints: "list[EndpointTiming]" = field(default_factory=list)
     analysis_seconds: float = 0.0
@@ -71,25 +70,14 @@ class StaReport:
         raise KeyError(name)
 
 
-def analyze(
-    synth: SynthesisResult,
-    clock_period_ps: int,
-    *,
-    corner: Corner = TT,
-    derating: DeratingModel = WORST_CASE,
-) -> StaReport:
-    """Run STA on a synthesised design at one corner."""
+def analyze(synth: SynthesisResult, clock_period_ps: int) -> StaReport:
+    """Run STA on a synthesised design at the sign-off derate."""
     started = time.perf_counter()
     lib: TechLibrary = synth.library
     graph = TimingGraph.from_synthesis(synth)
-    factor = derating.total_factor(corner)
+    factor = WORST_CASE.total_factor(TT)
 
-    report = StaReport(
-        clock_period_ps=clock_period_ps,
-        corner=corner,
-        derating=derating,
-        derate_factor=factor,
-    )
+    report = StaReport(clock_period_ps=clock_period_ps, derate_factor=factor)
 
     # -- launch arrivals at startpoints ---------------------------------
     arrival: dict[Signal, float] = {}
@@ -157,52 +145,6 @@ def analyze(
 
     report.analysis_seconds = time.perf_counter() - started
     return report
-
-
-def analyze_corners(
-    synth: SynthesisResult,
-    clock_period_ps: int,
-    *,
-    corners: "tuple[Corner, ...] | None" = None,
-    derating: DeratingModel = WORST_CASE,
-) -> "tuple[StaReport, dict[str, StaReport]]":
-    """Multi-corner sign-off (paper Section 4.2).
-
-    Runs STA at every corner and merges a *worst-of* view: each
-    endpoint keeps the timing of whichever corner gives it the least
-    slack.  Returns ``(merged_report, per_corner_reports)``; the merged
-    report is what threshold binning should consume for conservative
-    sensor placement.
-    """
-    from .corners import FF_CORNER, SS
-
-    if corners is None:
-        corners = (TT, SS, FF_CORNER)
-    per_corner = {
-        corner.name: analyze(
-            synth, clock_period_ps, corner=corner, derating=derating
-        )
-        for corner in corners
-    }
-    reports = list(per_corner.values())
-    merged = StaReport(
-        clock_period_ps=clock_period_ps,
-        corner=max(corners, key=lambda c: c.delay_factor()),
-        derating=derating,
-        derate_factor=max(r.derate_factor for r in reports),
-        analysis_seconds=sum(r.analysis_seconds for r in reports),
-    )
-    by_endpoint: dict[int, EndpointTiming] = {}
-    for report in reports:
-        for timing in report.endpoints:
-            key = id(timing.endpoint)
-            worst = by_endpoint.get(key)
-            if worst is None or timing.slack_ps < worst.slack_ps:
-                by_endpoint[key] = timing
-    merged.endpoints = sorted(
-        by_endpoint.values(), key=lambda e: e.endpoint.name
-    )
-    return merged, per_corner
 
 
 def _trace_path(

@@ -10,13 +10,15 @@ provides a compact multiplicative derating model:
 The numbers are representative for a 45 nm node: slow-slow silicon is
 ~25% slower than typical, delay grows roughly linearly with
 temperature, and super-linearly as VDD drops toward threshold.
+:func:`repro.sta.analyze` signs off at one view, ``WORST_CASE`` margins
+on the ``TT`` corner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Corner", "DeratingModel", "TT", "SS", "FF_CORNER", "WORST_CASE"]
+__all__ = ["Corner", "DeratingModel", "TT", "WORST_CASE"]
 
 _PROCESS_FACTOR = {"ss": 1.25, "tt": 1.00, "ff": 0.85}
 
@@ -47,8 +49,6 @@ class Corner:
 
 
 TT = Corner("tt_1.05v_25c")
-SS = Corner("ss_0.95v_125c", process="ss", vdd=0.95, temp_c=125.0)
-FF_CORNER = Corner("ff_1.15v_m40c", process="ff", vdd=1.15, temp_c=-40.0)
 
 
 @dataclass(frozen=True)

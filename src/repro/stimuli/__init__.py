@@ -1,22 +1,10 @@
-"""Stimuli generation and sensor monitoring."""
+"""LFSR pseudo-random stimuli for designs that ship no testbench.
 
-from .generators import (
-    Lfsr,
-    lfsr_vectors,
-    mixed_vectors,
-    ramp_vectors,
-    random_vectors,
-    walking_ones_vectors,
-)
-from .monitor import SensorActivity, TlmSensorMonitor
+The registered IPs carry their own testbenches (``repro.ips.*``); this
+package generates vectors for ad-hoc designs such as the ablation
+benchmarks'.
+"""
 
-__all__ = [
-    "Lfsr",
-    "lfsr_vectors",
-    "mixed_vectors",
-    "ramp_vectors",
-    "random_vectors",
-    "walking_ones_vectors",
-    "SensorActivity",
-    "TlmSensorMonitor",
-]
+from .generators import Lfsr, lfsr_vectors
+
+__all__ = ["Lfsr", "lfsr_vectors"]

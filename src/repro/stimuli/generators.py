@@ -1,28 +1,13 @@
 """Stimuli generation (the "automatic stimuli generator" of Fig. 3).
 
 The mutation analysis normally reuses the testbench shipped with the
-IP (Section 7).  When no testbench is available -- or when its
-coverage of the monitored paths is insufficient -- these generators
-provide standard alternatives:
-
-* uniform random vectors,
-* LFSR-based pseudo-random vectors (the hardware-friendly classic),
-* directed ramps/walking patterns for datapath stressing,
-* a toggling mixer that guarantees every input bit changes.
+IP (Section 7).  When no testbench is available, LFSR-based
+pseudo-random vectors (the hardware-friendly classic) stand in.
 """
 
 from __future__ import annotations
 
-import random
-
-__all__ = [
-    "Lfsr",
-    "random_vectors",
-    "lfsr_vectors",
-    "ramp_vectors",
-    "walking_ones_vectors",
-    "mixed_vectors",
-]
+__all__ = ["Lfsr", "lfsr_vectors"]
 
 
 class Lfsr:
@@ -46,64 +31,12 @@ class Lfsr:
         return out
 
 
-def _port_list(ports: "dict[str, int]") -> "list[tuple[str, int]]":
-    return sorted(ports.items())
-
-
-def random_vectors(
-    ports: "dict[str, int]", n: int, *, seed: int = 1
-) -> "list[dict[str, int]]":
-    """Uniform random value per port per cycle."""
-    rng = random.Random(seed)
-    return [
-        {name: rng.randrange(1 << width) for name, width in _port_list(ports)}
-        for _ in range(n)
-    ]
-
-
 def lfsr_vectors(
     ports: "dict[str, int]", n: int, *, seed: int = 0xACE1
 ) -> "list[dict[str, int]]":
     """Pseudo-random vectors from a shared LFSR stream."""
     lfsr = Lfsr(seed)
     return [
-        {name: lfsr.next(width) for name, width in _port_list(ports)}
+        {name: lfsr.next(width) for name, width in sorted(ports.items())}
         for _ in range(n)
-    ]
-
-
-def ramp_vectors(ports: "dict[str, int]", n: int) -> "list[dict[str, int]]":
-    """Monotonic ramps (wrapping) on every port."""
-    return [
-        {
-            name: (i * 3 + 1) & ((1 << width) - 1)
-            for name, width in _port_list(ports)
-        }
-        for i in range(n)
-    ]
-
-
-def walking_ones_vectors(
-    ports: "dict[str, int]", n: int
-) -> "list[dict[str, int]]":
-    """A single one bit walking through each port (toggles every bit)."""
-    return [
-        {
-            name: 1 << (i % width)
-            for name, width in _port_list(ports)
-        }
-        for i in range(n)
-    ]
-
-
-def mixed_vectors(
-    ports: "dict[str, int]", n: int, *, seed: int = 1
-) -> "list[dict[str, int]]":
-    """Random vectors interleaved with walking-ones so every input bit
-    is guaranteed to toggle within each window of four cycles."""
-    rand = random_vectors(ports, n, seed=seed)
-    walk = walking_ones_vectors(ports, n)
-    return [
-        walk[i] if i % 4 == 3 else rand[i]
-        for i in range(n)
     ]

@@ -16,7 +16,6 @@ from repro.rtl import (
     const,
     count_loc,
     emit_vhdl,
-    module_next_state,
     mux,
     next_state_exprs,
 )
@@ -173,12 +172,6 @@ class TestNextState:
             sim1.cycle({a1: (i * 7 + 2) % 256, rst1: 1 if i == 0 else 0})
             sim2.cycle({a2: (i * 7 + 2) % 256, rst2: 1 if i == 0 else 0})
             assert sim1.peek(q1) == sim2.peek(q2), f"cycle {i}"
-
-    def test_module_next_state_covers_all_registers(self):
-        m, *_ = small_module()
-        table = module_next_state(m)
-        names = {sig.name for sig in table}
-        assert "q" in names
 
     def test_slice_assign_next_state(self):
         m = Module("ns")

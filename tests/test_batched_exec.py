@@ -150,9 +150,9 @@ def synthetic_campaign(sensor, module_factory=build_ip, stim=None):
 
 class TestFieldIdentity:
     @staticmethod
-    def _cold_then_warm(ip, sensor, **kw):
+    def _cold_then_warm(ip, sensor, cache_dir, **kw):
         flow, stim, oracle = case_campaign(ip, sensor)
-        cache = ResultCache(None)
+        cache = ResultCache(cache_dir)
         cold = run_campaign(
             flow.tlm_optimized, flow.injected, stim,
             ip_name=ip, sensor_type=sensor, cache=cache, **kw
@@ -172,25 +172,26 @@ class TestFieldIdentity:
     @pytest.mark.parametrize("ip", IPS)
     @pytest.mark.parametrize("sensor", SENSORS)
     @pytest.mark.parametrize("shard_size", SHARD_SIZES)
-    def test_cold_then_warm_cache(self, ip, sensor, shard_size):
-        self._cold_then_warm(ip, sensor, workers=1, shard_size=shard_size)
+    def test_cold_then_warm_cache(self, ip, sensor, shard_size, tmp_path):
+        self._cold_then_warm(ip, sensor, tmp_path, workers=1,
+                             shard_size=shard_size)
 
     @pytest.mark.parametrize("ip", IPS)
     @pytest.mark.parametrize("sensor", SENSORS)
     @pytest.mark.parametrize("shard_size", SHARD_SIZES)
-    def test_two_workers(self, ip, sensor, shard_size, sched2):
-        self._cold_then_warm(ip, sensor, shard_size=shard_size,
+    def test_two_workers(self, ip, sensor, shard_size, sched2, tmp_path):
+        self._cold_then_warm(ip, sensor, tmp_path, shard_size=shard_size,
                              scheduler=sched2)
 
     @pytest.mark.parametrize("sensor", SENSORS)
-    def test_partial_cache_mixes_replay_and_batch(self, sensor):
+    def test_partial_cache_mixes_replay_and_batch(self, sensor, tmp_path):
         """A cache warmed by a *subset* shard leaves non-contiguous
         miss indices; batched sweeps over them stay identical."""
         flow, stim, oracle = case_campaign("dsp", sensor)
         # Seed every other mutant's verdict from a fully-warm cache,
         # leaving a non-contiguous miss set for the batched run.
-        cache = ResultCache(None)
-        full_cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "partial")
+        full_cache = ResultCache(tmp_path / "full")
         run_campaign(
             flow.tlm_optimized, flow.injected, stim,
             ip_name="dsp", sensor_type=sensor, cache=full_cache,

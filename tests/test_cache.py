@@ -132,15 +132,15 @@ class TestKeyComponents:
         assert stimuli_hash(a) == stimuli_hash(b)
         assert stimuli_hash(a) != stimuli_hash(list(reversed(a)))
 
-    def test_store_roundtrip_disk_and_memory(self, tmp_path):
-        for cache in (ResultCache(None), ResultCache(tmp_path / "c")):
-            assert cache.get("ab" * 32) is None
-            cache.put("ab" * 32, {"x": 1})
-            assert cache.get("ab" * 32) == {"x": 1}
-            cache.put("ab" * 32, {"x": 2})  # overwrite is atomic
-            assert cache.get("ab" * 32) == {"x": 2}
-            assert len(cache) == 1
-            assert (cache.hits, cache.misses) == (2, 1)
+    def test_store_roundtrip(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        assert cache.get("ab" * 32) is None
+        cache.put("ab" * 32, {"x": 1})
+        assert cache.get("ab" * 32) == {"x": 1}
+        cache.put("ab" * 32, {"x": 2})  # overwrite is atomic
+        assert cache.get("ab" * 32) == {"x": 2}
+        assert len(cache) == 1
+        assert (cache.hits, cache.misses) == (2, 1)
 
     def test_corrupt_entry_is_quarantined_not_fatal(self, tmp_path):
         """PR-7 regression: a truncated/garbled on-disk entry (torn
@@ -192,9 +192,9 @@ class TestCampaignCache:
         assert baseline == cold == warm
         assert baseline.outcomes == warm.outcomes
 
-    def test_warm_prepare_shards_nothing(self, razor_campaign):
+    def test_warm_prepare_shards_nothing(self, razor_campaign, tmp_path):
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         _campaign(golden, injected, stimuli, cache=cache)
         prepared = prepare_campaign(
             golden, injected, stimuli,
@@ -206,9 +206,10 @@ class TestCampaignCache:
         # progress accounting.
         assert prepared.total_shards == 1
 
-    def test_changed_stimuli_invalidates_everything(self, razor_campaign):
+    def test_changed_stimuli_invalidates_everything(self, razor_campaign,
+                                                    tmp_path):
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         _campaign(golden, injected, stimuli, cache=cache)
         changed = _campaign(
             golden, injected, stimulus(seed=99), cache=cache
@@ -216,9 +217,10 @@ class TestCampaignCache:
         assert changed.cache_hits == 0
         assert changed.cache_misses == changed.total
 
-    def test_changed_mutant_invalidates_only_itself(self, razor_campaign):
+    def test_changed_mutant_invalidates_only_itself(self, razor_campaign,
+                                                    tmp_path):
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         _campaign(golden, injected, stimuli, cache=cache)
 
         mutants = list(injected.mutants)
@@ -234,9 +236,9 @@ class TestCampaignCache:
         ]
         assert [o.index for o in executed] == [1]
 
-    def test_reordered_mutant_table_hits_fully(self, razor_campaign):
+    def test_reordered_mutant_table_hits_fully(self, razor_campaign, tmp_path):
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         baseline = _campaign(golden, injected, stimuli, cache=cache)
 
         mutants = list(injected.mutants)
@@ -250,9 +252,10 @@ class TestCampaignCache:
             range(report.total)
         )
 
-    def test_changed_model_invalidates_everything(self, razor_campaign):
+    def test_changed_model_invalidates_everything(self, razor_campaign,
+                                                  tmp_path):
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         _campaign(golden, injected, stimuli, cache=cache)
         tweaked = dataclasses.replace(
             injected, source=injected.source + "\n# structural change"
@@ -261,9 +264,9 @@ class TestCampaignCache:
         assert report.cache_hits == 0
         assert report.cache_misses == report.total
 
-    def test_warm_stream_replays_cached_first(self, razor_campaign):
+    def test_warm_stream_replays_cached_first(self, razor_campaign, tmp_path):
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         cold = _campaign(golden, injected, stimuli, cache=cache).outcomes
         snapshots = []
         prepared = prepare_campaign(
@@ -301,11 +304,11 @@ class TestRtlValidationCache:
         assert baseline == cold == warm
         assert baseline.risen_pct == 100.0
 
-    def test_cycle_count_is_part_of_the_key(self):
+    def test_cycle_count_is_part_of_the_key(self, tmp_path):
         aug = augment("razor")
         injected = inject_mutants(aug)
         stim = stimulus(15)
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         validate_at_rtl(
             aug, injected.mutants, stimuli=stim, cache=cache
         )
@@ -367,11 +370,11 @@ class TestGoldenTraceCache:
     so a warm preparation skips the golden simulation entirely."""
 
     def test_warm_prepare_skips_golden_simulation(self, razor_campaign,
-                                                  monkeypatch):
+                                                  monkeypatch, tmp_path):
         from repro.mutation import campaign as campaign_mod
 
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         cold = _campaign(golden, injected, stimuli, cache=cache)
         assert cold.golden_cache_hit is False
 
@@ -409,12 +412,13 @@ class TestGoldenTraceCache:
         assert replayed == trace
         assert golden_trace_hash(replayed) == golden_trace_hash(trace)
 
-    def test_factory_golden_bypasses_golden_cache(self, razor_campaign):
+    def test_factory_golden_bypasses_golden_cache(self, razor_campaign,
+                                                  tmp_path):
         # A bare factory callable has no structural fingerprint, so
         # golden caching stays off (mutant caching still works: the
         # trace content feeds the mutant keys either way).
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         prepared = prepare_campaign(
             lambda: golden.instantiate(), injected, stimuli,
             ip_name="cache_ip", sensor_type="razor", cache=cache,
@@ -422,9 +426,10 @@ class TestGoldenTraceCache:
         assert prepared.golden_cached is None
         assert prepared.cache_misses == prepared.total
 
-    def test_recovery_bit_is_part_of_the_golden_key(self, razor_campaign):
+    def test_recovery_bit_is_part_of_the_golden_key(self, razor_campaign,
+                                                    tmp_path):
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         first = prepare_campaign(
             golden, injected, stimuli,
             ip_name="cache_ip", sensor_type="razor", recovery=True,
@@ -438,11 +443,12 @@ class TestGoldenTraceCache:
         assert first.golden_cached is False
         assert other.golden_cached is False   # different key: no hit
 
-    def test_summary_pairs_surface_the_golden_row(self, razor_campaign):
+    def test_summary_pairs_surface_the_golden_row(self, razor_campaign,
+                                                  tmp_path):
         from repro.reporting import mutation_summary_pairs
 
         golden, injected, stimuli = razor_campaign
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         cold = _campaign(golden, injected, stimuli, cache=cache)
         warm = _campaign(golden, injected, stimuli, cache=cache)
         uncached = _campaign(golden, injected, stimuli)
@@ -463,13 +469,11 @@ class TestCacheHousekeeping:
         cache.put("cc" * 32, {"ip": "plasma", "x": 3})
         cache.put("dd" * 32, {"x": 4})           # untagged (legacy)
 
-    @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_stats_counts_entries_and_per_ip(self, backend, tmp_path):
-        cache = ResultCache(None if backend == "memory"
-                            else tmp_path / "c")
+    def test_stats_counts_entries_and_per_ip(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
         self._seed(cache)
         stats = cache.stats()
-        assert stats["backend"] == backend
+        assert stats["root"] == cache.root
         assert stats["entries"] == 4
         assert stats["bytes"] > 0
         assert stats["per_ip"]["dsp"]["entries"] == 2
@@ -478,23 +482,15 @@ class TestCacheHousekeeping:
         assert sum(b["bytes"] for b in stats["per_ip"].values()) == \
             stats["bytes"]
 
-    @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_prune_max_bytes_evicts_oldest_first(self, backend,
-                                                 tmp_path):
+    def test_prune_max_bytes_evicts_oldest_first(self, tmp_path):
         import os
-        import time as _time
 
-        cache = ResultCache(None if backend == "memory"
-                            else tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         self._seed(cache)
-        # Make the write order unambiguous for both backends.
+        # Make the write order unambiguous.
         for offset, key in enumerate(("aa", "bb", "cc", "dd")):
-            full = key * 32
             when = 1_000_000 + offset
-            if cache.root is None:
-                cache._times[full] = when
-            else:
-                os.utime(cache._path(full), (when, when))
+            os.utime(cache._path(key * 32), (when, when))
         stats = cache.stats()
         keep = stats["bytes"] - 1    # forces out exactly the oldest
         result = cache.prune(max_bytes=keep)
@@ -502,23 +498,16 @@ class TestCacheHousekeeping:
         assert cache.get("aa" * 32) is None      # oldest gone
         assert cache.get("dd" * 32) == {"x": 4}  # newest kept
         assert result["kept_bytes"] <= keep
-        del _time
 
-    @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_prune_older_than_removes_by_age(self, backend, tmp_path):
+    def test_prune_older_than_removes_by_age(self, tmp_path):
         import os
         import time as _time
 
-        cache = ResultCache(None if backend == "memory"
-                            else tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         self._seed(cache)
         ancient = _time.time() - 10_000
         for key in ("aa", "bb"):
-            full = key * 32
-            if cache.root is None:
-                cache._times[full] = ancient
-            else:
-                os.utime(cache._path(full), (ancient, ancient))
+            os.utime(cache._path(key * 32), (ancient, ancient))
         result = cache.prune(older_than_s=5_000)
         assert result["removed_entries"] == 2
         assert result["kept_entries"] == 2
@@ -547,45 +536,32 @@ class TestPruneConcurrency:
         for key in ("aa", "bb", "cc", "dd"):
             cache.put(key * 32, {"ip": "dsp", "k": key})
 
-    @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_never_deletes_entries_newer_than_scan_start(self, backend,
-                                                         tmp_path):
+    def test_never_deletes_entries_newer_than_scan_start(self, tmp_path):
         import os
         import time as _time
 
-        cache = ResultCache(None if backend == "memory"
-                            else tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         self._seed(cache)
         # Stamp one entry as written *after* the prune's scan start --
         # the deterministic stand-in for a campaign re-writing it in
         # the scan-to-delete window.
         fresh = "bb" * 32
         future = _time.time() + 3_600
-        if cache.root is None:
-            cache._times[fresh] = future
-        else:
-            os.utime(cache._path(fresh), (future, future))
+        os.utime(cache._path(fresh), (future, future))
         result = cache.prune(max_bytes=0)   # wants everything gone
         assert result["removed_entries"] == 3
         assert result["kept_entries"] == 1
         assert cache.get(fresh) == {"ip": "dsp", "k": "bb"}
 
-    @pytest.mark.parametrize("backend", ["memory", "disk"])
-    def test_tolerates_entries_vanishing_mid_scan(self, backend,
-                                                  tmp_path):
+    def test_tolerates_entries_vanishing_mid_scan(self, tmp_path):
         import os
 
-        cache = ResultCache(None if backend == "memory"
-                            else tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         self._seed(cache)
         # Freeze the scan, then yank one entry behind its back (a
         # concurrent pruner in another process got there first).
         scanned = list(cache._entries())
-        victim_key, victim_path = scanned[0][0], scanned[0][1]
-        if cache.root is None:
-            del cache._mem[victim_key]
-        else:
-            os.unlink(victim_path)
+        os.unlink(scanned[0][0])
         cache._entries = lambda: iter(scanned)   # stale scan data
         result = cache.prune(max_bytes=0)
         # No crash; the vanished entry is simply not double-counted.

@@ -15,8 +15,8 @@ from repro.mutation import (
     compute_golden_trace,
     inject_mutants,
     run_campaign,
-    shard_indices,
 )
+from repro.mutation.campaign import _shard_sequence
 from repro.rtl import Assign, If, Module, Simulation, const
 from repro.rtl.vcd import VcdWriter
 from repro.sensors import insert_sensors
@@ -72,19 +72,19 @@ def stimulus(n=30, seed=2):
 
 class TestSharding:
     def test_shards_cover_every_index_once_in_order(self):
-        shards = shard_indices(17, workers=3)
+        shards = _shard_sequence(list(range(17)), workers=3)
         flat = [i for shard in shards for i in shard]
         assert flat == list(range(17))
 
     def test_explicit_shard_size(self):
-        shards = shard_indices(10, workers=2, shard_size=4)
+        shards = _shard_sequence(list(range(10)), workers=2, shard_size=4)
         assert [len(s) for s in shards] == [4, 4, 2]
 
     def test_empty_campaign(self):
-        assert shard_indices(0, workers=4) == []
+        assert _shard_sequence([], workers=4) == []
 
     def test_shard_size_clamped_to_one(self):
-        assert shard_indices(3, workers=2, shard_size=0) == [
+        assert _shard_sequence([0, 1, 2], workers=2, shard_size=0) == [
             (0,), (1,), (2,)
         ]
 

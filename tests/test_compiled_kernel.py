@@ -314,7 +314,7 @@ class TestCompileCache:
         proc = m.sync("p", clk, [Assign(a, a + Const(1, 4))])
         first = compile_process(proc)
         assert compile_process(proc) is first  # memoised
-        # In-place rewrite (saboteur-style retarget) must recompile.
+        # An in-place retarget must recompile.
         proc.stmts[0].target = b
         second = compile_process(proc)
         assert second is not first

@@ -22,7 +22,6 @@ from repro.rtl import (
     WidthError,
     const,
     mux,
-    replicate,
     resize,
 )
 from repro.rtl.ir import Array, ArrayRead, registers_of
@@ -121,8 +120,6 @@ class TestIrValidation:
 
     def test_build_helpers_validate(self):
         a = Signal("a", 4)
-        with pytest.raises(ValueError):
-            replicate(a, 0)
         with pytest.raises(TypeError):
             mux(a.eq(0), 1, 2)  # both arms int
         assert resize(a, 2).width == 2  # truncation is fine

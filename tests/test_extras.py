@@ -1,11 +1,10 @@
-"""Tests for the VCD exporter, saboteurs and the CLI."""
+"""Tests for the VCD exporter and the CLI."""
 
 import os
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.mutation.saboteurs import Saboteur, insert_saboteur
 from repro.rtl import Assign, Module, Simulation, const
 from repro.rtl.vcd import VcdWriter
 
@@ -53,73 +52,6 @@ class TestVcd:
         assert "bxx" in open(path).read()
 
 
-class TestSaboteurs:
-    def build(self):
-        m = Module("sab_dut")
-        clk = m.input("clk")
-        d = m.input("d", 8)
-        s = m.signal("s", 8)
-        q = m.output("q", 8)
-        m.comb("p_s", [Assign(s, d + const(1, 8))])
-        m.sync("p_q", clk, [Assign(q, s)])
-        return m, clk, d, s, q
-
-    def test_transparent_when_inactive(self):
-        m, clk, d, s, q = self.build()
-        sab = insert_saboteur(m, s, mode="invert")
-        sim = Simulation(m, {clk: 1000})
-        sim.cycle({d: 10, sab.control: 0})
-        sim.cycle()
-        assert sim.peek_int(q) == 11
-
-    def test_invert_mode_corrupts(self):
-        m, clk, d, s, q = self.build()
-        sab = insert_saboteur(m, s, mode="invert")
-        sim = Simulation(m, {clk: 1000})
-        sim.cycle({d: 10, sab.control: 1})
-        sim.cycle()
-        assert sim.peek_int(q) == (~11) & 0xFF
-
-    def test_stuck_x_mode(self):
-        m, clk, d, s, q = self.build()
-        sab = insert_saboteur(m, s, mode="stuck_x")
-        sim = Simulation(m, {clk: 1000})
-        sim.cycle({d: 10, sab.control: 1})
-        sim.cycle()
-        assert not sim.peek(q).is_fully_defined
-
-    def test_delay_mode_forwards_previous(self):
-        m, clk, d, s, q = self.build()
-        sab = insert_saboteur(m, s, mode="delay")
-        sim = Simulation(m, {clk: 1000})
-        sim.cycle({d: 10, sab.control: 0})
-        sim.cycle({d: 20, sab.control: 1})
-        sim.cycle({sab.control: 0})
-        # While engaged, the consumer saw a stale value at some point;
-        # after release the pipeline recovers.
-        sim.cycle()
-        assert sim.peek_int(q) == 21
-
-    def test_unknown_mode_rejected(self):
-        m, clk, d, s, q = self.build()
-        with pytest.raises(ValueError):
-            insert_saboteur(m, s, mode="gremlin")
-
-    def test_undriven_signal_rejected(self):
-        m, clk, d, s, q = self.build()
-        ghost = m.signal("ghost", 4)
-        with pytest.raises(ValueError):
-            insert_saboteur(m, ghost)
-
-    def test_saboteur_needs_control_wiring(self):
-        """The structural cost the paper attributes to saboteurs: a new
-        top-level control port per instance."""
-        m, clk, d, s, q = self.build()
-        before = len(m.inputs())
-        insert_saboteur(m, s)
-        assert len(m.inputs()) == before + 1
-
-
 class TestCli:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
@@ -157,6 +89,18 @@ class TestCli:
         tlm = generate_tlm(augmented.module, variant="hdtlib",
                            augmented=augmented)
         assert capsys.readouterr().out == tlm.source + "\n"
+
+    def test_bench_time_column_names_what_it_measures(self, capsys):
+        """Campaigns share one queue, so a campaign's time runs from its
+        preparation to its last shard and includes queue wait; both
+        tables say so in the header."""
+        assert cli_main(
+            ["bench", "--ips", "dsp", "--cycles", "24", "--rtl-validation",
+             "--workers", "1", "--no-progress"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.count("| prepare-to-done (s)") == 2
+        assert "time (s)" not in out
 
     def test_bad_ip_rejected(self):
         with pytest.raises(SystemExit):

@@ -142,8 +142,8 @@ class TestThroughput:
             54 / report.seconds
         )
 
-    def test_warm_counter_campaign_executes_nothing(self):
-        cache = ResultCache(None)
+    def test_warm_counter_campaign_executes_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         _flow("filter", "counter", cache=cache)
         warm = _flow("filter", "counter", cache=cache).mutation
         assert warm.cache_hits == warm.total
@@ -184,8 +184,8 @@ class TestThroughput:
 
 
 class TestCacheInterplay:
-    def test_cold_pruned_seeds_warm_unpruned(self):
-        cache = ResultCache(None)
+    def test_cold_pruned_seeds_warm_unpruned(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         flow = _flow("dsp", "counter", cache=cache)
         cold = flow.mutation
         oracle = _oracle("dsp", "counter")
@@ -200,10 +200,10 @@ class TestCacheInterplay:
         assert warm.cache_hits == warm.total
         assert warm.cache_misses == 0
 
-    def test_cold_unpruned_seeds_warm_pruned(self):
+    def test_cold_unpruned_seeds_warm_pruned(self, tmp_path):
         # A cache filled by an unpruned run -- every mutant executed
         # and stored under its unchanged entry key -- replays in full.
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         flow = _flow("dsp", "counter", run_mutation=False)
         cold = _oracle("dsp", "counter")
         for key, outcome in zip(_cache_keys(flow, cache), cold.outcomes):
@@ -282,9 +282,9 @@ class TestDeferredDuplicates:
         # nine duplicates included.
         assert on.executed == 18
 
-    def test_deferred_clones_earn_cache_entries(self):
+    def test_deferred_clones_earn_cache_entries(self, tmp_path):
         _module, golden, injected, stimuli = _build_counter_hf2()
-        cache = ResultCache(None)
+        cache = ResultCache(tmp_path / "cache")
         cold = run_campaign(
             golden, injected, stimuli,
             ip_name="dsp-hf2", sensor_type="counter", cache=cache,
@@ -315,8 +315,8 @@ class TestSuite:
             )
             assert report.pruned_equivalent == expected
 
-    def test_suite_prune_with_warm_cache(self):
-        cache = ResultCache(None)
+    def test_suite_prune_with_warm_cache(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         with CampaignScheduler(workers=2) as scheduler:
             cold = run_benchmark_suite(
                 ["dsp"], SENSORS, scheduler=scheduler, cache=cache,

@@ -452,10 +452,10 @@ class TestMetricsRegistry:
             registry=reg,
         )
         assert raw == {"shards": 1, "mutants": 4, "batch_forks": 2}
-        assert reg.counter_value("repro_shards_executed_total") == 1
-        assert reg.counter_value("repro_mutants_executed_total") == 4
-        assert reg.counter_value("repro_batch_forks_total") == 2
         snap = reg.snapshot()
+        assert snap["counters"]["repro_shards_executed_total"] == 1
+        assert snap["counters"]["repro_mutants_executed_total"] == 4
+        assert snap["counters"]["repro_batch_forks_total"] == 2
         assert snap["histograms"]["repro_shard_seconds"]["count"] == 1
         assert absorb_shard_counters(None, registry=reg) == {}
 
@@ -534,7 +534,8 @@ class TestSuiteObs:
         )
         TRACER.disable()
         spans = _spans_named("shard.execute")
-        absorbed = REGISTRY.counter_value("repro_shards_executed_total")
+        absorbed = REGISTRY.snapshot()["counters"].get(
+            "repro_shards_executed_total", 0.0)
 
         stim = case_study("dsp").stimulus(REDUCED_CYCLES)
         shards = 0

@@ -2,8 +2,8 @@
 
 Tables 1, 2 and 5 of the paper carry no timing: every figure in them
 is a pure function of the source.  ``benchmarks/bench_table*.py``
-print them, but nothing runs those regenerators by default, so this
-test holds the same figures in tier-1 and a change that moves a paper
+print them, but tier-1 does not run those regenerators, so this test
+holds the same figures in tier-1 and a change that moves a paper
 number fails here.  Known deviations from the paper are pinned as they
 are (Counter risen %: 33.3 / 40.7 / 39.5 here, 66.7 / 88.4 / 50.1 in
 the paper).

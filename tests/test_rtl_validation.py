@@ -111,7 +111,7 @@ CASES = [
 
 @pytest.mark.parametrize("ip,sensor,seed,recovery", CASES)
 def test_forked_sweep_matches_fresh_reference(ip, sensor, seed, recovery,
-                                              pool):
+                                              pool, tmp_path):
     augmented, specs = design(ip, sensor)
     cycles = min(case_study(ip).mutation_cycles, MAX_CYCLES)
     stimuli = stimuli_for(ip, seed, cycles)
@@ -127,7 +127,7 @@ def test_forked_sweep_matches_fresh_reference(ip, sensor, seed, recovery,
         pooled = validate_at_rtl(augmented, specs, shard_size=shard_size,
                                  scheduler=pool, **common)
         assert pooled.outcomes == expected, ("workers=2", shard_size)
-    cache = ResultCache(None)
+    cache = ResultCache(tmp_path / "cache")
     cold = validate_at_rtl(augmented, specs, cache=cache, **common)
     warm = validate_at_rtl(augmented, specs, cache=cache, **common)
     assert warm.cache_hits == len(specs)
@@ -270,7 +270,8 @@ def test_pending_no_op_write_at_the_fork_point():
     assert pooled.outcomes == expected
 
 
-def test_caller_modified_flow_validates_as_built_at_any_pool_width():
+def test_caller_modified_flow_validates_as_built_at_any_pool_width(
+        tmp_path):
     """A suite handed a caller-built flow validates that flow's design,
     not the registry build, at any pool width -- here a dsp/counter
     flow whose LUT thresholds were lowered to 4.  The 2-worker suite
@@ -290,9 +291,9 @@ def test_caller_modified_flow_validates_as_built_at_any_pool_width():
             )
         return suite.rtl_reports[key]
 
-    cache = ResultCache(None)
+    cache = ResultCache(tmp_path / "cache")
     pooled = rtl_report(2, cache)
-    inline = rtl_report(1, ResultCache(None))
+    inline = rtl_report(1, ResultCache(tmp_path / "inline"))
     warm = rtl_report(2, cache)
     stimuli = spec.stimulus(spec.mutation_cycles)
     expected = validate_at_rtl(flow.augmented, flow.injected.mutants,

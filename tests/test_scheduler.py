@@ -6,10 +6,10 @@ exactly once; the merged report field-identical to the blocking
 on all three case-study IPs and both sensor types), persistent-pool
 reuse across campaigns, cross-IP suite batching, early-abort policies
 (submission stops), pool self-healing and the drain of cancelled
-supervised futures, and regressions for the three accounting/monitor
-bugfixes: timed-out runs excluded from the mutation score, Razor
-preparation never compiling the injected model (only Counter
-campaigns read its tap order), and per-lane ``meas_val`` histograms.
+supervised futures, and regressions for two accounting bugfixes:
+timed-out runs excluded from the mutation score, and Razor preparation
+never compiling the injected model (only Counter campaigns read its
+tap order).
 """
 
 import os
@@ -33,7 +33,6 @@ from repro.mutation import (
     stream_shard_batches,
 )
 from repro.reporting import mutation_summary_pairs
-from repro.stimuli import TlmSensorMonitor
 
 #: Shortened testbench shared by the cross-IP streaming tests: long
 #: enough to exercise every engine path, short enough that the suite
@@ -566,85 +565,6 @@ class TestLazyTapOrder:
         # The golden model must compile (it simulates); the injected
         # description must not -- its compile belongs to the workers.
         assert all(gen is not injected for gen in compiled)
-
-
-# ----------------------------------------------------------------------
-# Regression: per-lane meas_val histograms
-# ----------------------------------------------------------------------
-
-class _FakeCounterModel:
-    """Three-sensor Counter model replaying a fixed meas_val stream."""
-
-    PORTS_OUT = {"q": 8, "metric_ok": 1, "meas_val": 24}
-    COUNTER_TAP_ORDER = ["r0", "r1", "r2"]
-
-    def __init__(self, frames):
-        self._frames = list(frames)
-
-    def b_transport(self, inputs):
-        return {"q": 0, "metric_ok": 1, "meas_val": self._frames.pop(0)}
-
-
-class TestMonitorLanes:
-    def test_zero_lane_below_nonzero_lane_keeps_identity(self):
-        # Regression: `while meas_bus:` swallowed the zero low lane
-        # and attributed lane 1's measurement to the wrong sensor.
-        monitor = TlmSensorMonitor(_FakeCounterModel([5 << 8]))
-        assert monitor.lanes == 3
-        assert monitor.tap_order == ("r0", "r1", "r2")
-        monitor.cycle({})
-        assert monitor.activity.meas_histogram == {1: {5: 1}}
-
-    def test_equal_values_on_distinct_lanes_not_conflated(self):
-        monitor = TlmSensorMonitor(_FakeCounterModel([(7 << 16) | 7]))
-        monitor.cycle({})
-        assert monitor.activity.meas_histogram == {0: {7: 1}, 2: {7: 1}}
-
-    def test_counts_accumulate_per_lane(self):
-        monitor = TlmSensorMonitor(
-            _FakeCounterModel([3 << 8, 3 << 8, (3 << 8) | 2])
-        )
-        for _ in range(3):
-            monitor.cycle({})
-        assert monitor.activity.meas_histogram == {0: {2: 1}, 1: {3: 3}}
-
-    def test_lane_count_falls_back_to_port_width(self):
-        class _NoTaps:
-            PORTS_OUT = {"meas_val": 16}
-
-            def b_transport(self, inputs):
-                return {"meas_val": 1}
-
-        monitor = TlmSensorMonitor(_NoTaps())
-        assert monitor.lanes == 2
-
-    def test_razor_model_has_no_lanes(self):
-        class _Razor:
-            PORTS_OUT = {"q": 8, "razor_err": 1}
-
-            def b_transport(self, inputs):
-                return {"q": 0, "razor_err": 1}
-
-        monitor = TlmSensorMonitor(_Razor())
-        assert monitor.lanes == 0
-        monitor.cycle({})
-        assert monitor.activity.meas_histogram == {}
-        assert monitor.activity.error_pulses == 1
-
-    def test_real_counter_model_keys_by_lane(self, flows):
-        spec = case_study("dsp")
-        flow = flows("dsp", "counter")
-        model = flow.injected.instantiate()
-        model.activate_mutant(0)
-        monitor = TlmSensorMonitor(model)
-        assert monitor.lanes == len(model.COUNTER_TAP_ORDER)
-        for vec in spec.stimulus(spec.mutation_cycles):
-            monitor.cycle(dict(vec))
-        assert monitor.activity.meas_histogram, "mutant 0 must be measured"
-        assert all(
-            0 <= lane < monitor.lanes
-            for lane in monitor.activity.meas_histogram
-        )
 
 
 # ----------------------------------------------------------------------

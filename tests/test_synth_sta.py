@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.rtl import Assign, If, Module, const, mux
 from repro.sta import (
-    FF_CORNER,
-    SS,
     TT,
     WORST_CASE,
     Corner,
@@ -124,10 +122,6 @@ class TestCorners:
     def test_tt_factor_is_unity(self):
         assert TT.delay_factor() == pytest.approx(1.0)
 
-    def test_ss_slower_ff_faster(self):
-        assert SS.delay_factor() > 1.2
-        assert FF_CORNER.delay_factor() < 0.9
-
     def test_low_vdd_slows(self):
         low = Corner("lv", vdd=0.9)
         assert low.delay_factor() > 1.1
@@ -160,12 +154,15 @@ class TestAnalyze:
         # r2's path launches from register r1: arrival > clk-to-q
         assert report.by_name("r2").arrival_ps > LIB45.ff_clk_to_q_ps
 
-    def test_derated_corner_reduces_slack(self):
+    def test_applies_the_sign_off_derate(self):
         m, *_ = make_pipeline()
-        synth = synthesize(m)
-        nominal = analyze(synth, 2000, corner=TT)
-        worst = analyze(synth, 2000, corner=SS)
-        assert worst.by_name("r2").slack_ps < nominal.by_name("r2").slack_ps
+        report = analyze(synthesize(m), 2000)
+        factor = WORST_CASE.total_factor(TT)
+        assert report.derate_factor == factor
+        r2 = report.by_name("r2")
+        assert r2.slack_ps == pytest.approx(
+            2000 - LIB45.ff_setup_ps * factor - r2.arrival_ps
+        )
 
     def test_path_reconstruction_ends_at_endpoint(self):
         m, clk, r1, r2 = make_pipeline()
@@ -276,47 +273,3 @@ class TestTimingGraph:
         din = next(p for p in m.inputs() if p.name == "din")
         assert graph.startpoint_kind(din) == "input"
         assert clk not in graph.primary_inputs  # clocks excluded
-
-
-class TestMultiCorner:
-    def test_merged_is_worst_of(self):
-        from repro.sta import analyze_corners
-
-        m, *_ = make_pipeline()
-        synth = synthesize(m)
-        merged, per_corner = analyze_corners(synth, clock_period_ps=2000)
-        assert set(per_corner) == {
-            "tt_1.05v_25c", "ss_0.95v_125c", "ff_1.15v_m40c"
-        }
-        for timing in merged.endpoints:
-            for report in per_corner.values():
-                try:
-                    other = report.by_name(timing.endpoint.name)
-                except KeyError:
-                    continue
-                assert timing.slack_ps <= other.slack_ps + 1e-9
-
-    def test_merged_matches_ss_for_uniform_derate(self):
-        """With purely multiplicative derating the slow corner wins
-        every endpoint."""
-        from repro.sta import analyze_corners
-
-        m, *_ = make_pipeline()
-        merged, per_corner = analyze_corners(
-            synthesize(m), clock_period_ps=2000
-        )
-        ss = per_corner["ss_0.95v_125c"]
-        for timing in merged.endpoints:
-            if timing.kind != "register":
-                continue
-            assert timing.slack_ps == pytest.approx(
-                ss.by_name(timing.endpoint.name).slack_ps
-            )
-
-    def test_binning_on_merged_view(self):
-        from repro.sta import analyze_corners
-
-        m, *_ = make_pipeline()
-        merged, _ = analyze_corners(synthesize(m), clock_period_ps=2000)
-        binned = bin_critical_paths(merged, threshold_ps=1e9)
-        assert binned.count == 2
