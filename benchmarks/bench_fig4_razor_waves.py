@@ -7,9 +7,8 @@ each RTL clock cycle corresponding to one TLM transaction (Fig. 7).
 The benchmarked operation is the traced RTL run.
 """
 
-import pytest
 
-from repro.rtl import Assign, Module, Simulation, WaveRecorder, const
+from repro.rtl import Assign, Module, WaveRecorder, const
 from repro.sensors import insert_sensors
 from repro.sta import analyze, bin_critical_paths
 from repro.synth import synthesize

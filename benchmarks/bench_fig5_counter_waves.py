@@ -7,9 +7,8 @@ main-clock-cycle measurement latency, and the dual-clock TLM scheduler
 wrapping 10 HF cycles into one transaction (Fig. 8).
 """
 
-import pytest
 
-from repro.rtl import Assign, Module, Simulation, WaveRecorder, const
+from repro.rtl import Assign, Module
 from repro.sensors import insert_sensors
 from repro.sta import analyze, bin_critical_paths
 from repro.synth import synthesize

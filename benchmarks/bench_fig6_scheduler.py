@@ -7,7 +7,6 @@ most control-heavy IP -- in lockstep at both levels over its real
 workload and measures both throughputs.
 """
 
-import pytest
 
 from repro.abstraction import generate_tlm
 from repro.ips.plasma import build_plasma, fibonacci_program

@@ -85,7 +85,7 @@ def test_campaign_speed(benchmark, dsp_razor):
 
     def one_mutant():
         return run_campaign(
-            dsp_razor.golden_factory(),
+            dsp_razor.tlm_optimized,
             dsp_razor.injected,
             stimuli,
             sensor_type="razor",

@@ -8,7 +8,6 @@ locates the insertion points.
 
 import pytest
 
-from repro.flow import characterize
 from repro.ips import CASE_STUDIES
 from repro.reporting import format_table
 from repro.sta import analyze, bin_critical_paths

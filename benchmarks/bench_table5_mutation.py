@@ -96,7 +96,6 @@ def test_rtl_validation_agrees(campaigns, once):
     def _body():
         """Section 8.5: reproduce the Razor mutants at RTL with delayed
         assignments; the sensors must raise the same 100% of errors."""
-        from repro.flow import run_flow
         from repro.ips import case_study
         from repro.mutation import validate_at_rtl
 

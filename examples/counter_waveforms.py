@@ -10,7 +10,7 @@ clock wrapped inside main-clock transactions.
 Run:  python examples/counter_waveforms.py
 """
 
-from repro.rtl import Assign, Module, WaveRecorder, const
+from repro.rtl import Assign, Module, WaveRecorder
 from repro.sensors import insert_sensors
 from repro.sta import analyze, bin_critical_paths
 from repro.synth import synthesize

@@ -93,7 +93,7 @@ def main() -> None:
     print("=" * 64)
     stimuli = [{"din": (i * 13 + 1) % 256, "en": 1} for i in range(30)]
     report = run_campaign(
-        lambda: tlm.instantiate(),
+        tlm,
         injected,
         stimuli,
         ip_name="quickstart_ip",

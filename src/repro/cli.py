@@ -4,7 +4,7 @@ Commands
 --------
 ``list``
     Show the registered case studies and their operating points.
-``flow <ip> <sensor> [--cache-dir DIR] [--no-cache]``
+``flow <ip> <sensor> [--cache-dir DIR]``
     Run the full four-step methodology on one IP with ``razor`` or
     ``counter`` sensors and print the campaign summary.
 ``lint <ip> [<ip> ...] [--sensor razor|counter] [--format text|json]``
@@ -16,7 +16,7 @@ Commands
     ``--format json`` emits the machine-readable reports (findings,
     severity counts, waived entries) instead of the text listing.
 ``mutate <ip> <sensor> [--workers N] [--shard-size M] [--cycles C]
-[--cache-dir DIR] [--no-cache] [--trace FILE]``
+[--cache-dir DIR] [--trace FILE]``
     Run only the mutation campaign through the sharded engine
     (:mod:`repro.mutation.campaign`): statically equivalent mutants
     are pruned (:mod:`repro.lint.mutants`) and each shard runs as one
@@ -34,7 +34,7 @@ Commands
     percentages.  Timed-out (stall-budget-truncated) runs are excluded
     from every percentage and called out separately in the summary.
 ``bench [--ips a,b] [--sensors razor,counter] [--workers N]
-[--rtl-validation] [--cache-dir DIR] [--no-cache] ...``
+[--rtl-validation] [--cache-dir DIR] ...``
     Run the whole cross-IP campaign suite (every selected IP x sensor
     type) on one shared persistent worker pool through the streaming
     scheduler (:mod:`repro.mutation.scheduler`), with live per-shard
@@ -65,7 +65,7 @@ Commands
 Campaign service (see :mod:`repro.service` and ``docs/service.md``)
 -------------------------------------------------------------------
 ``serve [--host H] [--port P] [--workers N] [--max-jobs M]
-[--state-dir DIR] [--ready-file FILE] [--cache-dir DIR] [--no-cache]
+[--state-dir DIR] [--ready-file FILE] [--cache-dir DIR]
 [--fault-plan SPEC] [--trace]``
     Run the long-lived campaign service: jobs submitted over HTTP
     queue onto one shared scheduler pool, every client streams
@@ -112,9 +112,9 @@ Result caching
 verdicts (TLM and RTL) and golden traces are stored content-addressed
 under ``DIR`` (:class:`repro.mutation.ResultCache`), so a second
 identical run replays instead of re-executing and the summaries report
-the hit/miss split.  ``--no-cache`` forces execution even when
-``--cache-dir`` is configured.  ``repro serve`` accepts the same pair
-(one cache shared by every job).
+the hit/miss split; without ``--cache-dir`` nothing is cached.
+``repro serve`` accepts the same flag (one cache shared by every
+job).
 
 ``cache {stats,prune} --cache-dir DIR [--max-bytes N] [--older-than S]``
     Inspect or garbage-collect a result cache: ``stats`` prints entry
@@ -137,14 +137,10 @@ __all__ = ["build_parser", "main"]
 
 def _resolve_cache(args):
     """The :class:`~repro.mutation.ResultCache` selected by
-    ``--cache-dir`` / ``--no-cache`` (or ``None``)."""
+    ``--cache-dir`` (or ``None``)."""
     from repro.mutation import ResultCache
 
-    if getattr(args, "no_cache", False) or not getattr(
-        args, "cache_dir", None
-    ):
-        return None
-    return ResultCache(args.cache_dir)
+    return ResultCache(args.cache_dir) if args.cache_dir else None
 
 
 def _cmd_list(_args) -> int:
@@ -490,7 +486,7 @@ def _cmd_serve(args) -> int:
     if args.trace:
         print("  tracing     : on (export with `repro trace`)",
               flush=True)
-    if getattr(args, "cache_dir", None) and not args.no_cache:
+    if args.cache_dir:
         print(f"  result cache: {args.cache_dir}", flush=True)
     if args.ready_file:
         with open(args.ready_file, "w") as handle:
@@ -798,8 +794,6 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
                         help="persistent content-addressed result cache: "
                              "replay known mutant verdicts, store fresh "
                              "ones")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="force execution even if --cache-dir is set")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 from repro.abstraction import GeneratedTlm
-from repro.rtl import Simulation
 from repro.sensors import AugmentedIP
 
 __all__ = ["LevelTiming", "time_rtl", "time_tlm", "speedup"]

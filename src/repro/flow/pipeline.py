@@ -68,11 +68,6 @@ class FlowResult:
     def sensors_inserted(self) -> int:
         return self.augmented.sensor_count
 
-    def golden_factory(self):
-        """Fresh non-injected optimised-TLM instances (campaign golden)."""
-        gen = self.tlm_optimized
-        return lambda: gen.instantiate()
-
 
 def characterize(spec: IpSpec):
     """Step 0: synthesis + STA + binning on a fresh IP instance."""
@@ -230,9 +225,6 @@ def run_flow(
             else mutation_cycles
         )
         if run_mutation:
-            # The GeneratedTlm itself (not a bare factory) keeps the
-            # golden fingerprintable, so a warm cache can replay the
-            # golden trace and skip the reference simulation entirely.
             with trace_span("flow.mutation", ip=spec.name,
                             sensor=sensor_type):
                 result.mutation = run_campaign(

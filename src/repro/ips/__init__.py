@@ -9,7 +9,7 @@ one-to-one to the rows of the paper's Tables 1-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dsp import DSP_FCLK_GHZ, DSP_PERIOD_PS, DSP_VDD, build_dsp, flow_stimulus
 from .filter import (

@@ -21,7 +21,6 @@ from repro.rtl import (
     If,
     Module,
     const,
-    mux,
     resize,
     sar,
 )

@@ -12,9 +12,9 @@ same one-process-per-stage style.  Operating point (Table 1):
 
 from __future__ import annotations
 
-from repro.rtl import Assign, If, Module, const, resize
+from repro.rtl import Assign, If, Module
 
-from .cic import CIC_WIDTH, add_cic
+from .cic import add_cic
 from .fir import add_fir
 
 __all__ = [

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from repro.rtl.ir import (
     Array,
-    ArrayRead,
     ArrayWrite,
     Assign,
     Case,

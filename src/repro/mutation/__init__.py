@@ -29,6 +29,17 @@ Three consumption styles share that machinery:
   :class:`RtlValidationShard` units, which replay the campaign's own
   stimuli, to the same pool).
 
+RTL validation (:func:`validate_at_rtl`, paper Section 8.5) is
+prepared the same way: :func:`prepare_rtl_validation` returns a
+:class:`PreparedRtlValidation` with the interface of a
+:class:`PreparedCampaign` (replayed outcomes, shard count, cache keys,
+outcome encoder, ``build_report``), so one absorption path -- obs
+counters and spans, then cache write-back -- serves every executed
+shard of both levels, and both reports carry their shards' counters
+in a ``compare=False`` ``obs`` field.  A campaign's golden is the
+generated model itself (a :class:`~repro.abstraction.GeneratedTlm`),
+so its golden trace is always cacheable.
+
 All three styles accept ``cache=`` (a :class:`ResultCache` from
 :mod:`repro.mutation.cache`): verdicts are content-addressed by
 (model fingerprint, stimuli/golden hash, mutant spec, sensor type,

@@ -34,9 +34,7 @@ source.  The engine amortises both:
    entry keys for write-back) on the :class:`PreparedCampaign`.  The
    golden trace itself is cached the same way (keyed by the golden
    model's structural fingerprint and the stimuli hash), so a warm
-   preparation skips the golden simulation entirely -- pass the golden
-   as a :class:`GeneratedTlm` (not a bare factory) to make it
-   fingerprintable.
+   preparation skips the golden simulation entirely.
 
 This module owns campaign *preparation* (golden memoisation, cache
 probe, pruning, shard construction -- :func:`prepare_campaign`)
@@ -106,21 +104,27 @@ class CampaignShard:
     #: enabled.  Pure metadata -- never changes an outcome.
     trace: bool = False
 
-    def run(self) -> "list":
+    def run(self) -> ShardResult:
         """Evaluate the shard's mutants as one batched sweep (in a
         worker process, or inline for ``workers=1``).  The generated
         model class is compiled once per process via the
-        :meth:`GeneratedTlm.compiled_class` cache.
+        :meth:`GeneratedTlm.compiled_class` cache."""
+        return _captured_run(self, "tlm", lambda: run_batched_shard(self))
 
-        Returns a :class:`ShardResult`: the outcome list plus the
-        shard's obs payload (execution counters always; relative-
-        offset spans when ``self.trace``)."""
-        with shard_capture(self.trace) as capture:
-            capture.count("shards", 1)
-            capture.count("mutants", len(self.indices))
-            with shard_span("shard.execute", mutants=len(self.indices)):
-                outcomes = run_batched_shard(self)
-            return ShardResult(outcomes, obs=capture.payload())
+
+def _captured_run(shard, level: str, execute) -> ShardResult:
+    """Run ``execute()`` for ``shard`` under a shard capture: the
+    :class:`ShardResult` carries the outcomes plus the obs payload --
+    ``shards`` and ``mutants`` counters always, a ``shard.execute``
+    span tagged with ``level`` (``"tlm"`` or ``"rtl"``) when
+    ``shard.trace``.  Shared by every shard kind."""
+    mutants = len(shard.indices)
+    with shard_capture(shard.trace) as capture:
+        capture.count("shards", 1)
+        capture.count("mutants", mutants)
+        with shard_span("shard.execute", level=level, mutants=mutants):
+            outcomes = execute()
+        return ShardResult(outcomes, obs=capture.payload())
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ class PreparedCampaign:
     cache_misses: "int | None" = None
     #: ``True`` when the golden trace was replayed from the cache,
     #: ``False`` when it was simulated (and stored), ``None`` when no
-    #: cache was in play or the golden was not fingerprintable.
+    #: cache was in play.
     golden_cached: "bool | None" = None
     #: Verdicts the static mutant analyzer synthesised at prepare time
     #: (equivalents judged against the golden trace).
@@ -178,6 +182,14 @@ class PreparedCampaign:
         or pruned) outcomes exist (they are absorbed as a single
         batch)."""
         return len(self.shards) + (1 if self.replayed_outcomes else 0)
+
+    @staticmethod
+    def encode_outcome(outcome) -> dict:
+        """One verdict's cache payload
+        (:func:`~repro.mutation.cache.encode_outcome`)."""
+        from .cache import encode_outcome
+
+        return encode_outcome(outcome)
 
     def build_report(self, outcomes, seconds: float = 0.0,
                      counters: "dict[str, int] | None" = None
@@ -243,18 +255,21 @@ def _run_shard(shard) -> "list":
     return shard.run()
 
 
-def _resolve_golden_model(golden):
-    """Accept a factory callable, a :class:`GeneratedTlm`, or an
-    already-constructed model object."""
-    if isinstance(golden, GeneratedTlm):
-        return golden.instantiate()
-    if callable(golden):
-        return golden()
-    return golden
+def _write_back(cache, prepared, outcomes) -> None:
+    """Store judged outcomes under ``prepared``'s entry keys, encoded
+    by its level's ``encode_outcome`` (no-op without a cache).  Each
+    payload is tagged with the IP for the per-IP cache statistics
+    (:meth:`ResultCache.stats`); the tag is ignored on decode."""
+    if cache is None or prepared.cache_keys is None:
+        return
+    for outcome in outcomes:
+        payload = prepared.encode_outcome(outcome)
+        payload["ip"] = prepared.ip_name
+        cache.put(prepared.cache_keys[outcome.index], payload)
 
 
 def prepare_campaign(
-    golden,
+    golden: GeneratedTlm,
     injected: GeneratedTlm,
     stimuli: "list[dict[str, int]]",
     *,
@@ -269,8 +284,7 @@ def prepare_campaign(
 
     Simulates the golden model (exactly once, regardless of the mutant
     count -- or not at all, when ``cache`` holds the golden trace for
-    this (golden fingerprint, stimuli) pair and ``golden`` is a
-    fingerprintable :class:`GeneratedTlm`), probes ``cache`` (a
+    this (golden fingerprint, stimuli) pair), probes ``cache`` (a
     :class:`~repro.mutation.cache.ResultCache`) for already-known
     verdicts, and partitions the remaining mutant indices into
     :class:`CampaignShard` work units sized for ``workers`` /
@@ -302,7 +316,7 @@ def prepare_campaign(
         golden_trace = None
         golden_cached = None
         golden_key = None
-        if cache is not None and isinstance(golden, GeneratedTlm):
+        if cache is not None:
             from .cache import (
                 decode_golden_trace,
                 golden_entry_key,
@@ -322,7 +336,7 @@ def prepare_campaign(
                 golden_cached = True
                 REGISTRY.inc("repro_golden_cache_hits_total")
         if golden_trace is None:
-            golden_model = _resolve_golden_model(golden)
+            golden_model = golden.instantiate()
             with trace_span("campaign.golden", ip=ip_name,
                             cycles=len(stimuli)):
                 golden_trace = compute_golden_trace(
@@ -382,13 +396,6 @@ def prepare_campaign(
             for i in miss_indices if i in equivalent
         ]
         miss_indices = [i for i in miss_indices if i not in equivalent]
-        if cache is not None and pruned_outcomes:
-            from .cache import encode_outcome
-
-            for outcome in pruned_outcomes:
-                payload = encode_outcome(outcome)
-                payload["ip"] = ip_name
-                cache.put(cache_keys[outcome.index], payload)
 
         shards = tuple(
             CampaignShard(
@@ -402,7 +409,7 @@ def prepare_campaign(
             )
             for indices in _shard_sequence(miss_indices, workers, shard_size)
         )
-        return PreparedCampaign(
+        prepared = PreparedCampaign(
             ip_name=ip_name,
             sensor_type=sensor_type,
             variant=injected.variant,
@@ -420,10 +427,12 @@ def prepare_campaign(
             # identical prune statistics.
             pruned_equivalent=len(equivalent),
         )
+        _write_back(cache, prepared, prepared.pruned_outcomes)
+        return prepared
 
 
 def run_campaign(
-    golden,
+    golden: GeneratedTlm,
     injected: GeneratedTlm,
     stimuli: "list[dict[str, int]]",
     *,
@@ -439,12 +448,9 @@ def run_campaign(
     """Run a full mutation campaign, sharded across ``workers``.
 
     Args:
-        golden: the non-injected reference -- a factory callable, a
-            :class:`GeneratedTlm`, or a constructed model.  It is
-            simulated exactly once, regardless of the mutant count;
-            pass the :class:`GeneratedTlm` itself to let a warm
-            ``cache`` replay the golden trace and skip even that one
-            simulation.
+        golden: the non-injected reference model.  It is simulated
+            exactly once, regardless of the mutant count, and a warm
+            ``cache`` replays its trace instead.
         injected: the ADAM-generated description.
         stimuli: per-cycle ``name -> int`` input vectors.
         workers / shard_size: shard sizing (``shard_size`` overrides

@@ -66,11 +66,19 @@ holding their taps as data, so the design pickles -- and a worker
 process simulates exactly the design the caller passed, registered
 case study or not.
 
+A prepared validation (:func:`prepare_rtl_validation`) has the
+interface of a prepared TLM campaign -- replayed outcomes, shard
+count, cache keys, outcome encoder, ``build_report`` -- so the
+scheduler absorbs, writes back and times the shards of both levels
+through one path.  Each shard runs under a shard capture: its result
+carries ``shards``/``mutants`` counters and, when traced, a
+``shard.execute`` span tagged ``level="rtl"``.
+
 Results are cached in the same
 :class:`~repro.mutation.cache.ResultCache` as the TLM campaign
 verdicts, keyed by :func:`repro.mutation.cache.rtl_entry_key`
-(structural RTL fingerprint, stimuli hash, testbench length, recovery
-value, mutant spec).
+(structural RTL fingerprint, stimuli hash, testbench length, mutant
+spec).
 """
 
 from __future__ import annotations
@@ -80,9 +88,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.abstraction.codegen import MutantSpec
+from repro.obs import TRACER, trace_span
 from repro.sensors.insertion import AugmentedIP
 
-from .campaign import _shard_sequence
+from .campaign import ShardResult, _captured_run, _shard_sequence
 
 __all__ = [
     "RtlMutantOutcome",
@@ -119,6 +128,9 @@ class RtlValidationReport:
     #: identical on every verdict field.
     cache_hits: "int | None" = field(default=None, compare=False)
     cache_misses: "int | None" = field(default=None, compare=False)
+    #: The executed shards' obs counters, summed (as
+    #: :attr:`~repro.mutation.analysis.MutationReport.obs`).
+    obs: "dict | None" = field(default=None, compare=False)
 
     @property
     def total(self) -> int:
@@ -170,17 +182,18 @@ def _rtl_delay_for(spec: MutantSpec, augmented: AugmentedIP) -> int:
     return max(1, spec.hf_tick * hf - 2)
 
 
-def _stimulus_driver(augmented: AugmentedIP, stimuli,
-                     recovery_value: int = 0):
+def _stimulus_driver(augmented: AugmentedIP, stimuli):
     """The testbench driver ``drive(sim, i)``: poke input vector
-    ``stimuli[i]`` (plus the Razor recovery enable) and advance one
+    ``stimuli[i]`` (plus a low Razor recovery enable) and advance one
     clock.  It depends only on ``sim`` and ``i``, as the forked sweep's
-    out-of-order cycles require."""
+    out-of-order cycles require.  Recovery stays off because a Razor
+    verdict is settled by the first raised error, before recovery can
+    act."""
     input_ports = {p.name: p for p in augmented.module.inputs()}
     extra = {}
     if augmented.sensor_type == "razor" and \
             augmented.bank.recovery is not None:
-        extra[augmented.bank.recovery] = recovery_value
+        extra[augmented.bank.recovery] = 0
 
     def drive(sim, i):
         pokes = {input_ports[k]: v for k, v in stimuli[i].items()}
@@ -322,46 +335,59 @@ class RtlValidationShard:
 
     indices: "tuple[int, ...]"
     specs: "tuple[MutantSpec, ...]"           # aligned with ``indices``
-    recovery_value: int
     stimuli: "tuple[dict, ...]"
     augmented: AugmentedIP
+    #: Record a worker-side ``shard.execute`` span, as
+    #: :attr:`~repro.mutation.campaign.CampaignShard.trace` does.
+    trace: bool = False
 
-    def run(self) -> "list[RtlMutantOutcome]":
-        drive = _stimulus_driver(
-            self.augmented, self.stimuli, self.recovery_value
-        )
-        return _forked_sweep(
-            self.augmented, self.indices, self.specs, drive,
+    def run(self) -> ShardResult:
+        return _captured_run(self, "rtl", lambda: _forked_sweep(
+            self.augmented, self.indices, self.specs,
+            _stimulus_driver(self.augmented, self.stimuli),
             len(self.stimuli),
-        )
+        ))
 
 
 @dataclass(frozen=True)
 class PreparedRtlValidation:
-    """An RTL validation lowered to its schedulable form (the RTL
-    analogue of :class:`~repro.mutation.campaign.PreparedCampaign`):
-    shards cover the cache misses, replayed verdicts sit in
-    ``cached_outcomes``, and ``cache_keys`` maps every mutant index to
-    its entry key for write-back."""
+    """An RTL validation lowered to its schedulable form, with the
+    interface of :class:`~repro.mutation.campaign.PreparedCampaign`:
+    shards cover the cache misses, the cache hits sit in
+    ``replayed_outcomes`` (absorbed as one virtual first shard), and
+    ``cache_keys`` maps every mutant index to its entry key for
+    write-back.  RTL validation never prunes: every mutant re-executes
+    at RTL by definition of the cross-level check."""
 
     ip_name: str
     sensor_type: str
     total: int
     cycles_per_run: int
     shards: "tuple[RtlValidationShard, ...]"
-    cached_outcomes: "tuple" = ()
+    replayed_outcomes: "tuple" = ()
     cache_keys: "tuple[str, ...] | None" = None
     cache_hits: "int | None" = None
     cache_misses: "int | None" = None
 
     @property
     def total_shards(self) -> int:
-        return len(self.shards) + (1 if self.cached_outcomes else 0)
+        return len(self.shards) + (1 if self.replayed_outcomes else 0)
 
-    def build_report(self, outcomes,
-                     seconds: float = 0.0) -> RtlValidationReport:
+    @staticmethod
+    def encode_outcome(outcome) -> dict:
+        """One verdict's cache payload
+        (:func:`~repro.mutation.cache.encode_rtl_outcome`)."""
+        from .cache import encode_rtl_outcome
+
+        return encode_rtl_outcome(outcome)
+
+    def build_report(self, outcomes, seconds: float = 0.0,
+                     counters: "dict[str, int] | None" = None
+                     ) -> RtlValidationReport:
         """Deterministic merged report: outcomes in mutant-table order
-        regardless of shard completion order or cache state."""
+        regardless of shard completion order or cache state;
+        ``counters`` (the executed shards' obs counters, summed)
+        becomes ``report.obs``."""
         return RtlValidationReport(
             ip_name=self.ip_name,
             sensor_type=self.sensor_type,
@@ -370,6 +396,8 @@ class PreparedRtlValidation:
             seconds=seconds,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
+            obs={"counters": dict(sorted(counters.items()))}
+            if counters else None,
         )
 
 
@@ -379,7 +407,6 @@ def prepare_rtl_validation(
     *,
     stimuli,
     ip_name: str = "ip",
-    recovery_value: int = 0,
     workers: int = 1,
     shard_size: "int | None" = None,
     cache=None,
@@ -391,55 +418,57 @@ def prepare_rtl_validation(
     process; cache misses become shards, hits replay from ``cache``
     (see :func:`validate_at_rtl` for the arguments).
     """
-    specs = tuple(mutants)
-    stimuli = tuple(stimuli)
+    with trace_span("rtl_validation.prepare", ip=ip_name,
+                    sensor=augmented.sensor_type):
+        specs = tuple(mutants)
+        stimuli = tuple(stimuli)
 
-    cached_outcomes: "list[RtlMutantOutcome]" = []
-    cache_keys = None
-    hits = misses = None
-    miss_indices = list(range(len(specs)))
-    if cache is not None:
-        from .cache import (
-            decode_rtl_outcome,
-            rtl_entry_key,
-            rtl_fingerprint,
-            stimuli_hash,
-        )
+        replayed: "list[RtlMutantOutcome]" = []
+        cache_keys = None
+        hits = misses = None
+        miss_indices = list(range(len(specs)))
+        if cache is not None:
+            from .cache import (
+                decode_rtl_outcome,
+                rtl_entry_key,
+                rtl_fingerprint,
+                stimuli_hash,
+            )
 
-        rtl_fp = rtl_fingerprint(augmented)
-        stim_hash = stimuli_hash(stimuli)
-        cache_keys = tuple(
-            rtl_entry_key(rtl_fp, stim_hash, len(stimuli), recovery_value,
-                          spec)
-            for spec in specs
-        )
-        cached_outcomes, miss_indices = cache.probe(
-            cache_keys, decode_rtl_outcome
-        )
-        hits = len(cached_outcomes)
-        misses = len(miss_indices)
+            rtl_fp = rtl_fingerprint(augmented)
+            stim_hash = stimuli_hash(stimuli)
+            cache_keys = tuple(
+                rtl_entry_key(rtl_fp, stim_hash, len(stimuli), spec)
+                for spec in specs
+            )
+            replayed, miss_indices = cache.probe(
+                cache_keys, decode_rtl_outcome
+            )
+            hits = len(replayed)
+            misses = len(miss_indices)
 
-    shards = tuple(
-        RtlValidationShard(
-            indices=indices,
-            specs=tuple(specs[i] for i in indices),
-            recovery_value=recovery_value,
-            stimuli=stimuli,
-            augmented=augmented,
+        shards = tuple(
+            RtlValidationShard(
+                indices=indices,
+                specs=tuple(specs[i] for i in indices),
+                stimuli=stimuli,
+                augmented=augmented,
+                trace=TRACER.enabled,
+            )
+            for indices in _shard_sequence(miss_indices, workers,
+                                           shard_size)
         )
-        for indices in _shard_sequence(miss_indices, workers, shard_size)
-    )
-    return PreparedRtlValidation(
-        ip_name=ip_name,
-        sensor_type=augmented.sensor_type,
-        total=len(specs),
-        cycles_per_run=len(stimuli),
-        shards=shards,
-        cached_outcomes=tuple(cached_outcomes),
-        cache_keys=cache_keys,
-        cache_hits=hits,
-        cache_misses=misses,
-    )
+        return PreparedRtlValidation(
+            ip_name=ip_name,
+            sensor_type=augmented.sensor_type,
+            total=len(specs),
+            cycles_per_run=len(stimuli),
+            shards=shards,
+            replayed_outcomes=tuple(replayed),
+            cache_keys=cache_keys,
+            cache_hits=hits,
+            cache_misses=misses,
+        )
 
 
 def validate_at_rtl(
@@ -448,7 +477,6 @@ def validate_at_rtl(
     *,
     stimuli,
     ip_name: str = "ip",
-    recovery_value: int = 0,
     workers: int = 1,
     shard_size: "int | None" = None,
     scheduler=None,
@@ -465,51 +493,50 @@ def validate_at_rtl(
             (the same form the TLM campaign consumes).  The testbench
             runs one cycle per vector -- the canonical driver presents
             ``stimuli[i]`` at cycle ``i``, with the Razor recovery
-            enable poked to ``recovery_value`` -- so passing the
-            campaign's own stimuli validates each mutant over exactly
-            the cycles it was judged on at TLM.
+            enable held low -- so passing the campaign's own stimuli
+            validates each mutant over exactly the cycles it was
+            judged on at TLM.
         workers / shard_size / scheduler: shard sizing and pool
             placement, exactly as in
             :func:`~repro.mutation.campaign.run_campaign`; pass the
             campaign's :class:`CampaignScheduler` to interleave RTL
             shards with TLM shards on one executor.
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
-            verdicts replay instantly.
+            verdicts replay instantly, fresh ones are written back.
 
     Returns:
         An :class:`RtlValidationReport` with outcomes in mutant-table
         order -- deterministic for any worker count, shard size and
-        cache state.
+        cache state -- and the executed shards' obs counters.
     """
     from .scheduler import (
+        _absorb_executed,
         _ephemeral_width,
         _leased_scheduler,
         _stream_shard_results,
-        _write_back,
     )
 
     started = time.perf_counter()
-    prepared = prepare_rtl_validation(
-        augmented,
-        mutants,
-        stimuli=stimuli,
-        ip_name=ip_name,
-        recovery_value=recovery_value,
-        workers=workers if scheduler is None else scheduler.workers,
-        shard_size=shard_size,
-        cache=cache,
-    )
-    outcomes = list(prepared.cached_outcomes)
-    with _leased_scheduler(
-        scheduler, _ephemeral_width(workers, prepared)
-    ) as sched:
-        for batch in _stream_shard_results(sched, prepared.shards):
-            if cache is not None:
-                from .cache import encode_rtl_outcome
-
-                _write_back(cache, prepared.cache_keys, batch,
-                            encode_rtl_outcome, ip=ip_name)
-            outcomes.extend(batch)
+    with trace_span("rtl_validation.run", ip=ip_name,
+                    sensor=augmented.sensor_type):
+        prepared = prepare_rtl_validation(
+            augmented,
+            mutants,
+            stimuli=stimuli,
+            ip_name=ip_name,
+            workers=workers if scheduler is None else scheduler.workers,
+            shard_size=shard_size,
+            cache=cache,
+        )
+        outcomes = list(prepared.replayed_outcomes)
+        counters: "dict[str, int]" = {}
+        with _leased_scheduler(
+            scheduler, _ephemeral_width(workers, prepared)
+        ) as sched:
+            for result in _stream_shard_results(sched, prepared.shards):
+                outcomes.extend(
+                    _absorb_executed(prepared, result, cache, counters)
+                )
     return prepared.build_report(
-        outcomes, seconds=time.perf_counter() - started
+        outcomes, seconds=time.perf_counter() - started, counters=counters
     )

@@ -33,16 +33,23 @@ single persistent worker pool:
   every campaign's RTL-validation mutants to
   :class:`~repro.mutation.rtl_validation.RtlValidationShard` work
   units on the *same* pool, so TLM campaigns and RTL validations
-  interleave on one executor instead of the historical serial
-  per-mutant loop.
+  interleave on one executor.
+
+A prepared RTL validation
+(:class:`~repro.mutation.rtl_validation.PreparedRtlValidation`) has
+the interface of a prepared campaign -- ``replayed_outcomes``,
+``total_shards``, ``cache_keys``, ``encode_outcome`` and
+``build_report(outcomes, seconds, counters)`` -- so one suite job type
+serves both levels, and every executed shard of either level goes
+through one absorption path (:func:`_absorb_executed`: obs counters
+and spans, then cache write-back).
 
 Every entry point threads ``cache=`` (a
-:class:`~repro.mutation.cache.ResultCache`) through
-:func:`~repro.mutation.campaign.prepare_campaign`: known verdicts are
-replayed instantly as a virtual first shard, only cache misses are
-submitted, and fresh verdicts are written back as their shards
-complete -- so a warm re-run of an unchanged suite executes (nearly)
-nothing.
+:class:`~repro.mutation.cache.ResultCache`) through the preparation:
+known verdicts are replayed instantly as a virtual first shard, only
+cache misses are submitted, and fresh verdicts are written back as
+their shards complete -- so a warm re-run of an unchanged suite
+executes (nearly) nothing.
 
 Score accounting in the merged reports follows
 :class:`repro.mutation.analysis.MutationReport`: timed-out runs are
@@ -51,24 +58,21 @@ excluded from every aggregate percentage (``effective_total``).
 
 from __future__ import annotations
 
+import queue
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs import (
-    TRACER,
-    CompletionStamps,
-    absorb_shard_counters,
-    trace_span,
-)
+from repro.obs import TRACER, absorb_shard_counters, trace_span
 
-from .campaign import PreparedCampaign, prepare_campaign
+from .campaign import PreparedCampaign, _write_back, prepare_campaign
 from .placement import CampaignScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
     from .analysis import MutationReport
+    from .rtl_validation import PreparedRtlValidation
 
 __all__ = [
     "AbortPolicy",
@@ -261,39 +265,25 @@ def _stream_shard_results(scheduler: "CampaignScheduler", shards, *,
             wait(pending)
 
 
-def _write_back(cache, cache_keys, outcomes, encode, ip=None) -> None:
-    """Store freshly-executed outcomes under their prepare-time entry
-    keys (no-op without a cache).  ``ip`` tags each payload for the
-    per-IP cache statistics (:meth:`ResultCache.stats`); the tag is
-    informational and ignored on decode."""
-    if cache is None or cache_keys is None:
-        return
-    for outcome in outcomes:
-        payload = encode(outcome)
-        if ip is not None:
-            payload["ip"] = ip
-        cache.put(cache_keys[outcome.index], payload)
-
-
-def _absorb_executed(prepared: PreparedCampaign, result, cache,
-                     counters: "dict[str, int]") -> "list":
-    """Account one freshly executed TLM shard; return its outcomes as
-    a plain list.
+def _absorb_executed(
+    prepared: "PreparedCampaign | PreparedRtlValidation", result, cache,
+    counters: "dict[str, int]",
+) -> "list":
+    """Account one freshly executed shard of either level; return its
+    outcomes as a plain list.
 
     The shard's obs side-channel is absorbed: its counters feed the
-    metrics registry and are added to ``counters``, the campaign's
-    total (:attr:`MutationReport.obs`), and its relative-offset spans
-    are re-anchored onto the tracer.  Every outcome is then written
-    back to ``cache``.  The one path shared by
-    :func:`stream_shard_batches` and :func:`run_benchmark_suite`."""
-    from .cache import encode_outcome
-
+    metrics registry and are added to ``counters``, the report's total
+    (``report.obs``), and its relative-offset spans are re-anchored
+    onto the tracer.  Every outcome is then written back to ``cache``.
+    The one path shared by :func:`stream_shard_batches`,
+    :func:`run_benchmark_suite` and
+    :func:`~repro.mutation.rtl_validation.validate_at_rtl`."""
     obs = getattr(result, "obs", None)
     for name, value in absorb_shard_counters(obs).items():
         counters[name] = counters.get(name, 0) + value
     TRACER.absorb_shard(obs, ip=prepared.ip_name)
-    _write_back(cache, prepared.cache_keys, result, encode_outcome,
-                ip=prepared.ip_name)
+    _write_back(cache, prepared, result)
     return list(result)
 
 
@@ -466,64 +456,36 @@ class SuiteResult:
 
 @dataclass
 class _SuiteJob:
-    """One TLM campaign inside a suite: prepared shards + merge state."""
+    """One TLM campaign or RTL validation inside a suite: its prepared
+    work plus merge state.  Only TLM jobs carry a tracker: RTL outcomes
+    have no kill/timeout verdict for :class:`CampaignProgress` to
+    report."""
 
     key: "tuple[str, str]"
-    prepared: PreparedCampaign
-    tracker: _CampaignTracker
-    started: float = 0.0     # perf_counter at this campaign's prepare
+    prepared: "PreparedCampaign | PreparedRtlValidation"
+    started: float           # perf_counter at this job's preparation
+    tracker: "_CampaignTracker | None" = None
     outcomes: "list" = field(default_factory=list)
-    seconds: float = 0.0
     #: The executed shards' obs counters, summed (``report.obs``).
     counters: "dict[str, int]" = field(default_factory=dict)
+    #: perf_counter at the end of this job's preparation, then at each
+    #: of its shards' completion as read by the shard future's
+    #: done-callback -- so the job's time ends where its last shard
+    #: finished, not whenever the parent (perhaps busy preparing a
+    #: later campaign) drains it.
+    finished: float = 0.0
 
-    def absorb_shard(self, outcomes, progress) -> None:
+    def absorb(self, outcomes, progress, finished: float) -> None:
         self.outcomes.extend(outcomes)
-        self.tracker.absorb(outcomes, progress)
+        self.finished = max(self.finished, finished)
+        if self.tracker is not None:
+            self.tracker.absorb(outcomes, progress)
 
-    def absorb_fresh(self, result, cache) -> "list":
-        """Account a freshly executed shard exactly as a streamed
-        campaign does (:func:`_absorb_executed`)."""
-        return _absorb_executed(self.prepared, result, cache,
-                                self.counters)
-
-    @property
-    def complete(self) -> bool:
-        return self.tracker.shards_done == self.prepared.total_shards
-
-
-@dataclass
-class _RtlSuiteJob:
-    """One RTL validation inside a suite: its shards ride the same
-    shared pool as the TLM campaign shards (no per-shard progress
-    callbacks -- RTL outcomes carry no kill/timeout verdict for the
-    :class:`CampaignProgress` fields to mean anything)."""
-
-    key: "tuple[str, str]"
-    prepared: "object"       # PreparedRtlValidation
-    started: float = 0.0
-    outcomes: "list" = field(default_factory=list)
-    shards_done: int = 0
-    seconds: float = 0.0
-
-    def absorb_shard(self, outcomes, progress) -> None:
-        del progress
-        self.outcomes.extend(outcomes)
-        self.shards_done += 1
-
-    def absorb_fresh(self, result, cache) -> "list":
-        """Write a freshly executed shard back to ``cache``.  RTL
-        validation never prunes: every mutant re-executes at RTL by
-        definition of the cross-level check."""
-        from .cache import encode_rtl_outcome
-
-        _write_back(cache, self.prepared.cache_keys, result,
-                    encode_rtl_outcome, ip=self.key[0])
-        return list(result)
-
-    @property
-    def complete(self) -> bool:
-        return self.shards_done == self.prepared.total_shards
+    def report(self):
+        return self.prepared.build_report(
+            self.outcomes, seconds=self.finished - self.started,
+            counters=self.counters,
+        )
 
 
 def run_benchmark_suite(
@@ -594,7 +556,7 @@ def run_benchmark_suite(
 
     from .rtl_validation import prepare_rtl_validation
 
-    started = time.perf_counter()
+    suite_started = time.perf_counter()
     resolved: "list[IpSpec]" = [
         case_study(s) if isinstance(s, str) else s for s in specs
     ]
@@ -606,60 +568,53 @@ def run_benchmark_suite(
             raise ValueError(f"unknown sensor type {sensor!r}")
 
     campaign_started = time.perf_counter()
-
-    def _absorb(job, outcomes, finished_at: "float | None" = None,
-                fresh: bool = True) -> None:
-        if fresh:
-            # Replayed batches arrive with fresh=False: they are
-            # already cached and carry no obs payload.
-            outcomes = job.absorb_fresh(outcomes, cache)
-        job.absorb_shard(outcomes, progress)
-        if job.complete:
-            job.seconds = (
-                finished_at if finished_at is not None
-                else time.perf_counter()
-            ) - job.started
-
     jobs: "list[_SuiteJob]" = []
-    rtl_jobs: "list[_RtlSuiteJob]" = []
-    futures: "dict[Future, object]" = {}
-    #: perf_counter stamped the moment each future resolves (pool
-    #: callback thread), so a campaign's duration is measured to its
-    #: last shard's *completion*, not to whenever the parent -- which
-    #: may be busy building a later campaign's flow -- drains it.
-    #: Closed once the drain loop exits: a done-callback firing after
-    #: that (cancelled future resolving during teardown) must not
-    #: mutate the stamp map the suite no longer reads.
-    completion = CompletionStamps()
+    rtl_jobs: "list[_SuiteJob]" = []
+    pending: "set[Future]" = set()
+    #: ``(job, future, perf_counter)`` put by each shard future's
+    #: done-callback.  Draining this queue rather than waiting on the
+    #: futures means a shard is absorbed only once its callback has
+    #: read its completion time (a future wakes its waiters before it
+    #: runs its callbacks).
+    completed: "queue.SimpleQueue" = queue.SimpleQueue()
     seen: "set[tuple[str, str]]" = set()
 
-    def _absorb_done(block: bool) -> None:
-        if not futures:
-            return
-        done, _ = wait(
-            set(futures),
-            timeout=None if block else 0,
-            return_when=FIRST_COMPLETED,
-        )
-        for future in done:
-            _absorb(
-                futures.pop(future),
-                future.result(),
-                completion.pop(future),
+    def _absorb_completed(block: bool) -> None:
+        """Absorb every completed shard, first waiting for one when
+        ``block``."""
+        while pending:
+            try:
+                job, future, finished = completed.get(block=block)
+            except queue.Empty:
+                return
+            block = False
+            pending.remove(future)
+            job.absorb(
+                _absorb_executed(job.prepared, future.result(), cache,
+                                 job.counters),
+                progress, finished,
             )
 
-    def _submit_job(sched, job, shards) -> None:
-        # Submit immediately: the pool starts on this campaign's
-        # shards while the next campaign's flow and golden trace still
-        # prepare in the parent.  (Inline execution resolves at
-        # submission, so absorb right away.)
-        for shard in shards:
+    def _start(sched, job) -> None:
+        # Preparation is done.  Replayed verdicts (cache hits +
+        # statically pruned) are already in the cache: absorb them as
+        # the first batch.
+        job.finished = time.perf_counter()
+        if job.prepared.replayed_outcomes:
+            job.absorb(list(job.prepared.replayed_outcomes), progress,
+                       job.finished)
+        # Submit immediately: the pool starts on this job's shards
+        # while the next campaign's flow and golden trace still
+        # prepare in the parent.  Inline execution resolves at
+        # submission, so drain after each one.
+        for shard in job.prepared.shards:
             future = sched.submit(shard)
-            if future.done():
-                _absorb(job, future.result())
-            else:
-                futures[future] = job
-                future.add_done_callback(completion.stamp)
+            pending.add(future)
+            future.add_done_callback(
+                lambda f, job=job: completed.put(
+                    (job, f, time.perf_counter()))
+            )
+            _absorb_completed(block=False)
 
     def _run_suite(sched) -> None:
         for spec in resolved:
@@ -677,10 +632,8 @@ def run_benchmark_suite(
                 # Campaign time starts at its own preparation (golden
                 # trace + sharding), matching run_campaign.seconds --
                 # the flow build above is suite setup, not campaign.
-                job_started = time.perf_counter()
+                started = time.perf_counter()
                 prepared = prepare_campaign(
-                    # The GeneratedTlm (not a bare factory) keeps the
-                    # golden fingerprintable for golden-trace caching.
                     flow.tlm_optimized,
                     flow.injected,
                     stimuli,
@@ -691,25 +644,16 @@ def run_benchmark_suite(
                     shard_size=shard_size,
                     cache=cache,
                 )
-                job = _SuiteJob(
-                    key=key,
-                    prepared=prepared,
-                    tracker=_CampaignTracker(prepared),
-                    started=job_started,
-                )
+                job = _SuiteJob(key, prepared, started,
+                                tracker=_CampaignTracker(prepared))
                 jobs.append(job)
-                if prepared.replayed_outcomes:
-                    # Replayed verdicts (cache hits + statically
-                    # pruned) are already in the cache -- absorb
-                    # without writing them back.
-                    _absorb(job, prepared.replayed_outcomes, fresh=False)
-                _submit_job(sched, job, prepared.shards)
+                _start(sched, job)
 
                 if rtl_validation:
                     # Both levels drive the same stimuli, so per-mutant
                     # agreement is defined for every campaign.
-                    rtl_started = time.perf_counter()
-                    rtl_prepared = prepare_rtl_validation(
+                    started = time.perf_counter()
+                    prepared = prepare_rtl_validation(
                         flow.augmented,
                         flow.injected.mutants,
                         stimuli=stimuli,
@@ -718,21 +662,14 @@ def run_benchmark_suite(
                         shard_size=shard_size,
                         cache=cache,
                     )
-                    rtl_job = _RtlSuiteJob(
-                        key=key, prepared=rtl_prepared, started=rtl_started
-                    )
-                    rtl_jobs.append(rtl_job)
-                    if rtl_prepared.cached_outcomes:
-                        _absorb(
-                            rtl_job, rtl_prepared.cached_outcomes,
-                            fresh=False,
-                        )
-                    _submit_job(sched, rtl_job, rtl_prepared.shards)
-                # Keep progress live and per-campaign timing honest:
-                # drain whatever finished while this campaign prepared.
-                _absorb_done(block=False)
-        while futures:
-            _absorb_done(block=True)
+                    job = _SuiteJob(key, prepared, started)
+                    rtl_jobs.append(job)
+                    _start(sched, job)
+                # Keep progress live: drain whatever finished while
+                # this campaign prepared.
+                _absorb_completed(block=False)
+        while pending:
+            _absorb_completed(block=True)
 
     # A passed scheduler defines the pool width; shard to fill it.
     with _leased_scheduler(scheduler, workers) as sched:
@@ -743,29 +680,17 @@ def run_benchmark_suite(
             # must not leave orphan futures behind on a *shared* pool:
             # cancel what never started, drain what is in flight, so
             # the next suite on the same scheduler starts clean.
-            for future in futures:
+            for future in pending:
                 future.cancel()
-            if futures:
-                wait(set(futures))
+            if pending:
+                wait(pending)
             raise
-        finally:
-            completion.close()
     campaign_seconds = time.perf_counter() - campaign_started
 
-    reports = {
-        job.key: job.prepared.build_report(
-            job.outcomes, seconds=job.seconds, counters=job.counters
-        )
-        for job in jobs
-    }
-    rtl_reports = {
-        job.key: job.prepared.build_report(job.outcomes, seconds=job.seconds)
-        for job in rtl_jobs
-    }
     return SuiteResult(
-        reports=reports,
-        seconds=time.perf_counter() - started,
+        reports={job.key: job.report() for job in jobs},
+        seconds=time.perf_counter() - suite_started,
         campaign_seconds=campaign_seconds,
         workers=sched.workers,
-        rtl_reports=rtl_reports,
+        rtl_reports={job.key: job.report() for job in rtl_jobs},
     )

@@ -226,22 +226,19 @@ _SHARD_COUNTER_SERIES = {
 }
 
 
-def absorb_shard_counters(payload: "dict | None",
-                          registry: "MetricsRegistry | None" = None
-                          ) -> "dict[str, int]":
-    """Fold one shard-result obs payload's counters into the registry
-    (and its elapsed time into the ``repro_shard_seconds`` histogram).
-    Returns the raw counter dict so callers can also aggregate it
-    per-campaign."""
-    registry = REGISTRY if registry is None else registry
+def absorb_shard_counters(payload: "dict | None") -> "dict[str, int]":
+    """Fold one shard-result obs payload's counters into
+    :data:`REGISTRY` (and its elapsed time into the
+    ``repro_shard_seconds`` histogram).  Returns the raw counter dict
+    so callers can also aggregate it per-campaign."""
     if not payload:
         return {}
     counters = payload.get("counters") or {}
     for name, value in sorted(counters.items()):
         series = _SHARD_COUNTER_SERIES.get(name)
         if series is not None:
-            registry.inc(series, value)
+            REGISTRY.inc(series, value)
     elapsed = payload.get("elapsed_s")
     if elapsed is not None:
-        registry.observe("repro_shard_seconds", float(elapsed))
+        REGISTRY.observe("repro_shard_seconds", float(elapsed))
     return dict(counters)

@@ -63,7 +63,6 @@ from collections import OrderedDict
 __all__ = [
     "MAX_TRACED_JOBS",
     "TRACER",
-    "CompletionStamps",
     "ShardCapture",
     "Tracer",
     "active_capture",
@@ -468,55 +467,3 @@ def validate_chrome_trace(payload) -> "list[str]":
             problems.append(f"track {track}: {depth} unclosed B "
                             "event(s)")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Guarded future-completion stamps (scheduler drain-loop fix)
-# ---------------------------------------------------------------------------
-
-class CompletionStamps:
-    """Future-completion timestamps with a close() guard.
-
-    ``run_benchmark_suite`` stamps each future's completion time from
-    an ``add_done_callback`` -- which the executor may fire *after*
-    the drain loop has exited (cancellation during teardown, a result
-    landing while the suite unwinds an exception).  The previous bare
-    ``dict.setdefault`` kept accepting those late stamps forever,
-    leaking entries on an object the loop no longer reads.  This class
-    makes the hand-off explicit: once :meth:`close` runs, late
-    callbacks become no-ops and the map is emptied."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stamps: "dict[object, float]" = {}
-        self._closed = False
-
-    def stamp(self, key) -> bool:
-        """Record ``key``'s completion time (first stamp wins, like
-        ``setdefault``).  Returns ``False`` -- recording nothing --
-        once closed."""
-        now = time.perf_counter()
-        with self._lock:
-            if self._closed:
-                return False
-            self._stamps.setdefault(key, now)
-            return True
-
-    def pop(self, key) -> "float | None":
-        with self._lock:
-            return self._stamps.pop(key, None)
-
-    def close(self) -> None:
-        """Reject all future stamps and drop any unread ones."""
-        with self._lock:
-            self._closed = True
-            self._stamps.clear()
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._stamps)

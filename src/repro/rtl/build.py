@@ -14,7 +14,6 @@ from .ir import (
     Const,
     Expr,
     Mux,
-    Signal,
     Slice,
     Unop,
 )

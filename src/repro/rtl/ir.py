@@ -235,10 +235,6 @@ class Array:
         words += [0] * (depth - len(words))
         self.init = [w & mask for w in words]
 
-    @property
-    def addr_width(self) -> int:
-        return max(1, (self.depth - 1).bit_length())
-
     def __repr__(self) -> str:
         return f"Array({self.name!r}, depth={self.depth}, w={self.width})"
 

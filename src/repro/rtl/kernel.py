@@ -710,11 +710,9 @@ class Simulation:
         self.run_until(t_rise + self.main_period - 1)
         self.stats["cycles"] += 1
 
-    def run_cycles(self, n: int, each=None) -> None:
-        """Run ``n`` cycles; ``each(sim, i)`` may poke inputs per cycle."""
-        for i in range(n):
-            if each is not None:
-                each(self, i)
+    def run_cycles(self, n: int) -> None:
+        """Run ``n`` cycles without poking any input."""
+        for _ in range(n):
             self.cycle()
 
     # ------------------------------------------------------------------

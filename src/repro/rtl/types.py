@@ -186,12 +186,6 @@ class LV:
         return LV(width, 0, m)
 
     @staticmethod
-    def all_z(width: int) -> "LV":
-        """A vector with every bit high-impedance."""
-        m = _mask(width)
-        return LV(width, m, m)
-
-    @staticmethod
     def zeros(width: int) -> "LV":
         return LV(width, 0, 0)
 
@@ -513,19 +507,6 @@ class LV:
         hole = _mask(hi - lo + 1) << lo
         value = (self.value & ~hole) | (part.value << lo)
         unk = (self.unk & ~hole) | (part.unk << lo)
-        return LV(self.width, value, unk)
-
-    def resolve_with(self, other: "LV") -> "LV":
-        """Per-bit :func:`resolve` of two drivers."""
-        self._require_same_width(other)
-        bits = [
-            resolve(self.bit(i), other.bit(i)) for i in range(self.width)
-        ]
-        value = 0
-        unk = 0
-        for i, b in enumerate(bits):
-            value |= b.value << i
-            unk |= b.unk << i
         return LV(self.width, value, unk)
 
 

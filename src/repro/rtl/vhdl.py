@@ -17,7 +17,6 @@ instantiates pre-designed sensor IP at each monitored endpoint.
 from __future__ import annotations
 
 from .ir import (
-    Array,
     ArrayRead,
     ArrayWrite,
     Assign,

@@ -28,7 +28,7 @@ factory (all case-study IPs are factory functions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.rtl.ir import Module, Signal
 from repro.rtl.kernel import Simulation

@@ -38,7 +38,6 @@ from repro.rtl.ir import (
     Signal,
     SyncProcess,
 )
-from repro.rtl.types import LV
 
 __all__ = ["RazorTap", "RazorBank", "attach_razor_bank"]
 

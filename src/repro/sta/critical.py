@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.rtl.ir import Signal
 
-from .analyzer import EndpointTiming, StaReport
+from .analyzer import StaReport
 
 __all__ = ["MonitoredPath", "CriticalPathReport", "bin_critical_paths"]
 

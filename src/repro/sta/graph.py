@@ -91,10 +91,3 @@ class TimingGraph:
                 f"combinational cycle involving: {', '.join(cyclic[:8])}"
             )
         return order
-
-    def startpoint_kind(self, sig: Signal) -> str:
-        if sig in self.registers:
-            return "register"
-        if sig in self.primary_inputs:
-            return "input"
-        return "comb"

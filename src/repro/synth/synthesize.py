@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.rtl.ir import (
-    Array,
     ArrayRead,
     Binop,
     CombProcess,

@@ -18,7 +18,7 @@ to let the benchmarks quantify the protocol overhead difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .payload import GenericPayload, TlmCommand
 from .sockets import InitiatorSocket, TlmPhase

@@ -76,14 +76,13 @@ def _tap_order(injected):
     return list(dict.fromkeys(spec.register for spec in injected.mutants))
 
 
-def serial_report(golden, injected, stimuli, *, ip_name="ip",
+def serial_report(golden: GeneratedTlm, injected: GeneratedTlm,
+                  stimuli, *, ip_name="ip",
                   sensor_type="razor", recovery=True) -> MutationReport:
     """The oracle report: every mutant simulated on its own fresh
-    instance, none pruned, none batched.  ``golden`` is a
-    :class:`GeneratedTlm` or a factory of fresh golden models."""
-    model = (golden.instantiate() if isinstance(golden, GeneratedTlm)
-             else golden())
-    trace = compute_golden_trace(model, stimuli, sensor_type=sensor_type,
+    instance, none pruned, none batched."""
+    trace = compute_golden_trace(golden.instantiate(), stimuli,
+                                 sensor_type=sensor_type,
                                  recovery=recovery)
     tap_order = _tap_order(injected) if sensor_type == "counter" else []
     outcomes = []

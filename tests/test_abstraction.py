@@ -20,9 +20,6 @@ from repro.rtl import (
     Module,
     Simulation,
     cat,
-    const,
-    mux,
-    resize,
 )
 from repro.sensors import insert_sensors
 from repro.sta import analyze, bin_critical_paths

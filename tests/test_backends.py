@@ -1,18 +1,15 @@
 """Tests for the VHDL backend, waveform tracer and next-state pass."""
 
-import pytest
 
 from repro.rtl import (
     Assign,
     Case,
-    Const,
     If,
     Module,
     Mux,
     Simulation,
     SliceAssign,
     WaveRecorder,
-    cat,
     const,
     count_loc,
     emit_vhdl,

@@ -76,7 +76,7 @@ def stimulus(n=24, seed=2):
 
 @pytest.fixture(scope="module")
 def razor_campaign():
-    """(golden factory, injected model, stimuli) for a razor campaign."""
+    """(golden model, injected model, stimuli) for a razor campaign."""
     from repro.abstraction import generate_tlm
 
     aug = augment("razor")
@@ -411,20 +411,6 @@ class TestGoldenTraceCache:
         replayed = decode_golden_trace(encode_golden_trace(trace))
         assert replayed == trace
         assert golden_trace_hash(replayed) == golden_trace_hash(trace)
-
-    def test_factory_golden_bypasses_golden_cache(self, razor_campaign,
-                                                  tmp_path):
-        # A bare factory callable has no structural fingerprint, so
-        # golden caching stays off (mutant caching still works: the
-        # trace content feeds the mutant keys either way).
-        golden, injected, stimuli = razor_campaign
-        cache = ResultCache(tmp_path / "cache")
-        prepared = prepare_campaign(
-            lambda: golden.instantiate(), injected, stimuli,
-            ip_name="cache_ip", sensor_type="razor", cache=cache,
-        )
-        assert prepared.golden_cached is None
-        assert prepared.cache_misses == prepared.total
 
     def test_recovery_bit_is_part_of_the_golden_key(self, razor_campaign,
                                                     tmp_path):

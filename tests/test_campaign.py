@@ -131,18 +131,20 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 
 class TestAmortisation:
-    def test_golden_factory_called_once_per_campaign(self):
+    def test_golden_factory_called_once_per_campaign(self, monkeypatch):
+        import repro.mutation.campaign as campaign
+
         aug = augment("razor")
         injected = inject_mutants(aug)
-        golden = golden_tlm("razor")
         calls = []
 
-        def factory():
+        def counted(*args, **kwargs):
             calls.append(1)
-            return golden.instantiate()
+            return compute_golden_trace(*args, **kwargs)
 
+        monkeypatch.setattr(campaign, "compute_golden_trace", counted)
         report = run_campaign(
-            factory, injected, stimulus(20), sensor_type="razor"
+            golden_tlm("razor"), injected, stimulus(20), sensor_type="razor"
         )
         assert report.total > 1       # several mutants ...
         assert len(calls) == 1        # ... one golden simulation

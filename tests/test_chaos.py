@@ -16,14 +16,12 @@ The soak tests here run in-process (``allow_exit=False`` plans);
 for the CI ``chaos`` job.
 """
 
-import os
 import threading
 
 import pytest
 
 from repro import faults
 from repro.faults import (
-    FaultInjectionError,
     FaultPlan,
     FaultRule,
     KNOWN_SITES,

@@ -31,7 +31,6 @@ from repro.rtl import (
     If,
     Module,
     Mux,
-    Signal,
     Simulation,
     SimulationError,
     SliceAssign,

@@ -24,7 +24,7 @@ from repro.rtl import (
     mux,
     resize,
 )
-from repro.rtl.ir import Array, ArrayRead, registers_of
+from repro.rtl.ir import Array, registers_of
 from repro.sensors.counter import CounterBank
 
 
@@ -96,10 +96,6 @@ class TestIrValidation:
         with pytest.raises(ValueError):
             Array("a", 2, 8, init=[1, 2, 3])
 
-    def test_array_addr_width(self):
-        assert Array("a", 6, 8).addr_width == 3
-        assert Array("b", 1, 8).addr_width == 1
-
     def test_registers_of_includes_native_sync(self):
         m = Module("n")
         clk = m.input("clk")
@@ -162,16 +158,6 @@ class TestKernelEdges:
         sim.watch(lambda s, t: ticks.append(t))
         sim.cycle()
         assert ticks  # rising and falling edges observed
-
-    def test_run_cycles_with_each(self):
-        m = Module("rc")
-        clk = m.input("clk")
-        d = m.input("d", 4)
-        q = m.output("q", 4)
-        m.sync("p", clk, [Assign(q, d)])
-        sim = Simulation(m, {clk: 1000})
-        sim.run_cycles(3, each=lambda s, i: s.poke(d, i + 1))
-        assert sim.peek_int(q) == 3
 
     def test_array_out_of_range_read_is_x(self):
         m = Module("ar")

@@ -7,7 +7,6 @@ random small modules (random expression trees, register/comb mixes)
 and random input streams, then runs all three levels in lockstep.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.abstraction import generate_tlm
@@ -18,7 +17,6 @@ from repro.rtl import (
     If,
     Module,
     Mux,
-    Signal,
     Simulation,
     Unop,
 )

@@ -1,6 +1,5 @@
 """Tests for the VCD exporter and the CLI."""
 
-import os
 
 import pytest
 

@@ -42,11 +42,9 @@ from repro.rtl import (
     If,
     Module,
     NativeProcess,
-    Signal,
-    WidthError,
     const,
 )
-from repro.rtl.ir import Array, ArrayRead
+from repro.rtl.ir import ArrayRead
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -51,10 +51,9 @@ def augment(sensor_type):
     return insert_sensors(m, clk, critical, sensor_type=sensor_type)
 
 
-def golden_factory_for(sensor_type, variant="hdtlib"):
+def golden_tlm_for(sensor_type, variant="hdtlib"):
     aug = augment(sensor_type)
-    gen = generate_tlm(aug.module, variant=variant, augmented=aug)
-    return lambda: gen.instantiate()
+    return generate_tlm(aug.module, variant=variant, augmented=aug)
 
 
 def stimulus(n=30, seed=2):
@@ -94,7 +93,7 @@ class TestAdam:
         non-injected abstraction."""
         aug = augment("razor")
         injected = inject_mutants(aug).instantiate()
-        golden = golden_factory_for("razor")()
+        golden = golden_tlm_for("razor").instantiate()
         for inputs in stimulus(25):
             a = golden.b_transport({**inputs, "razor_r": 0})
             b = injected.b_transport({**inputs, "razor_r": 0})
@@ -112,7 +111,7 @@ class TestRazorCampaign:
         aug = augment("razor")
         injected = inject_mutants(aug)
         return run_campaign(
-            golden_factory_for("razor"),
+            golden_tlm_for("razor"),
             injected,
             stimulus(30),
             ip_name="mut_ip",
@@ -140,7 +139,7 @@ class TestRazorCampaign:
         aug = augment("razor")
         injected = inject_mutants(aug)
         report = run_campaign(
-            golden_factory_for("razor"),
+            golden_tlm_for("razor"),
             injected,
             stimulus(30),
             sensor_type="razor",
@@ -157,7 +156,7 @@ class TestCounterCampaign:
         aug = augment("counter")
         injected = inject_mutants(aug)
         report = run_campaign(
-            golden_factory_for("counter"),
+            golden_tlm_for("counter"),
             injected,
             stimulus(30),
             ip_name="mut_ip",

@@ -13,12 +13,11 @@ Acceptance contract:
   report equals the untraced one field for field (wall clock aside),
   and on filter/razor both equal the serial, unpruned oracle;
 * a traced :func:`repro.mutation.run_benchmark_suite` absorbs every
-  executed TLM shard like ``run_campaign`` does: one ``shard.execute``
-  span per shard, the same ``report.obs`` counters and the same
+  executed shard of both levels like ``run_campaign`` and
+  ``validate_at_rtl`` do: one ``shard.execute`` span per shard, tagged
+  ``level="tlm"`` or ``"rtl"`` and placed on a worker track, the same
+  ``report.obs`` counters and the same
   ``repro_shards_executed_total`` count;
-* :class:`repro.obs.CompletionStamps` rejects late
-  ``add_done_callback`` stamps after ``close()`` -- the scheduler
-  drain-loop fix;
 * the metrics registry renders valid Prometheus text with at least
   10 well-known series, and ``GET /metrics`` serves it raw;
 * each pool worker process gets its own trace track, and no two
@@ -37,9 +36,7 @@ Acceptance contract:
 
 import dataclasses
 import http.client
-import json
 import multiprocessing
-from concurrent.futures import Future
 
 import pytest
 
@@ -51,11 +48,12 @@ from repro.mutation import (
     MutationReport,
     run_benchmark_suite,
     run_campaign,
+    validate_at_rtl,
 )
+from repro.mutation.campaign import _shard_sequence
 from repro.obs import (
     REGISTRY,
     TRACER,
-    CompletionStamps,
     MetricsRegistry,
     ShardCapture,
     absorb_shard_counters,
@@ -287,16 +285,19 @@ class TestFailedRunsAreTraced:
         assert span["args"]["ip"] == "dsp"
         assert validate_chrome_trace(TRACER.chrome_trace()) == []
 
-    def test_failing_golden_run_in_campaign_prepare(self, flow):
+    def test_failing_golden_run_in_campaign_prepare(self, flow,
+                                                    monkeypatch):
+        import repro.mutation.campaign as campaign
         from repro.mutation import prepare_campaign
 
-        def golden():
+        def golden_run(*args, **kwargs):
             raise RuntimeError("golden model unavailable")
 
+        monkeypatch.setattr(campaign, "compute_golden_trace", golden_run)
         TRACER.enable()
         with pytest.raises(RuntimeError):
             prepare_campaign(
-                golden, flow.injected,
+                flow.tlm_optimized, flow.injected,
                 case_study("filter").stimulus(REDUCED_CYCLES),
                 ip_name="filter", sensor_type="razor",
             )
@@ -356,42 +357,6 @@ class TestValidateChromeTrace:
 
 
 # ----------------------------------------------------------------------
-# CompletionStamps (the scheduler drain-loop fix)
-# ----------------------------------------------------------------------
-
-class TestCompletionStamps:
-    def test_stamp_and_pop(self):
-        stamps = CompletionStamps()
-        assert stamps.stamp("k") is True
-        first = stamps.pop("k")
-        assert isinstance(first, float)
-        assert stamps.pop("k") is None
-
-    def test_first_stamp_wins(self):
-        stamps = CompletionStamps()
-        stamps.stamp("k")
-        stamps.stamp("k")
-        assert len(stamps) == 1
-
-    def test_late_callback_after_close_is_a_noop(self):
-        # The regression: an executor may fire add_done_callback after
-        # the drain loop exited; the old bare dict kept accepting and
-        # leaking those entries.
-        stamps = CompletionStamps()
-        done = Future()
-        done.add_done_callback(stamps.stamp)
-        done.set_result(None)
-        assert len(stamps) == 1
-        stamps.close()
-        assert stamps.closed and len(stamps) == 0
-        late = Future()
-        late.add_done_callback(stamps.stamp)
-        late.set_result(None)  # fires stamps.stamp(late) -- post-close
-        assert stamps.stamp("direct") is False
-        assert len(stamps) == 0
-
-
-# ----------------------------------------------------------------------
 # Metrics registry
 # ----------------------------------------------------------------------
 
@@ -445,19 +410,18 @@ class TestMetricsRegistry:
             assert f"# HELP {name} " in text
 
     def test_absorb_shard_counters_maps_to_series(self):
-        reg = MetricsRegistry()
+        # The autouse fixture reset the global registry.
         raw = absorb_shard_counters(
             {"counters": {"shards": 1, "mutants": 4, "batch_forks": 2},
              "elapsed_s": 0.5},
-            registry=reg,
         )
         assert raw == {"shards": 1, "mutants": 4, "batch_forks": 2}
-        snap = reg.snapshot()
+        snap = REGISTRY.snapshot()
         assert snap["counters"]["repro_shards_executed_total"] == 1
         assert snap["counters"]["repro_mutants_executed_total"] == 4
         assert snap["counters"]["repro_batch_forks_total"] == 2
         assert snap["histograms"]["repro_shard_seconds"]["count"] == 1
-        assert absorb_shard_counters(None, registry=reg) == {}
+        assert absorb_shard_counters(None) == {}
 
 
 # ----------------------------------------------------------------------
@@ -519,9 +483,9 @@ class TestTracingFieldIdentity:
 
 class TestSuiteObs:
     """``run_benchmark_suite`` (the methodology run) absorbs each
-    executed TLM shard's obs payload exactly as ``run_campaign``
-    does.  Its RTL-validation shards share the pool and carry no
-    payload."""
+    executed shard's obs payload exactly as the standalone entry
+    points do, counted per level: TLM shards as ``run_campaign``'s,
+    RTL-validation shards as ``validate_at_rtl``'s."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_traced_suite_matches_run_campaign_obs(self, flows, workers):
@@ -533,12 +497,12 @@ class TestSuiteObs:
             flows={("dsp", s): flows("dsp", s) for s in sensors},
         )
         TRACER.disable()
-        spans = _spans_named("shard.execute")
+        levels = [e["args"]["level"] for e in _spans_named("shard.execute")]
         absorbed = REGISTRY.snapshot()["counters"].get(
             "repro_shards_executed_total", 0.0)
 
         stim = case_study("dsp").stimulus(REDUCED_CYCLES)
-        shards = 0
+        shards = {"tlm": 0, "rtl": 0}
         for sensor in sensors:
             flow = flows("dsp", sensor)
             direct = run_campaign(
@@ -548,8 +512,71 @@ class TestSuiteObs:
             report = suite.reports[("dsp", sensor)]
             assert report == direct
             assert report.obs == direct.obs
-            shards += direct.obs["counters"]["shards"]
-        assert len(spans) == absorbed == shards
+            shards["tlm"] += direct.obs["counters"]["shards"]
+            direct = validate_at_rtl(
+                flow.augmented, flow.injected.mutants, stimuli=stim,
+                ip_name="dsp", workers=workers,
+            )
+            report = suite.rtl_reports[("dsp", sensor)]
+            assert report == direct
+            assert report.obs == direct.obs
+            shards["rtl"] += direct.obs["counters"]["shards"]
+        assert {level: levels.count(level) for level in shards} == shards
+        assert len(levels) == absorbed == sum(shards.values())
+
+
+def _rtl_shard_spans():
+    """The ``shard.execute`` spans of RTL shards, each checked to sit
+    on a worker track."""
+    events = TRACER.chrome_trace()["traceEvents"]
+    tracks = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+    spans = [e for e in events if e["name"] == "shard.execute"
+             and e["args"].get("level") == "rtl"]
+    for span in spans:
+        assert tracks[span["pid"]].startswith("repro worker pool/")
+    return spans
+
+
+class TestRtlShardObs:
+    """RTL-validation shards run under a shard capture like TLM
+    shards: a traced run records one ``shard.execute`` span tagged
+    ``level="rtl"`` per executed RTL shard, on a worker track."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_suite_records_one_span_per_rtl_shard(self, flows, workers):
+        sensors = ("razor", "counter")
+        TRACER.enable()
+        suite = run_benchmark_suite(
+            ["dsp"], sensors, workers=workers,
+            mutation_cycles=REDUCED_CYCLES, rtl_validation=True,
+            flows={("dsp", s): flows("dsp", s) for s in sensors},
+        )
+        TRACER.disable()
+        executed = sum(
+            len(_shard_sequence(list(range(report.total)), workers))
+            for report in suite.rtl_reports.values()
+        )
+        assert executed >= len(sensors)
+        assert len(_rtl_shard_spans()) == executed
+
+    def test_validate_at_rtl_records_one_span_per_shard(self, flows):
+        flow = flows("dsp", "counter")
+        TRACER.enable()
+        report = validate_at_rtl(
+            flow.augmented, flow.injected.mutants,
+            stimuli=case_study("dsp").stimulus(REDUCED_CYCLES),
+            ip_name="dsp", shard_size=3,
+        )
+        TRACER.disable()
+        spans = _rtl_shard_spans()
+        assert len(spans) == len(
+            _shard_sequence(list(range(report.total)), 1, 3))
+        assert sum(span["args"]["mutants"] for span in spans) == \
+            report.total
+        assert report.obs == {"counters": {"mutants": report.total,
+                                           "shards": len(spans)}}
+        for name in ("rtl_validation.run", "rtl_validation.prepare"):
+            assert len(_spans_named(name)) == 1
 
 
 class _Rendezvous:

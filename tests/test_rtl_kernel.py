@@ -11,9 +11,7 @@ from repro.rtl import (
     Simulation,
     SimulationError,
     DeltaOverflowError,
-    cat,
     const,
-    mux,
 )
 from repro.rtl.types import LV
 

@@ -100,9 +100,6 @@ class TestLVConstruction:
         assert str(v) == "XXXX"
         assert not v.is_fully_defined
 
-    def test_all_z(self):
-        assert str(LV.all_z(3)) == "ZZZ"
-
     def test_zeros_ones(self):
         assert LV.zeros(4).to_int() == 0
         assert LV.ones(4).to_int() == 0xF
@@ -305,11 +302,6 @@ class TestStructure:
     def test_replaced_slice_width_check(self):
         with pytest.raises(ValueError):
             LV.from_int(8, 0).replaced_slice(5, 2, LV.from_int(3, 0))
-
-    def test_resolve_with(self):
-        a = LV.from_str("01ZZ")
-        b = LV.from_str("ZZ0Z")
-        assert str(a.resolve_with(b)) == "010Z"
 
 
 # ----------------------------------------------------------------------

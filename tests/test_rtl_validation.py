@@ -9,7 +9,7 @@ replaced -- one fresh simulator per mutant, one delayed endpoint, every
 testbench cycle (:func:`fresh_reference`) -- over the three case
 studies, both sensors, two stimulus seeds, one worker and two (the
 design pickled into worker processes), the default and a 5-mutant
-shard size, Razor recovery off and on, and a warm result cache.  They
+shard size, and a warm result cache.  They
 also cover caller-modified and ad-hoc designs on a pool, and the
 per-mutant TLM/RTL agreement gate of ``repro bench --rtl-validation``.
 """
@@ -100,26 +100,27 @@ def pool():
 
 
 CASES = [
-    (ip, sensor, seed, recovery)
+    (ip, sensor, seed)
     for ip in IPS
     for sensor in ("razor", "counter")
     for seed in SEEDS
-    # The recovery enable is a Razor input; Counter has none.
-    for recovery in ((0, 1) if sensor == "razor" else (0,))
 ]
 
 
-@pytest.mark.parametrize("ip,sensor,seed,recovery", CASES)
-def test_forked_sweep_matches_fresh_reference(ip, sensor, seed, recovery,
-                                              pool, tmp_path):
+@pytest.mark.parametrize(
+    "ip,sensor,seed", CASES,
+    # The trailing 0 is the Razor recovery enable the testbench holds.
+    ids=[f"{ip}-{sensor}-{seed}-0" for ip, sensor, seed in CASES],
+)
+def test_forked_sweep_matches_fresh_reference(ip, sensor, seed, pool,
+                                              tmp_path):
     augmented, specs = design(ip, sensor)
     cycles = min(case_study(ip).mutation_cycles, MAX_CYCLES)
     stimuli = stimuli_for(ip, seed, cycles)
     expected = fresh_reference(
-        augmented, specs, _stimulus_driver(augmented, stimuli, recovery),
-        cycles,
+        augmented, specs, _stimulus_driver(augmented, stimuli), cycles,
     )
-    common = dict(stimuli=stimuli, ip_name=ip, recovery_value=recovery)
+    common = dict(stimuli=stimuli, ip_name=ip)
     for shard_size in (None, 5):
         inline = validate_at_rtl(augmented, specs, shard_size=shard_size,
                                  **common)
@@ -361,7 +362,7 @@ class TestCrossLevelGate:
         import repro.mutation
 
         argv = ["bench", "--ips", "dsp", "--rtl-validation", "--workers",
-                "1", "--no-cache", "--no-progress"]
+                "1", "--no-progress"]
         assert cli_main(argv) == 0
         assert "TLM/RTL disagreements" in capsys.readouterr().out
 

@@ -76,7 +76,7 @@ def assert_reports_match(actual: MutationReport, expected: MutationReport):
 def prepare(flow, stim, ip, sensor, *, workers, shard_size=None):
     """Prepare one campaign sharded for a ``workers``-wide pool."""
     return prepare_campaign(
-        flow.golden_factory(), flow.injected, stim,
+        flow.tlm_optimized, flow.injected, stim,
         ip_name=ip, sensor_type=sensor,
         workers=workers, shard_size=shard_size,
     )
@@ -118,7 +118,7 @@ class TestStreamingEquivalence:
         flow = flows(ip, sensor)
         stim = spec.stimulus(REDUCED_CYCLES)
         baseline = run_campaign(
-            flow.golden_factory(), flow.injected, stim,
+            flow.tlm_optimized, flow.injected, stim,
             ip_name=ip, sensor_type=sensor, workers=1,
         )
         for workers, shard_size in [(1, None), (4, None), (4, 2)]:
@@ -144,7 +144,7 @@ class TestStreamingEquivalence:
         stim = spec.stimulus(REDUCED_CYCLES)
         snapshots = []
         outcomes = run_campaign(
-            flow.golden_factory(), flow.injected, stim,
+            flow.tlm_optimized, flow.injected, stim,
             ip_name="dsp", sensor_type="razor",
             workers=1, shard_size=4, progress=snapshots.append,
         ).outcomes
@@ -174,7 +174,7 @@ class TestPersistentScheduler:
             for ip in ("plasma", "dsp"):
                 flow = flows(ip, "razor")
                 reports[ip] = run_campaign(
-                    flow.golden_factory(), flow.injected, stim[ip],
+                    flow.tlm_optimized, flow.injected, stim[ip],
                     ip_name=ip, sensor_type="razor",
                     scheduler=scheduler,
                 )
@@ -184,7 +184,7 @@ class TestPersistentScheduler:
         for ip in ("plasma", "dsp"):
             flow = flows(ip, "razor")
             baseline = run_campaign(
-                flow.golden_factory(), flow.injected, stim[ip],
+                flow.tlm_optimized, flow.injected, stim[ip],
                 ip_name=ip, sensor_type="razor", workers=1,
             )
             assert_reports_match(reports[ip], baseline)
@@ -229,11 +229,11 @@ class TestPersistentScheduler:
         flow = flows("plasma", "razor")
         stim = case_study("plasma").stimulus(REDUCED_CYCLES)
         report = run_campaign(
-            flow.golden_factory(), flow.injected, stim,
+            flow.tlm_optimized, flow.injected, stim,
             ip_name="plasma", sensor_type="razor", workers=0,
         )
         baseline = run_campaign(
-            flow.golden_factory(), flow.injected, stim,
+            flow.tlm_optimized, flow.injected, stim,
             ip_name="plasma", sensor_type="razor", workers=1,
         )
         assert_reports_match(report, baseline)
@@ -258,7 +258,7 @@ class TestBenchmarkSuite:
             flow = prepared_flows[(ip, "razor")]
             stim = case_study(ip).stimulus(REDUCED_CYCLES)
             baseline = run_campaign(
-                flow.golden_factory(), flow.injected, stim,
+                flow.tlm_optimized, flow.injected, stim,
                 ip_name=ip, sensor_type="razor", workers=1,
             )
             assert_reports_match(suite.reports[(ip, "razor")], baseline)
@@ -267,6 +267,10 @@ class TestBenchmarkSuite:
         )
         assert suite.workers == workers
         assert suite.campaign_seconds <= suite.seconds
+        # Each campaign is timed from its preparation to its last
+        # shard's completion, inside the suite's campaign window.
+        for report in suite.reports.values():
+            assert 0.0 < report.seconds <= suite.campaign_seconds
 
     def test_suite_rejects_unknown_sensor_type(self):
         with pytest.raises(ValueError, match="unknown sensor type"):
@@ -391,7 +395,7 @@ class TestCallbackHardening:
         flow = flows(ip, "razor")
         stim = case_study(ip).stimulus(REDUCED_CYCLES)
         return flow, stim, run_campaign(
-            flow.golden_factory(), flow.injected, stim,
+            flow.tlm_optimized, flow.injected, stim,
             ip_name=ip, sensor_type="razor", workers=1,
         )
 
@@ -404,14 +408,14 @@ class TestCallbackHardening:
         with CampaignScheduler(workers=2) as scheduler:
             with pytest.raises(RuntimeError, match="exploded"):
                 run_campaign(
-                    flow.golden_factory(), flow.injected, stim,
+                    flow.tlm_optimized, flow.injected, stim,
                     ip_name="dsp", sensor_type="razor",
                     scheduler=scheduler, shard_size=1, progress=boom,
                 )
             # The abandoned campaign drained its in-flight shards, so
             # the same pool serves the next campaign deterministically.
             report = run_campaign(
-                flow.golden_factory(), flow.injected, stim,
+                flow.tlm_optimized, flow.injected, stim,
                 ip_name="dsp", sensor_type="razor", scheduler=scheduler,
             )
             assert_reports_match(report, baseline)
@@ -438,7 +442,7 @@ class TestCallbackHardening:
                 flow = prepared_flows[(ip, "razor")]
                 stim = case_study(ip).stimulus(REDUCED_CYCLES)
                 baseline = run_campaign(
-                    flow.golden_factory(), flow.injected, stim,
+                    flow.tlm_optimized, flow.injected, stim,
                     ip_name=ip, sensor_type="razor", workers=1,
                 )
                 assert_reports_match(suite.reports[(ip, "razor")],
@@ -457,7 +461,7 @@ class TestCallbackHardening:
             next(gen)          # at least one shard in flight
             gen.close()        # consumer disappears
             report = run_campaign(
-                flow.golden_factory(), flow.injected, stim,
+                flow.tlm_optimized, flow.injected, stim,
                 ip_name="dsp", sensor_type="razor", scheduler=scheduler,
             )
             assert_reports_match(report, baseline)
@@ -559,7 +563,7 @@ class TestLazyTapOrder:
 
         monkeypatch.setattr(GeneratedTlm, "compiled_class", spy)
         prepare_campaign(
-            flow.golden_factory(), injected,
+            flow.tlm_optimized, injected,
             case_study("dsp").stimulus(8), sensor_type="razor",
         )
         # The golden model must compile (it simulates); the injected
@@ -601,7 +605,7 @@ class TestPoolSelfHealing:
         flow = flows("dsp", "razor")
         stim = spec.stimulus(REDUCED_CYCLES)
         baseline = run_campaign(
-            flow.golden_factory(), flow.injected, stim,
+            flow.tlm_optimized, flow.injected, stim,
             ip_name="dsp", sensor_type="razor", workers=1,
         )
         with CampaignScheduler(workers=2) as scheduler:

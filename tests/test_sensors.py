@@ -17,7 +17,6 @@ from repro.mutation.cache import rtl_fingerprint
 from repro.mutation.rtl_validation import _stimulus_driver
 from repro.rtl import Assign, Module, NativeProcess, Simulation, const
 from repro.sensors import (
-    AugmentedIP,
     InsertionError,
     extract_endpoint_signals,
     insert_sensors,
