@@ -25,7 +25,8 @@ Commands
     distributes the mutant shards across worker processes (the report
     is deterministic for any worker count); ``--shard-size`` overrides
     the automatic one-shard-per-worker split (and with it the sweep
-    width); ``--cycles`` overrides the testbench length;
+    width); ``--cycles`` overrides the testbench length (at least 1,
+    as for ``bench`` and ``timing``);
     ``--trace FILE`` records the run with the span tracer
     (:mod:`repro.obs`) and writes a Chrome/Perfetto ``trace.json``
     (load it at ``chrome://tracing`` or https://ui.perfetto.dev; the
@@ -796,6 +797,17 @@ def _add_cache_options(parser: argparse.ArgumentParser) -> None:
                              "ones")
 
 
+def _cycles(text: str) -> int:
+    """The testbench-length type of ``mutate``/``bench --cycles`` and
+    ``timing [cycles]``: at least one cycle (``0`` would otherwise read
+    as "the IP's default" in one place and as an empty campaign in
+    another)."""
+    cycles = int(text)
+    if cycles < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {cycles}")
+    return cycles
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The complete ``repro`` argument parser.
 
@@ -849,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mut.add_argument("--shard-size", type=int, default=None,
                        help="mutants per shard, i.e. per batched sweep "
                             "(default: auto)")
-    p_mut.add_argument("--cycles", type=int, default=None,
+    p_mut.add_argument("--cycles", type=_cycles, default=None,
                        help="testbench cycles (default: per-IP value)")
     p_mut.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run with the span tracer and "
@@ -882,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shared-pool worker processes (default: 4)")
     p_bench.add_argument("--shard-size", type=int, default=None,
                          help="mutants per shard (default: auto)")
-    p_bench.add_argument("--cycles", type=int, default=None,
+    p_bench.add_argument("--cycles", type=_cycles, default=None,
                          help="testbench cycles (default: per-IP value)")
     p_bench.add_argument("--no-progress", action="store_true",
                          help="suppress the live per-shard progress lines")
@@ -895,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_time = sub.add_parser("timing", help="RTL vs TLM simulation speed")
     p_time.add_argument("ip", choices=sorted(CASE_STUDIES))
     p_time.add_argument("sensor", choices=["razor", "counter"])
-    p_time.add_argument("cycles", nargs="?", type=int, default=None)
+    p_time.add_argument("cycles", nargs="?", type=_cycles, default=None)
     p_time.add_argument(
         "--rtl-exec",
         choices=["compiled", "interpreted", "both"],

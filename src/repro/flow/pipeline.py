@@ -9,7 +9,9 @@ sensor type:
    optimised (hdtlib) variants (Section 5) -- and emit the VHDL of
    the original and augmented RTL for the lines-of-code metrics;
 4. inject delay mutants (ADAM, Section 6) and run the mutation
-   analysis, optionally cross-validating at RTL (Sections 7-8).
+   analysis, optionally cross-validating at RTL (Sections 7-8) -- as a
+   one-cell :func:`~repro.mutation.run_benchmark_suite`, so the TLM
+   campaign and its RTL re-run share one worker pool.
 
 The result object carries every artefact the benchmark harness needs
 to regenerate the paper's Tables 1-5.
@@ -25,8 +27,7 @@ from repro.mutation import (
     MutationReport,
     RtlValidationReport,
     inject_mutants,
-    run_campaign,
-    validate_at_rtl,
+    run_benchmark_suite,
 )
 from repro.obs import trace_span
 from repro.rtl import count_loc, emit_vhdl
@@ -142,15 +143,21 @@ def run_flow(
         sensor_type: ``"razor"`` or ``"counter"``.
         mutation_cycles: testbench length of the TLM campaign and of
             the RTL cross-validation, which replays the campaign's
-            stimuli (default: the IP's ``mutation_cycles``).
+            stimuli (default: the IP's ``mutation_cycles``); at
+            least 1.
         run_mutation / run_rtl_validation: enable step 4's TLM
-            campaign and the RTL cross-validation.
-        workers / shard_size: forwarded to the sharded campaign engine
-            (:mod:`repro.mutation.campaign`) *and* to the RTL
-            validation shards.
+            campaign and its RTL cross-validation.  The validation is
+            compared against the campaign, so it needs
+            ``run_mutation``.
+        workers / shard_size: the width of the one worker pool step 4
+            runs on, and the shard split of both levels.
         cache: a :class:`repro.mutation.ResultCache`; campaign and
             RTL-validation verdicts are replayed from it when their
             content-addressed keys match, and written back otherwise.
+
+    Step 4 is a one-cell :func:`~repro.mutation.run_benchmark_suite`
+    over this flow: the campaign's shards and then the validation's
+    go to one ephemeral pool as soon as each is prepared.
 
     Before any campaign, the IR linter (:mod:`repro.lint`) checks the
     augmented design with the IP's waivers
@@ -161,9 +168,18 @@ def run_flow(
 
     Returns:
         A :class:`FlowResult` carrying every artefact of the four
-        steps.  The mutation report is deterministic for any worker
-        count and cache state.
+        steps.  Both step-4 reports equal a standalone
+        :func:`~repro.mutation.run_campaign` and
+        :func:`~repro.mutation.validate_at_rtl` on the same stimuli,
+        for any worker count and cache state.
     """
+    if mutation_cycles is not None and mutation_cycles < 1:
+        raise ValueError("mutation_cycles must be >= 1")
+    if run_rtl_validation and not run_mutation:
+        raise ValueError(
+            "run_rtl_validation compares against the TLM campaign: "
+            "it needs run_mutation=True"
+        )
     with trace_span("flow.run", ip=spec.name, sensor=sensor_type):
         # -- step 0/1: characterise and insert sensors --------------------
         with trace_span("flow.augment", ip=spec.name, sensor=sensor_type):
@@ -217,37 +233,17 @@ def run_flow(
             lint_report=lint_report,
         )
 
-        # -- step 4: mutation analysis ------------------------------------
-        # RTL validation replays the campaign's stimuli, so the two
-        # levels' verdicts are comparable mutant by mutant.
-        stimuli = spec.stimulus(
-            spec.mutation_cycles if mutation_cycles is None
-            else mutation_cycles
-        )
+        # -- step 4: mutation analysis, RTL re-run on the same pool -------
         if run_mutation:
+            key = (spec.name, sensor_type)
             with trace_span("flow.mutation", ip=spec.name,
                             sensor=sensor_type):
-                result.mutation = run_campaign(
-                    tlm_optimized,
-                    injected,
-                    stimuli,
-                    ip_name=spec.name,
-                    sensor_type=sensor_type,
-                    recovery=True,
-                    workers=workers,
-                    shard_size=shard_size,
-                    cache=cache,
+                suite = run_benchmark_suite(
+                    [spec], [sensor_type], flows={key: result},
+                    workers=workers, shard_size=shard_size,
+                    mutation_cycles=mutation_cycles, cache=cache,
+                    rtl_validation=run_rtl_validation,
                 )
-
-        if run_rtl_validation:
-            with trace_span("flow.rtl_validation", ip=spec.name):
-                result.rtl_validation = validate_at_rtl(
-                    augmented,
-                    injected.mutants,
-                    stimuli=stimuli,
-                    ip_name=spec.name,
-                    workers=workers,
-                    shard_size=shard_size,
-                    cache=cache,
-                )
+            result.mutation = suite.reports[key]
+            result.rtl_validation = suite.rtl_reports.get(key)
         return result

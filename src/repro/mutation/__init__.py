@@ -12,22 +12,26 @@ into shards that each run as one batched sweep
 (a :class:`MutationReport` equal to the serial, unpruned oracle for any
 worker count, any shard size, and shared or ephemeral pools).
 
-Three consumption styles share that machinery:
+One driver runs prepared work to completion: it submits each job's
+shards as soon as that job is prepared and absorbs them as they
+finish.  Three entry points feed it:
 
-* :func:`run_campaign` -- blocking, one merged report per campaign
-  (``scheduler=`` / ``progress=`` optional);
-* :func:`stream_shard_batches` -- streaming a :func:`prepare_campaign`
-  result on a :class:`CampaignScheduler`: yields each shard's outcomes
-  as it completes, with a :class:`CampaignProgress` snapshot and
-  :class:`AbortPolicy` early-abort (first survivor / score threshold);
-  the campaign service's ``/events`` feed;
 * :func:`run_benchmark_suite` -- cross-IP batching: each
-  ``IP x sensor type`` campaign's shards are submitted to one shared
-  pool as soon as that campaign is prepared, so later campaigns
-  prepare while earlier ones execute and small campaigns backfill
-  idle slots (``rtl_validation=True`` submits
-  :class:`RtlValidationShard` units, which replay the campaign's own
-  stimuli, to the same pool).
+  ``IP x sensor type`` campaign is prepared and handed to the driver
+  in turn, so later campaigns prepare while earlier ones execute and
+  small campaigns backfill idle slots (``rtl_validation=True`` also
+  hands it every :class:`RtlValidationShard` validation, which replays
+  the campaign's own stimuli, on the same pool);
+  :func:`repro.flow.run_flow`'s step 4 is a one-cell suite;
+* :func:`run_campaign` and :func:`validate_at_rtl` -- one blocking
+  report for one job (``scheduler=`` optional).
+
+Beside it, :func:`stream_shard_batches` is the campaign service's
+windowed stream of a :func:`prepare_campaign` result: it yields each
+shard's outcomes as it completes, with a :class:`CampaignProgress`
+snapshot, and keeps only one shard per pool slot in flight so that
+:class:`AbortPolicy` early-abort (first survivor / score threshold)
+and a job cancel stop real work.
 
 RTL validation (:func:`validate_at_rtl`, paper Section 8.5) is
 prepared the same way: :func:`prepare_rtl_validation` returns a
@@ -40,7 +44,7 @@ in a ``compare=False`` ``obs`` field.  A campaign's golden is the
 generated model itself (a :class:`~repro.abstraction.GeneratedTlm`),
 so its golden trace is always cacheable.
 
-All three styles accept ``cache=`` (a :class:`ResultCache` from
+Every entry point accepts ``cache=`` (a :class:`ResultCache` from
 :mod:`repro.mutation.cache`): verdicts are content-addressed by
 (model fingerprint, stimuli/golden hash, mutant spec, sensor type,
 judgement parameters), so re-running an unchanged campaign replays

@@ -38,8 +38,9 @@ source.  The engine amortises both:
 
 This module owns campaign *preparation* (golden memoisation, cache
 probe, pruning, shard construction -- :func:`prepare_campaign`)
-and the blocking :func:`run_campaign` entry point; shard-by-shard
-streaming of a prepared campaign lives in
+and the blocking :func:`run_campaign` entry point, which hands the
+prepared campaign to the scheduler's one driver; the service's
+shard-by-shard stream of a prepared campaign is
 :func:`repro.mutation.scheduler.stream_shard_batches`.
 """
 
@@ -442,7 +443,6 @@ def run_campaign(
     workers: int = 1,
     shard_size: "int | None" = None,
     scheduler=None,
-    progress=None,
     cache=None,
 ) -> MutationReport:
     """Run a full mutation campaign, sharded across ``workers``.
@@ -462,29 +462,29 @@ def run_campaign(
             reuse one persistent worker pool across many campaigns
             instead of paying a pool spin-up per call (``workers`` is
             then ignored in favour of ``scheduler.workers``).
-        progress: per-shard
-            :class:`~repro.mutation.scheduler.CampaignProgress`
-            callback.
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
             verdicts are replayed instead of executed, and fresh
             verdicts are written back as their shards complete.
 
+    The prepared campaign runs on the scheduler's one driver
+    (:func:`repro.mutation.scheduler._drive`), the loop every suite
+    runs on, with all its shards submitted at once.  Per-shard
+    progress and early abort live on
+    :func:`~repro.mutation.scheduler.stream_shard_batches`.
+
     Returns:
         The merged :class:`MutationReport`, with ``cache_hits`` /
-        ``cache_misses`` set when a cache was in play and the
+        ``cache_misses`` set when a cache was in play, the
         whole-table ``pruned_equivalent`` count of the static mutant
-        analyzer (:mod:`repro.lint.mutants`).
+        analyzer (:mod:`repro.lint.mutants`), and ``seconds`` from the
+        start of preparation to the last shard's completion.
 
     Determinism: the report equals the serial, unpruned
     one-simulation-per-mutant oracle on every scored field, for any
     ``workers`` / ``shard_size`` / ``scheduler`` combination and any
     cache state (cold, warm, or partial).
     """
-    from .scheduler import (
-        _ephemeral_width,
-        _leased_scheduler,
-        stream_shard_batches,
-    )
+    from .scheduler import _run_one
 
     started = time.perf_counter()
     with trace_span("campaign.run", ip=ip_name, sensor=sensor_type):
@@ -499,16 +499,5 @@ def run_campaign(
             shard_size=shard_size,
             cache=cache,
         )
-        outcomes: "list" = []
-        counters: "dict[str, int]" = {}
-        with _leased_scheduler(
-            scheduler, _ephemeral_width(workers, prepared)
-        ) as sched:
-            for batch, _snapshot in stream_shard_batches(
-                sched, prepared, progress=progress, cache=cache,
-                counters=counters,
-            ):
-                outcomes.extend(batch)
-    return prepared.build_report(
-        outcomes, seconds=time.perf_counter() - started, counters=counters
-    )
+        return _run_one(prepared, started, workers=workers,
+                        scheduler=scheduler, cache=cache)

@@ -118,8 +118,9 @@ class CampaignScheduler:
     Every campaign entry point takes ``scheduler=`` by duck type and
     uses three members only:
 
-    * ``workers`` -- the submission window: how many shards may
-      usefully be in flight at once;
+    * ``workers`` -- the pool width: preparation shards to fill it,
+      and :func:`~repro.mutation.scheduler.stream_shard_batches`
+      keeps at most that many shards in flight;
     * ``submit(shard)`` -- a future of ``shard.run()``'s outcome list,
       possibly already resolved (inline execution);
     * ``shutdown(wait=True)`` -- release the pool; further

@@ -499,22 +499,23 @@ def validate_at_rtl(
         workers / shard_size / scheduler: shard sizing and pool
             placement, exactly as in
             :func:`~repro.mutation.campaign.run_campaign`; pass the
-            campaign's :class:`CampaignScheduler` to interleave RTL
-            shards with TLM shards on one executor.
+            campaign's :class:`CampaignScheduler` to run RTL shards on
+            the pool that ran the TLM shards.
         cache: a :class:`~repro.mutation.cache.ResultCache`; known
             verdicts replay instantly, fresh ones are written back.
+
+    The prepared validation runs on the scheduler's one driver, like
+    :func:`~repro.mutation.campaign.run_campaign`; a suite
+    (:func:`repro.mutation.scheduler.run_benchmark_suite` with
+    ``rtl_validation=True``, which :func:`repro.flow.run_flow` uses)
+    interleaves it with its campaign on one pool.
 
     Returns:
         An :class:`RtlValidationReport` with outcomes in mutant-table
         order -- deterministic for any worker count, shard size and
         cache state -- and the executed shards' obs counters.
     """
-    from .scheduler import (
-        _absorb_executed,
-        _ephemeral_width,
-        _leased_scheduler,
-        _stream_shard_results,
-    )
+    from .scheduler import _run_one
 
     started = time.perf_counter()
     with trace_span("rtl_validation.run", ip=ip_name,
@@ -528,15 +529,5 @@ def validate_at_rtl(
             shard_size=shard_size,
             cache=cache,
         )
-        outcomes = list(prepared.replayed_outcomes)
-        counters: "dict[str, int]" = {}
-        with _leased_scheduler(
-            scheduler, _ephemeral_width(workers, prepared)
-        ) as sched:
-            for result in _stream_shard_results(sched, prepared.shards):
-                outcomes.extend(
-                    _absorb_executed(prepared, result, cache, counters)
-                )
-    return prepared.build_report(
-        outcomes, seconds=time.perf_counter() - started, counters=counters
-    )
+        return _run_one(prepared, started, workers=workers,
+                        scheduler=scheduler, cache=cache)

@@ -1,45 +1,46 @@
 """Streaming cross-IP campaign scheduler (one pool, many campaigns).
 
 :mod:`repro.mutation.campaign` turned one campaign into picklable
-shards; this module turns *many* campaigns -- all IPs x both sensor
-types x any variant -- into one service-shaped workload fed to a
-single persistent worker pool:
+shards; this module runs prepared work -- TLM campaigns and RTL
+validations, of one IP or of a whole suite -- on a single persistent
+worker pool:
 
 * :class:`CampaignScheduler` (defined in
   :mod:`repro.mutation.placement`, re-exported here) owns one
   self-healing :class:`concurrent.futures.ProcessPoolExecutor` for its
   whole lifetime.  Campaigns share it instead of paying a pool
-  spin-up and tear-down per
-  :func:`~repro.mutation.campaign.run_campaign` call; ``workers=1``
-  degrades to inline execution (no processes, fully deterministic
-  ordering).
-* :func:`stream_shard_batches` is the streaming face of one prepared
-  campaign: a generator yielding each completed shard's outcomes with
-  a :class:`CampaignProgress` snapshot, honouring
-  :class:`AbortPolicy` early-abort (stop on the first surviving
-  mutant, or once the score threshold is reached -- new shards stop
-  being submitted, in-flight shards drain).  Collecting every batch
-  and sorting by mutant index reproduces the blocking
-  :func:`~repro.mutation.campaign.run_campaign` report
-  byte-for-byte; the campaign service streams its ``/events`` feed
-  from it.
-* :func:`run_benchmark_suite` batches whole campaign *suites* across
-  IPs: each campaign's shards are submitted to the shared pool as soon
-  as that campaign is prepared (prep of later campaigns overlaps
-  execution of earlier ones), and the shared queue lets short
-  campaigns backfill pool slots left idle while the long ones drain --
-  no per-campaign serialisation barrier, one pool warm for the whole
-  regression.  With ``rtl_validation=True`` the suite also lowers
-  every campaign's RTL-validation mutants to
-  :class:`~repro.mutation.rtl_validation.RtlValidationShard` work
-  units on the *same* pool, so TLM campaigns and RTL validations
-  interleave on one executor.
+  spin-up and tear-down each; ``workers=1`` degrades to inline
+  execution (no processes, fully deterministic ordering).
+
+Two loops submit shards to it, and each exists for its own reason:
+
+* :func:`_drive` is the one driver that runs prepared work to
+  completion.  :func:`run_benchmark_suite` feeds it every campaign of
+  a suite (and, with ``rtl_validation=True``, every RTL validation)
+  as it is prepared;
+  :func:`~repro.mutation.campaign.run_campaign` and
+  :func:`~repro.mutation.rtl_validation.validate_at_rtl` feed it their
+  one job; :func:`repro.flow.run_flow` runs its step 4 as a one-cell
+  suite, so one pool serves both levels.  The driver submits each
+  job's shards **as soon as that job is prepared** (preparation of
+  later jobs overlaps execution of earlier ones, and short jobs
+  backfill pool slots left idle while long ones drain -- no per-job
+  barrier), so nothing is left to stop once it starts.
+* :func:`stream_shard_batches` is the windowed loop of one prepared
+  campaign, and the campaign service's only way to run one: it keeps
+  at most one shard per pool slot in flight and yields each completed
+  shard's outcomes with a :class:`CampaignProgress` snapshot.  The
+  window is what lets :class:`AbortPolicy` early-abort and a service
+  cancel genuinely stop work on a shared pool -- eager submission
+  would already have queued every shard.  Collecting every batch and
+  sorting by mutant index reproduces the
+  :func:`~repro.mutation.campaign.run_campaign` report byte-for-byte.
 
 A prepared RTL validation
 (:class:`~repro.mutation.rtl_validation.PreparedRtlValidation`) has
 the interface of a prepared campaign -- ``replayed_outcomes``,
 ``total_shards``, ``cache_keys``, ``encode_outcome`` and
-``build_report(outcomes, seconds, counters)`` -- so one suite job type
+``build_report(outcomes, seconds, counters)`` -- so one job type
 serves both levels, and every executed shard of either level goes
 through one absorption path (:func:`_absorb_executed`: obs counters
 and spans, then cache write-back).
@@ -123,7 +124,9 @@ class AbortPolicy:
 
 @dataclass(frozen=True)
 class CampaignProgress:
-    """Snapshot handed to ``progress`` callbacks after every shard."""
+    """Per-shard snapshot: yielded with every batch of
+    :func:`stream_shard_batches` and handed to the ``progress``
+    callback of :func:`run_benchmark_suite`."""
 
     ip_name: str
     sensor_type: str
@@ -176,8 +179,8 @@ class _CampaignTracker:
         """Account one completed shard: record every outcome, bump the
         shard counter, fire the progress callback.  The single
         absorption path shared by :func:`stream_shard_batches` and
-        :func:`run_benchmark_suite`, so streaming and suite accounting
-        cannot drift apart."""
+        :func:`_drive`, so streaming and suite accounting cannot drift
+        apart."""
         for outcome in outcomes:
             self.record(outcome)
         self.shards_done += 1
@@ -200,14 +203,6 @@ class _CampaignTracker:
         )
 
 
-def _ephemeral_width(workers: int, prepared: PreparedCampaign) -> int:
-    """Pool width for a one-campaign ephemeral scheduler: never more
-    workers than shards (a one-shard campaign executes inline), never
-    fewer than one (``workers <= 1`` keeps the historical inline
-    semantics instead of raising)."""
-    return min(max(1, workers), max(1, len(prepared.shards)))
-
-
 @contextmanager
 def _leased_scheduler(scheduler: "CampaignScheduler | None", width: int):
     """Yield ``scheduler`` untouched when one was passed (the caller
@@ -224,47 +219,6 @@ def _leased_scheduler(scheduler: "CampaignScheduler | None", width: int):
         ephemeral.shutdown()
 
 
-def _stream_shard_results(scheduler: "CampaignScheduler", shards, *,
-                          stop=None):
-    """Windowed shard submission: yield each completed shard's outcome
-    list in completion order, keeping at most one submitted shard per
-    pool slot so a ``stop()`` predicate (e.g. an abort policy)
-    genuinely stops work instead of merely ignoring results of shards
-    already queued behind the pool.  The low-level drain loop shared
-    by :func:`stream_shard_batches` and
-    :func:`repro.mutation.rtl_validation.validate_at_rtl`.
-
-    The in-flight window is **never abandoned**: if the consumer stops
-    iterating early -- a raising ``progress`` callback, an aborted
-    stream, a disconnected service client closing its generator -- the
-    ``finally`` block cancels what it can and drains the rest, so a
-    shared pool is left with no orphan futures and the next campaign
-    starts clean.
-    """
-    remaining = iter(shards)
-    pending: "set[Future]" = set()
-    exhausted = False
-    try:
-        while True:
-            while not exhausted and len(pending) < scheduler.workers and \
-                    not (stop is not None and stop()):
-                shard = next(remaining, None)
-                if shard is None:
-                    exhausted = True
-                    break
-                pending.add(scheduler.submit(shard))
-            if not pending:
-                break
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield future.result()
-    finally:
-        if pending:
-            for future in pending:
-                future.cancel()
-            wait(pending)
-
-
 def _absorb_executed(
     prepared: "PreparedCampaign | PreparedRtlValidation", result, cache,
     counters: "dict[str, int]",
@@ -276,9 +230,8 @@ def _absorb_executed(
     metrics registry and are added to ``counters``, the report's total
     (``report.obs``), and its relative-offset spans are re-anchored
     onto the tracer.  Every outcome is then written back to ``cache``.
-    The one path shared by :func:`stream_shard_batches`,
-    :func:`run_benchmark_suite` and
-    :func:`~repro.mutation.rtl_validation.validate_at_rtl`."""
+    The one path shared by :func:`_drive` and
+    :func:`stream_shard_batches`."""
     obs = getattr(result, "obs", None)
     for name, value in absorb_shard_counters(obs).items():
         counters[name] = counters.get(name, 0) + value
@@ -291,18 +244,15 @@ def stream_shard_batches(
     scheduler: "CampaignScheduler",
     prepared: PreparedCampaign,
     *,
-    progress=None,
     abort: "AbortPolicy | None" = None,
     cache=None,
     counters: "dict[str, int] | None" = None,
 ):
     """Run an already-prepared campaign on ``scheduler``, yielding one
     ``(outcomes, CampaignProgress)`` pair per completed shard.  The
-    shard-granular streaming core shared by
-    :func:`repro.mutation.campaign.run_campaign` and the campaign
-    service (whose ``/jobs/<id>/events`` wire format is exactly this:
-    per-shard outcome batches interleaved with progress snapshots);
-    the caller owns the scheduler's lifetime.
+    campaign service's loop (its ``/jobs/<id>/events`` wire format is
+    exactly this: per-shard outcome batches interleaved with progress
+    snapshots); the caller owns the scheduler's lifetime.
 
     Every outcome is yielded exactly once, in shard-completion order
     (deterministic for one worker, pool-dependent otherwise); the
@@ -310,21 +260,24 @@ def stream_shard_batches(
     :meth:`~repro.mutation.campaign.PreparedCampaign.build_report`
     over the collected batches is deterministic.
 
-    ``progress`` is called with each snapshot.  ``abort`` (an
-    :class:`AbortPolicy`) stops *submission* of new shards once
-    triggered; shards already in flight drain and are still yielded.
-    Replayed outcomes (``prepared.replayed_outcomes``: cache hits plus
-    statically-pruned verdicts) are yielded first as one virtual shard
-    -- they count toward progress and can trigger the abort policy
-    before any submission happens.  Freshly executed shards go through
+    Submission is windowed: at most one shard per pool slot
+    (``scheduler.workers``) is in flight, so ``abort`` (an
+    :class:`AbortPolicy`) genuinely stops work once triggered instead
+    of merely ignoring shards already queued behind the pool; shards
+    in flight drain and are still yielded.  Replayed outcomes
+    (``prepared.replayed_outcomes``: cache hits plus statically-pruned
+    verdicts) are yielded first as one virtual shard -- they count
+    toward progress and can trigger the abort policy before any
+    submission happens.  Freshly executed shards go through
     :func:`_absorb_executed` (pass the cache the campaign was prepared
     with); ``counters``, when given, collects their obs counters for
     ``build_report``.
 
-    Abandoning the generator early (``close()``, or an exception out
-    of a ``progress`` callback) stops submission and drains in-flight
-    shards before returning, so a shared scheduler is never left with
-    orphan work -- see :func:`_stream_shard_results`.
+    The in-flight window is **never abandoned**: if the consumer stops
+    iterating early (``close()``, an exception thrown in, a
+    disconnected service client), the ``finally`` block cancels what
+    it can and drains the rest, so a shared scheduler is never left
+    with orphan work and the next campaign starts clean.
     """
     counters = {} if counters is None else counters
     with trace_span("scheduler.stream", ip=prepared.ip_name,
@@ -333,23 +286,158 @@ def stream_shard_batches(
         tracker = _CampaignTracker(prepared, abort)
         replayed = prepared.replayed_outcomes
         if replayed:
-            tracker.absorb(replayed, progress)
+            tracker.absorb(replayed)
             yield list(replayed), tracker.snapshot()
-        results = _stream_shard_results(
-            scheduler, prepared.shards, stop=lambda: tracker.aborted
-        )
+        remaining = iter(prepared.shards)
+        pending: "set[Future]" = set()
         try:
-            for result in results:
-                outcomes = _absorb_executed(prepared, result, cache,
-                                            counters)
-                tracker.absorb(outcomes, progress)
-                yield outcomes, tracker.snapshot()
+            while True:
+                while len(pending) < scheduler.workers and \
+                        not tracker.aborted:
+                    shard = next(remaining, None)
+                    if shard is None:
+                        break
+                    pending.add(scheduler.submit(shard))
+                if not pending:
+                    break
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    outcomes = _absorb_executed(
+                        prepared, future.result(), cache, counters
+                    )
+                    tracker.absorb(outcomes)
+                    yield outcomes, tracker.snapshot()
         finally:
-            # Deterministic cleanup even when our *own* frame is torn
-            # down mid-yield (consumer close) or a callback raised
-            # above: close the drain loop now instead of waiting for
-            # GC.
-            results.close()
+            for future in pending:
+                future.cancel()
+            if pending:
+                wait(pending)
+
+
+@dataclass
+class _Job:
+    """One prepared TLM campaign or RTL validation on its way through
+    :func:`_drive`: its prepared work plus merge state.  Only a suite's
+    TLM jobs carry a tracker (for its ``progress`` callback): RTL
+    outcomes have no kill/timeout verdict for :class:`CampaignProgress`
+    to report."""
+
+    prepared: "PreparedCampaign | PreparedRtlValidation"
+    started: float           # perf_counter before this job's preparation
+    tracker: "_CampaignTracker | None" = None
+    outcomes: "list" = field(default_factory=list)
+    #: The executed shards' obs counters, summed (``report.obs``).
+    counters: "dict[str, int]" = field(default_factory=dict)
+    #: perf_counter at the end of this job's preparation, then at each
+    #: of its shards' completion as read by the shard future's
+    #: done-callback -- so the job's time ends where its last shard
+    #: finished, not whenever the driver (perhaps busy preparing a
+    #: later job) absorbs it.
+    finished: float = 0.0
+
+    def absorb(self, outcomes, progress, finished: float) -> None:
+        self.outcomes.extend(outcomes)
+        self.finished = max(self.finished, finished)
+        if self.tracker is not None:
+            self.tracker.absorb(outcomes, progress)
+
+    def report(self):
+        return self.prepared.build_report(
+            self.outcomes, seconds=self.finished - self.started,
+            counters=self.counters,
+        )
+
+
+def _drive(sched: "CampaignScheduler", jobs, *, cache=None,
+           progress=None) -> None:
+    """Run every prepared job of ``jobs`` to completion on ``sched``:
+    the one loop behind :func:`run_benchmark_suite`,
+    :func:`~repro.mutation.campaign.run_campaign` and
+    :func:`~repro.mutation.rtl_validation.validate_at_rtl`.
+
+    ``jobs`` (an iterable of :class:`_Job`) is consumed lazily, and
+    each job's shards are submitted the moment it arrives: the pool
+    starts on them while the iterable still prepares the next job.  A
+    job's replayed verdicts are absorbed first, as one batch; each
+    executed shard goes through :func:`_absorb_executed` (obs, then
+    write-back to ``cache``), and ``progress`` is called with every
+    tracked job's snapshot.
+
+    Any failure -- a raising ``progress`` callback, a failed shard or
+    preparation -- cancels what never started and drains what is in
+    flight before it propagates, so a shared pool is left with no
+    orphan futures and the next run on it starts clean.
+    """
+    pending: "set[Future]" = set()
+    #: ``(job, future, perf_counter)`` put by each shard future's
+    #: done-callback.  Draining this queue rather than waiting on the
+    #: futures means a shard is absorbed only once its callback has
+    #: read its completion time (a future wakes its waiters before it
+    #: runs its callbacks).
+    completed: "queue.SimpleQueue" = queue.SimpleQueue()
+
+    def absorb_completed(block: bool) -> None:
+        """Absorb every completed shard, first waiting for one when
+        ``block``."""
+        while pending:
+            try:
+                job, future, finished = completed.get(block=block)
+            except queue.Empty:
+                return
+            block = False
+            pending.remove(future)
+            job.absorb(
+                _absorb_executed(job.prepared, future.result(), cache,
+                                 job.counters),
+                progress, finished,
+            )
+
+    try:
+        for job in jobs:
+            # Preparation is done.  Replayed verdicts (cache hits +
+            # statically pruned) are already in the cache: absorb them
+            # as the first batch.
+            job.finished = time.perf_counter()
+            if job.prepared.replayed_outcomes:
+                job.absorb(list(job.prepared.replayed_outcomes),
+                           progress, job.finished)
+            for shard in job.prepared.shards:
+                future = sched.submit(shard)
+                pending.add(future)
+                future.add_done_callback(
+                    lambda f, job=job: completed.put(
+                        (job, f, time.perf_counter()))
+                )
+                # Inline execution resolves at submission: absorb it
+                # before the next shard runs.
+                absorb_completed(block=False)
+            # Keep progress live: absorb what finished meanwhile (all of
+            # it, even when this job had no shard to submit) before
+            # the next job prepares.
+            absorb_completed(block=False)
+        while pending:
+            absorb_completed(block=True)
+    except BaseException:
+        for future in pending:
+            future.cancel()
+        if pending:
+            wait(pending)
+        raise
+
+
+def _run_one(prepared, started: float, *, workers: int, scheduler,
+             cache):
+    """Run one prepared job through :func:`_drive` on ``scheduler``,
+    or on an ephemeral pool never wider than its shard count (a
+    one-shard job executes inline); return its report, timed from
+    ``started`` to its last shard's completion.  The body of
+    :func:`~repro.mutation.campaign.run_campaign` and
+    :func:`~repro.mutation.rtl_validation.validate_at_rtl`."""
+    job = _Job(prepared, started)
+    width = min(max(1, workers), max(1, len(prepared.shards)))
+    with _leased_scheduler(scheduler, width) as sched:
+        _drive(sched, [job], cache=cache)
+    return job.report()
 
 
 @dataclass
@@ -454,40 +542,6 @@ class SuiteResult:
         ) and not any(self.rtl_disagreements.values())
 
 
-@dataclass
-class _SuiteJob:
-    """One TLM campaign or RTL validation inside a suite: its prepared
-    work plus merge state.  Only TLM jobs carry a tracker: RTL outcomes
-    have no kill/timeout verdict for :class:`CampaignProgress` to
-    report."""
-
-    key: "tuple[str, str]"
-    prepared: "PreparedCampaign | PreparedRtlValidation"
-    started: float           # perf_counter at this job's preparation
-    tracker: "_CampaignTracker | None" = None
-    outcomes: "list" = field(default_factory=list)
-    #: The executed shards' obs counters, summed (``report.obs``).
-    counters: "dict[str, int]" = field(default_factory=dict)
-    #: perf_counter at the end of this job's preparation, then at each
-    #: of its shards' completion as read by the shard future's
-    #: done-callback -- so the job's time ends where its last shard
-    #: finished, not whenever the parent (perhaps busy preparing a
-    #: later campaign) drains it.
-    finished: float = 0.0
-
-    def absorb(self, outcomes, progress, finished: float) -> None:
-        self.outcomes.extend(outcomes)
-        self.finished = max(self.finished, finished)
-        if self.tracker is not None:
-            self.tracker.absorb(outcomes, progress)
-
-    def report(self):
-        return self.prepared.build_report(
-            self.outcomes, seconds=self.finished - self.started,
-            counters=self.counters,
-        )
-
-
 def run_benchmark_suite(
     specs,
     sensor_types=("razor", "counter"),
@@ -512,7 +566,7 @@ def run_benchmark_suite(
         shard_size: overrides the one-shard-per-worker split (and
             with it the width of each TLM shard's batched sweep).
         mutation_cycles: overrides each IP's testbench length (TLM
-            campaign and RTL validation alike).
+            campaign and RTL validation alike); at least 1.
         scheduler: a :class:`CampaignScheduler` owning the shared pool
             (its ``workers`` takes precedence).
         progress: per-shard :class:`CampaignProgress` callback, tagged
@@ -557,6 +611,8 @@ def run_benchmark_suite(
     from .rtl_validation import prepare_rtl_validation
 
     suite_started = time.perf_counter()
+    if mutation_cycles is not None and mutation_cycles < 1:
+        raise ValueError("mutation_cycles must be >= 1")
     resolved: "list[IpSpec]" = [
         case_study(s) if isinstance(s, str) else s for s in specs
     ]
@@ -567,67 +623,24 @@ def run_benchmark_suite(
         if sensor not in ("razor", "counter"):
             raise ValueError(f"unknown sensor type {sensor!r}")
 
-    campaign_started = time.perf_counter()
-    jobs: "list[_SuiteJob]" = []
-    rtl_jobs: "list[_SuiteJob]" = []
-    pending: "set[Future]" = set()
-    #: ``(job, future, perf_counter)`` put by each shard future's
-    #: done-callback.  Draining this queue rather than waiting on the
-    #: futures means a shard is absorbed only once its callback has
-    #: read its completion time (a future wakes its waiters before it
-    #: runs its callbacks).
-    completed: "queue.SimpleQueue" = queue.SimpleQueue()
-    seen: "set[tuple[str, str]]" = set()
+    jobs: "dict[tuple[str, str], _Job]" = {}
+    rtl_jobs: "dict[tuple[str, str], _Job]" = {}
 
-    def _absorb_completed(block: bool) -> None:
-        """Absorb every completed shard, first waiting for one when
-        ``block``."""
-        while pending:
-            try:
-                job, future, finished = completed.get(block=block)
-            except queue.Empty:
-                return
-            block = False
-            pending.remove(future)
-            job.absorb(
-                _absorb_executed(job.prepared, future.result(), cache,
-                                 job.counters),
-                progress, finished,
-            )
-
-    def _start(sched, job) -> None:
-        # Preparation is done.  Replayed verdicts (cache hits +
-        # statically pruned) are already in the cache: absorb them as
-        # the first batch.
-        job.finished = time.perf_counter()
-        if job.prepared.replayed_outcomes:
-            job.absorb(list(job.prepared.replayed_outcomes), progress,
-                       job.finished)
-        # Submit immediately: the pool starts on this job's shards
-        # while the next campaign's flow and golden trace still
-        # prepare in the parent.  Inline execution resolves at
-        # submission, so drain after each one.
-        for shard in job.prepared.shards:
-            future = sched.submit(shard)
-            pending.add(future)
-            future.add_done_callback(
-                lambda f, job=job: completed.put(
-                    (job, f, time.perf_counter()))
-            )
-            _absorb_completed(block=False)
-
-    def _run_suite(sched) -> None:
+    def prepared_jobs(sched):
+        """Each campaign, then its RTL validation, prepared only when
+        the driver asks for it -- after the previous job's shards are
+        on the pool."""
         for spec in resolved:
             for sensor in sensor_types:
                 key = (spec.name, sensor)
-                if key in seen:
+                if key in jobs:
                     continue
-                seen.add(key)
                 flow = (flows or {}).get(key)
                 if flow is None:
                     flow = run_flow(spec, sensor, run_mutation=False)
                 stimuli = spec.stimulus(
-                    mutation_cycles or spec.mutation_cycles
+                    spec.mutation_cycles if mutation_cycles is None
+                    else mutation_cycles
                 )
                 # Campaign time starts at its own preparation (golden
                 # trace + sharding), matching run_campaign.seconds --
@@ -644,10 +657,9 @@ def run_benchmark_suite(
                     shard_size=shard_size,
                     cache=cache,
                 )
-                job = _SuiteJob(key, prepared, started,
-                                tracker=_CampaignTracker(prepared))
-                jobs.append(job)
-                _start(sched, job)
+                jobs[key] = _Job(prepared, started,
+                                 tracker=_CampaignTracker(prepared))
+                yield jobs[key]
 
                 if rtl_validation:
                     # Both levels drive the same stimuli, so per-mutant
@@ -662,35 +674,19 @@ def run_benchmark_suite(
                         shard_size=shard_size,
                         cache=cache,
                     )
-                    job = _SuiteJob(key, prepared, started)
-                    rtl_jobs.append(job)
-                    _start(sched, job)
-                # Keep progress live: drain whatever finished while
-                # this campaign prepared.
-                _absorb_completed(block=False)
-        while pending:
-            _absorb_completed(block=True)
+                    rtl_jobs[key] = _Job(prepared, started)
+                    yield rtl_jobs[key]
 
+    campaign_started = time.perf_counter()
     # A passed scheduler defines the pool width; shard to fill it.
     with _leased_scheduler(scheduler, workers) as sched:
-        try:
-            _run_suite(sched)
-        except BaseException:
-            # A raising progress callback (or any mid-suite failure)
-            # must not leave orphan futures behind on a *shared* pool:
-            # cancel what never started, drain what is in flight, so
-            # the next suite on the same scheduler starts clean.
-            for future in pending:
-                future.cancel()
-            if pending:
-                wait(pending)
-            raise
+        _drive(sched, prepared_jobs(sched), cache=cache, progress=progress)
     campaign_seconds = time.perf_counter() - campaign_started
 
     return SuiteResult(
-        reports={job.key: job.report() for job in jobs},
+        reports={key: job.report() for key, job in jobs.items()},
         seconds=time.perf_counter() - suite_started,
         campaign_seconds=campaign_seconds,
         workers=sched.workers,
-        rtl_reports={job.key: job.report() for job in rtl_jobs},
+        rtl_reports={key: job.report() for key, job in rtl_jobs.items()},
     )

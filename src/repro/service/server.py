@@ -46,8 +46,8 @@ the partial report preserved on the record.
 A disconnected ``/events`` subscriber affects nothing but itself: the
 campaign publishes into per-subscriber queues, so the job -- and the
 shared pool -- never see the broken socket (the library-level
-equivalent, a raising ``progress`` callback, is likewise drained
-cleanly; see :func:`repro.mutation.scheduler._stream_shard_results`).
+equivalent, an abandoned stream, is likewise drained cleanly; see
+:func:`repro.mutation.stream_shard_batches`).
 """
 
 from __future__ import annotations

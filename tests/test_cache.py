@@ -268,19 +268,19 @@ class TestCampaignCache:
         golden, injected, stimuli = razor_campaign
         cache = ResultCache(tmp_path / "cache")
         cold = _campaign(golden, injected, stimuli, cache=cache).outcomes
-        snapshots = []
         prepared = prepare_campaign(
             golden, injected, stimuli,
             ip_name="cache_ip", sensor_type="razor", cache=cache,
         )
         with CampaignScheduler(workers=1) as scheduler:
             batches = list(stream_shard_batches(
-                scheduler, prepared, cache=cache, progress=snapshots.append,
+                scheduler, prepared, cache=cache,
             ))
         # Warm stream yields every verdict in one replay batch, in
         # index order, before (and without) any shard submission.
         assert not prepared.shards
         assert [warm for warm, _snapshot in batches] == [cold]
+        snapshots = [snapshot for _warm, snapshot in batches]
         assert len(snapshots) == 1
         assert snapshots[0].done == snapshots[0].total == len(cold)
         assert snapshots[0].shards_done == snapshots[0].shards_total == 1

@@ -1,6 +1,6 @@
 """Doc-sync tests: the documentation cannot silently rot.
 
-Two invariants, enforced in CI by the docs job:
+Three invariants, enforced in CI by the docs job:
 
 * every ``repro`` CLI subcommand and every long option flag exposed by
   :func:`repro.cli.build_parser` appears in the CLI reference prose of
@@ -8,10 +8,18 @@ Two invariants, enforced in CI by the docs job:
   row of README's CLI reference table names only flags its subcommand
   has (delete a flag -> drop it from the table);
 * every intra-repo markdown link in ``README.md`` / ``docs/*.md``
-  resolves to an existing file (move a file -> fix the links).
+  resolves to an existing file (move a file -> fix the links);
+* every fenced ``python`` block in them calls the real API: it parses,
+  each name it imports from ``repro`` exists, and each keyword it
+  passes to an imported ``repro`` callable is in that callable's
+  signature (rename or delete a parameter -> fix the snippet).  The
+  blocks are read with :mod:`ast`, never executed.
 """
 
 import argparse
+import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -114,3 +122,68 @@ class TestIntraRepoLinks:
             f"{doc.relative_to(REPO)} has broken intra-repo links: "
             f"{broken}"
         )
+
+
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+
+
+def _python_blocks():
+    """``(id, source)`` of every fenced python block in the docs."""
+    return [
+        (f"{doc.name}:{text.count(chr(10), 0, match.start()) + 1}",
+         match.group(1))
+        for doc in _doc_files()
+        for text in [doc.read_text()]
+        for match in _PYTHON_BLOCK.finditer(text)
+    ]
+
+
+def _repro_imports(tree) -> "dict[str, tuple[str, str]]":
+    """``{bound name: (module, attribute)}`` for each ``from repro...
+    import`` in ``tree``."""
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    }
+
+
+_BLOCKS = _python_blocks()
+
+
+@pytest.mark.parametrize("block_id,source", _BLOCKS,
+                         ids=[block_id for block_id, _ in _BLOCKS])
+class TestPythonSnippets:
+    def test_block_parses(self, block_id, source):
+        ast.parse(source, filename=block_id)
+
+    def test_imported_names_exist(self, block_id, source):
+        missing = [
+            f"{module}.{name}"
+            for module, name in _repro_imports(ast.parse(source)).values()
+            if not hasattr(importlib.import_module(module), name)
+        ]
+        assert not missing, f"{block_id} imports missing names {missing}"
+
+    def test_keywords_are_in_the_signature(self, block_id, source):
+        tree = ast.parse(source)
+        imports = _repro_imports(tree)
+        unknown = []
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id in imports):
+                continue
+            module, name = imports[call.func.id]
+            params = inspect.signature(
+                getattr(importlib.import_module(module), name)
+            ).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            unknown += [
+                f"{name}({kw.arg}=)" for kw in call.keywords
+                if kw.arg is not None and kw.arg not in params
+            ]
+        assert not unknown, f"{block_id} passes unknown keywords {unknown}"

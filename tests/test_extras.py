@@ -1,11 +1,19 @@
 """Tests for the VCD exporter and the CLI."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.obs import validate_chrome_trace
 from repro.rtl import Assign, Module, Simulation, const
 from repro.rtl.vcd import VcdWriter
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def counter_module():
@@ -104,3 +112,32 @@ class TestCli:
     def test_bad_ip_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["flow", "nonexistent", "razor"])
+
+
+def _repro(*argv):
+    """``python -m repro ARGV`` in a fresh interpreter: ``mutate
+    --trace`` enables the process-global tracer and leaves it on."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestCliEndToEnd:
+    def test_flow_exits_zero(self):
+        result = _repro("flow", "dsp", "razor")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "killed" in result.stdout
+
+    def test_mutate_writes_a_valid_trace(self, tmp_path):
+        path = tmp_path / "trace.json"
+        result = _repro("mutate", "dsp", "razor", "--workers", "2",
+                        "--trace", str(path))
+        assert result.returncode == 0, result.stdout + result.stderr
+        payload = json.loads(path.read_text())
+        assert validate_chrome_trace(payload) == []
+        events = payload["traceEvents"]
+        assert any(e["name"] == "flow.mutation" for e in events)
+        assert any(e["name"] == "shard.execute"
+                   and e["args"].get("level") == "tlm" for e in events)

@@ -7,8 +7,15 @@ with both sensor types; the DSP and Plasma get structural smoke tests
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.flow import run_flow, speedup, time_rtl, time_tlm
 from repro.ips import case_study
+from repro.mutation import (
+    CampaignScheduler,
+    run_benchmark_suite,
+    run_campaign,
+    validate_at_rtl,
+)
 from repro.reporting import format_kv, format_table
 from repro.stimuli import Lfsr, lfsr_vectors
 
@@ -107,11 +114,60 @@ class TestRtlValidationInFlow:
         result = run_flow(
             case_study("filter"),
             "razor",
-            run_mutation=False,
             run_rtl_validation=True,
         )
         assert result.rtl_validation is not None
         assert result.rtl_validation.risen_pct == 100.0
+
+    def test_validation_needs_the_campaign(self):
+        with pytest.raises(ValueError, match="run_mutation"):
+            run_flow(case_study("filter"), "razor", run_mutation=False,
+                     run_rtl_validation=True)
+
+    def test_one_pool_serves_both_levels(self, monkeypatch):
+        """Step 4 runs the campaign and its RTL re-run on one scheduler,
+        and each report equals its standalone entry point's."""
+        spec = case_study("dsp")
+        widths = []
+        init = CampaignScheduler.__init__
+
+        def counting_init(self, workers=1, **kwargs):
+            widths.append(workers)
+            init(self, workers, **kwargs)
+
+        monkeypatch.setattr(CampaignScheduler, "__init__", counting_init)
+        flow = run_flow(spec, "razor", workers=2, mutation_cycles=24,
+                        run_rtl_validation=True)
+        assert widths == [2]
+        monkeypatch.undo()
+
+        stimuli = spec.stimulus(24)
+        assert flow.mutation == run_campaign(
+            flow.tlm_optimized, flow.injected, stimuli, ip_name="dsp",
+            sensor_type="razor", workers=2,
+        )
+        assert flow.rtl_validation == validate_at_rtl(
+            flow.augmented, flow.injected.mutants, stimuli=stimuli,
+            ip_name="dsp", workers=2,
+        )
+
+
+@pytest.mark.parametrize("cycles", [0, -1])
+def test_testbench_length_must_be_positive(cycles):
+    """A non-positive testbench length is an error for every entry
+    point, not "the IP's default" for one and an empty campaign for
+    another."""
+    with pytest.raises(ValueError, match="mutation_cycles"):
+        run_flow(case_study("dsp"), "razor", mutation_cycles=cycles)
+    with pytest.raises(ValueError, match="mutation_cycles"):
+        run_benchmark_suite(["dsp"], ("razor",), workers=1,
+                            mutation_cycles=cycles)
+    for argv in (["mutate", "dsp", "razor", "--cycles", str(cycles)],
+                 ["bench", "--cycles", str(cycles)],
+                 ["timing", "dsp", "razor", str(cycles)]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
 
 
 class TestStimuli:

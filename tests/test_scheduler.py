@@ -139,15 +139,13 @@ class TestStreamingEquivalence:
             assert_reports_match(report, baseline)
 
     def test_progress_callback_sees_every_shard(self, flows):
-        spec = case_study("dsp")
         flow = flows("dsp", "razor")
-        stim = spec.stimulus(REDUCED_CYCLES)
         snapshots = []
-        outcomes = run_campaign(
-            flow.tlm_optimized, flow.injected, stim,
-            ip_name="dsp", sensor_type="razor",
-            workers=1, shard_size=4, progress=snapshots.append,
-        ).outcomes
+        outcomes = run_benchmark_suite(
+            ["dsp"], ("razor",), workers=1, shard_size=4,
+            mutation_cycles=REDUCED_CYCLES,
+            flows={("dsp", "razor"): flow}, progress=snapshots.append,
+        ).reports[("dsp", "razor")].outcomes
         total = len(flow.injected.mutants)
         assert [s.shards_done for s in snapshots] == \
             list(range(1, len(snapshots) + 1))
@@ -398,27 +396,6 @@ class TestCallbackHardening:
             flow.tlm_optimized, flow.injected, stim,
             ip_name=ip, sensor_type="razor", workers=1,
         )
-
-    def test_raising_progress_callback_does_not_wedge_pool(self, flows):
-        flow, stim, baseline = self._baseline(flows)
-
-        def boom(_snapshot):
-            raise RuntimeError("user callback exploded")
-
-        with CampaignScheduler(workers=2) as scheduler:
-            with pytest.raises(RuntimeError, match="exploded"):
-                run_campaign(
-                    flow.tlm_optimized, flow.injected, stim,
-                    ip_name="dsp", sensor_type="razor",
-                    scheduler=scheduler, shard_size=1, progress=boom,
-                )
-            # The abandoned campaign drained its in-flight shards, so
-            # the same pool serves the next campaign deterministically.
-            report = run_campaign(
-                flow.tlm_optimized, flow.injected, stim,
-                ip_name="dsp", sensor_type="razor", scheduler=scheduler,
-            )
-            assert_reports_match(report, baseline)
 
     def test_raising_suite_progress_does_not_wedge_pool(self, flows):
         ips = ["plasma", "dsp"]
